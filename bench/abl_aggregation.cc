@@ -33,9 +33,9 @@ int main() {
     job.out_addr = out_addr;
     bool done = false;
     sim::Tick start = sys.eq().Now(), end = 0;
-    NDP_CHECK(sys.driver().AggregateJafar(job, [&](sim::Tick t) {
+    NDP_CHECK(sys.driver().Submit(job, [&](const jafar::Completion& c) {
       done = true;
-      end = t;
+      end = c.completed_at;
     }).ok());
     sys.eq().RunUntilTrue([&] { return done; });
     return bench::Ms(end - start);
@@ -65,9 +65,9 @@ int main() {
   sel.out_base = bitmap;
   bool sel_done = false;
   sim::Tick sel_start = sys.eq().Now(), sel_end = 0;
-  NDP_CHECK(sys.jafar().StartSelect(sel, [&](sim::Tick t) {
+  NDP_CHECK(sys.jafar().Start(sel, [&](const jafar::Completion& c) {
     sel_done = true;
-    sel_end = t;
+    sel_end = c.completed_at;
   }).ok());
   sys.eq().RunUntilTrue([&] { return sel_done; });
   double filtered_ms =

@@ -54,13 +54,15 @@ int main() {
   job.out_base = out;
   bool done = false;
   sim::Tick start = sys_enc.eq().Now(), end = 0;
-  NDP_CHECK(enc_device.StartSelect(job, [&](sim::Tick t) {
+  uint64_t enc_matches = 0;
+  NDP_CHECK(enc_device.Start(job, [&](const jafar::Completion& c) {
     done = true;
-    end = t;
+    end = c.completed_at;
+    enc_matches = c.matches;
   }).ok());
   sys_enc.eq().RunUntilTrue([&] { return done; });
   double jafar_enc_ms = bench::Ms(end - start);
-  NDP_CHECK(enc_device.last_match_count() == cpu_raw.matches);
+  NDP_CHECK(enc_matches == cpu_raw.matches);
   NDP_CHECK(jafar_raw.matches == cpu_raw.matches);
 
   std::printf("\n%-40s %-12s %-12s %-14s\n", "configuration", "bytes_moved",

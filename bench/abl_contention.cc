@@ -51,9 +51,9 @@ std::pair<double, uint64_t> RunWithContention(bool require_ownership,
   job.out_base = out_base;
   bool done = false;
   sim::Tick start = sys.eq().Now(), end = 0;
-  NDP_CHECK(device.StartSelect(job, [&](sim::Tick tk) {
+  NDP_CHECK(device.Start(job, [&](const jafar::Completion& c) {
     done = true;
-    end = tk;
+    end = c.completed_at;
   }).ok());
   sys.eq().RunUntilTrue([&] { return done; });
   (void)cpu_done;

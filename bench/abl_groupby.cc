@@ -53,9 +53,9 @@ int main() {
     sim::Tick start = sys.eq().Now(), end = 0;
     NDP_CHECK(sys.driver()
                   .HierarchicalGroupBy(job, groups,
-                                       [&](sim::Tick t) {
+                                       [&](const jafar::Completion& c) {
                                          done = true;
-                                         end = t;
+                                         end = c.completed_at;
                                        })
                   .ok());
     sys.eq().RunUntilTrue([&] { return done; });

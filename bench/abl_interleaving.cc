@@ -65,13 +65,13 @@ int main() {
     job.out_base = 1ull << 28;
     bool done = false;
     sim::Tick end = 0;
-    NDP_CHECK(sys.dev0->StartSelect(job, [&](sim::Tick t) {
+    NDP_CHECK(sys.dev0->Start(job, [&](const jafar::Completion& c) {
       done = true;
-      end = t;
+      end = c.completed_at;
+      matches_a = c.matches;
     }).ok());
     sys.eq.RunUntilTrue([&] { return done; });
     contiguous_ms = bench::Ms(end);
-    matches_a = sys.dev0->last_match_count();
   }
 
   // (b) Word-interleaved across two DIMMs: device k scans the logical rows
@@ -108,27 +108,28 @@ int main() {
     // reflected in the masked write-back cost.
     bool d0 = false, d1 = false;
     sim::Tick end0 = 0, end1 = 0;
+    matches_b = 0;
     NDP_CHECK(sys.dev0
-                  ->StartSelect(make_job(0, (rows + 1) / 2, 1ull << 28,
-                                         0x5555555555555555ull),
-                                [&](sim::Tick t) {
-                                  d0 = true;
-                                  end0 = t;
-                                })
+                  ->Start(make_job(0, (rows + 1) / 2, 1ull << 28,
+                                   0x5555555555555555ull),
+                          [&](const jafar::Completion& c) {
+                            d0 = true;
+                            end0 = c.completed_at;
+                            matches_b += c.matches;
+                          })
                   .ok());
     NDP_CHECK(sys.dev1
-                  ->StartSelect(make_job(dimm1_base, rows / 2,
-                                         dimm1_base + (1ull << 28),
-                                         0xAAAAAAAAAAAAAAAAull),
-                                [&](sim::Tick t) {
-                                  d1 = true;
-                                  end1 = t;
-                                })
+                  ->Start(make_job(dimm1_base, rows / 2,
+                                   dimm1_base + (1ull << 28),
+                                   0xAAAAAAAAAAAAAAAAull),
+                          [&](const jafar::Completion& c) {
+                            d1 = true;
+                            end1 = c.completed_at;
+                            matches_b += c.matches;
+                          })
                   .ok());
     sys.eq.RunUntilTrue([&] { return d0 && d1; });
     interleaved_ms = bench::Ms(std::max(end0, end1));
-    matches_b =
-        sys.dev0->last_match_count() + sys.dev1->last_match_count();
   }
 
   // (c) Shuffle-first: a CPU pass rewrites the column contiguously (modeled

@@ -55,9 +55,9 @@ int main() {
     job.out_base = 1ull << 27;
     bool done = false;
     sim::Tick start = eq.Now(), end = 0;
-    NDP_CHECK(device.StartSelect(job, [&](sim::Tick t) {
+    NDP_CHECK(device.Start(job, [&](const jafar::Completion& c) {
       done = true;
-      end = t;
+      end = c.completed_at;
     }).ok());
     eq.RunUntilTrue([&] { return done; });
     double ms = bench::Ms(end - start);

@@ -62,7 +62,7 @@ int main() {
   sel.range_low = cutoff;
   sel.out_base = bitmap;
   bool sel_done = false;
-  NDP_CHECK(sys.jafar().StartSelect(sel, [&](sim::Tick) {
+  NDP_CHECK(sys.jafar().Start(sel, [&](const jafar::Completion&) {
     sel_done = true;
   }).ok());
   sys.eq().RunUntilTrue([&] { return sel_done; });
@@ -77,9 +77,9 @@ int main() {
   gb.out_base = out;
   bool gb_done = false;
   sim::Tick end = 0;
-  NDP_CHECK(sys.driver().GroupByJafar(gb, [&](sim::Tick t) {
+  NDP_CHECK(sys.driver().Submit(gb, [&](const jafar::Completion& c) {
     gb_done = true;
-    end = t;
+    end = c.completed_at;
   }).ok());
   sys.eq().RunUntilTrue([&] { return gb_done; });
   double ndp_ms = bench::Ms(end - start);

@@ -45,9 +45,9 @@ int main() {
     rs.out_base = out;
     bool done = false;
     sim::Tick start = sys.eq().Now(), end = 0;
-    NDP_CHECK(sys.driver().RowStoreJafar(rs, [&](sim::Tick t) {
+    NDP_CHECK(sys.driver().Submit(rs, [&](const jafar::Completion& c) {
       done = true;
-      end = t;
+      end = c.completed_at;
     }).ok());
     sys.eq().RunUntilTrue([&] { return done; });
     double rowstore_ms = bench::Ms(end - start);
@@ -69,9 +69,9 @@ int main() {
       job.out_base = bm;
       bool sel_done = false;
       sim::Tick s2 = sys.eq().Now(), e2 = 0;
-      NDP_CHECK(sys.jafar().StartSelect(job, [&](sim::Tick t) {
+      NDP_CHECK(sys.jafar().Start(job, [&](const jafar::Completion& c) {
         sel_done = true;
-        e2 = t;
+        e2 = c.completed_at;
       }).ok());
       sys.eq().RunUntilTrue([&] { return sel_done; });
       colstore_ms += bench::Ms(e2 - s2);

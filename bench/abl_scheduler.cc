@@ -65,9 +65,9 @@ Outcome Run(const char* mode, const db::Column& col, uint64_t cpu_rows) {
     job.out_base = sys.Allocate((col.size() + 7) / 8 + 64, 4096);
     bool done = false;
     sim::Tick s = sys.eq().Now(), e = 0;
-    NDP_CHECK(device.StartSelect(job, [&](sim::Tick t) {
+    NDP_CHECK(device.Start(job, [&](const jafar::Completion& c) {
       done = true;
-      e = t;
+      e = c.completed_at;
     }).ok());
     sys.eq().RunUntilTrue([&] { return done; });
     out.jafar_ms = bench::Ms(e - s);

@@ -35,9 +35,9 @@ int main() {
   job.out_base = out;
   bool done = false;
   sim::Tick start = sys.eq().Now(), end = 0;
-  NDP_CHECK(sys.driver().SortJafar(job, [&](sim::Tick t) {
+  NDP_CHECK(sys.driver().Submit(job, [&](const jafar::Completion& c) {
     done = true;
-    end = t;
+    end = c.completed_at;
   }).ok());
   sys.eq().RunUntilTrue([&] { return done; });
   double jafar_block_ms = bench::Ms(end - start);

@@ -57,9 +57,11 @@ int main() {
   job.out_base = out;
   bool done = false;
   sim::Tick start = sys.eq().Now(), end = 0;
-  NDP_CHECK(sys.jafar().StartSelect(job, [&](sim::Tick t) {
+  uint64_t matches = 0;
+  NDP_CHECK(sys.jafar().Start(job, [&](const jafar::Completion& c) {
     done = true;
-    end = t;
+    end = c.completed_at;
+    matches = c.matches;
   }).ok());
   sys.eq().RunUntilTrue([&] { return done; });
   std::printf("\nJAFAR filtered %llu rows in %.3f ms while the CPU streamed "
@@ -67,7 +69,7 @@ int main() {
               static_cast<unsigned long long>(col.size()),
               static_cast<double>(end - start) / 1e9);
   std::printf("matches: %llu\n",
-              static_cast<unsigned long long>(sys.jafar().last_match_count()));
+              static_cast<unsigned long long>(matches));
 
   bool released = false;
   sys.driver().ReleaseOwnership([&](sim::Tick) { released = true; });

@@ -210,6 +210,7 @@ Result<DimmArray::ParallelResult> DimmArray::RunParallelSelect(int64_t lo,
   // order-independent, so the result is identical at every thread count.
   std::vector<uint8_t> dev_done(parts_.size(), 0);
   std::vector<sim::Tick> dev_end(parts_.size(), start);
+  std::vector<uint64_t> dev_matches(parts_.size(), 0);
   for (size_t i = 0; i < parts_.size(); ++i) {
     const DevicePlacement& part = parts_[i];
     jafar::SelectJob job;
@@ -222,11 +223,15 @@ Result<DimmArray::ParallelResult> DimmArray::RunParallelSelect(int64_t lo,
     // Exclusive-ownership research harness: a wedged device surfaces as a
     // failed RunUntilTrue drain check below; no queueing to bypass here.
     // ndp-lint: watchdog-arm-ok  ndp-lint: runtime-bypass-ok  harness drains
-    NDP_RETURN_NOT_OK(devices_[d]->StartSelect(
-        job, [this, d, i, &dev_done, &dev_end](sim::Tick t) {
-          PostToHost(d, [i, t, &dev_done, &dev_end] {
+    NDP_RETURN_NOT_OK(devices_[d]->Start(
+        job, [this, d, i, &dev_done, &dev_end,
+              &dev_matches](const jafar::Completion& c) {
+          sim::Tick t = c.completed_at;
+          uint64_t n = c.matches;
+          PostToHost(d, [i, t, n, &dev_done, &dev_end, &dev_matches] {
             dev_done[i] = 1;
             dev_end[i] = t;
+            dev_matches[i] = n;
           });
         }));
   }
@@ -257,8 +262,8 @@ Result<DimmArray::ParallelResult> DimmArray::RunParallelSelect(int64_t lo,
       }
       result.bitmap.SetWord(part.first_row / 64 + w, value);
     }
-    result.matches += devices_[part.device]->last_match_count();
   }
+  for (uint64_t n : dev_matches) result.matches += n;
   return result;
 }
 

@@ -558,13 +558,7 @@ Result<NdpRuntime::JobId> NdpRuntime::Submit(const PlacedColumn& col,
     if (lane.state == Lane::State::kDead) {
       // The placement's home device already failed: route to the least
       // loaded healthy lane through the reassignment copy path.
-      Lane* target = nullptr;
-      for (auto& cand : lanes_) {
-        if (cand->state == Lane::State::kDead) continue;
-        if (target == nullptr || StealableRows(*cand) < StealableRows(*target)) {
-          target = cand.get();
-        }
-      }
+      Lane* target = LeastLoadedLiveLane();
       NDP_CHECK(target != nullptr);
       if (!TransplantRows(*target, *j, j->priority, part.col_base, val_base,
                           part.first_row, part.rows)) {
@@ -721,176 +715,132 @@ void NdpRuntime::StartLease(Lane& lane) {
 }
 
 void NdpRuntime::OnOwnershipAcquired(Lane& lane) {
+  // Lease parameters are computed host-side; only the descriptor crosses to
+  // the channel partition, and only the Completion's status and match count
+  // cross back.
   Chunk& c = *lane.active;
-  uint32_t li = lane.index;
-  uint32_t dev = lane.device;
-  if (c.job->kind == JobKind::kSelect) {
-    // Job parameters are computed host-side; the submission itself and the
-    // completion's status/row-count extraction run on the channel partition,
-    // with only plain values crossing back through the port.
-    uint64_t col_addr = c.col_base + c.rows_done * 8;
-    uint64_t out_addr = c.out_base + c.rows_done / 8;
-    int64_t lo = c.job->lo, hi = c.job->hi;
-    uint64_t rows = lane.cur_lease_rows;
-    array_->PostToDevice(
-        dev, [this, li, dev, col_addr, out_addr, lo, hi, rows] {
-          Status st = lanes_[li]->driver->SelectJafar(
-              col_addr, lo, hi, out_addr, rows, /*flag_addr=*/0,
-              [this, li, dev](const jafar::SelectResult& r) {
-                Status s = r.status;
-                uint64_t n = r.num_output_rows;
-                array_->PostToHost(dev, [this, li, s, n] {
-                  OnLeaseDone(*lanes_[li], s, n);
-                });
-              });
-          // Alignment invariants guarantee a valid call; a synchronous
-          // rejection is a wiring bug, not a device fault.
-          NDP_CHECK_MSG(st.ok(), st.message().c_str());
-        });
-    return;
-  }
-  if (c.job->kind == JobKind::kProbe) {
-    Result<uint64_t> filter = EnsureProbeFilter(lane, *c.job);
-    if (!filter.ok()) {
-      OnLeaseDone(lane, filter.status(), 0);
-      return;
+  const uint64_t col_addr = c.col_base + c.rows_done * 8;
+  const uint64_t out_addr = c.out_base + c.rows_done / 8;
+  jafar::JobDescriptor job;
+  switch (c.job->kind) {
+    case JobKind::kSelect: {
+      jafar::SelectJob sel;
+      sel.col_base = col_addr;
+      sel.num_rows = lane.cur_lease_rows;
+      sel.op = c.job->op;
+      sel.range_low = c.job->lo;
+      sel.range_high = c.job->hi;
+      sel.out_base = out_addr;
+      job = sel;
+      break;
     }
-    jafar::ProbeJob job;
-    job.col_base = c.col_base + c.rows_done * 8;
-    job.num_rows = lane.cur_lease_rows;
-    job.out_base = c.out_base + c.rows_done / 8;
-    job.filter_base = filter.value();
-    job.filter_words = c.job->filter_words;
-    job.hash_count = c.job->hash_count;
-    array_->PostToDevice(dev, [this, li, dev, job] {
-      Status st = lanes_[li]->driver->ProbeJafar(job, [this, li,
-                                                       dev](sim::Tick) {
-        Lane& l = *lanes_[li];
-        Status cause = Status::OK();
-        uint64_t n = 0;
-        if (l.driver->registers().Read(jafar::Reg::kStatus) ==
-            static_cast<uint64_t>(jafar::DeviceStatus::kError)) {
-          Status dev_status = array_->device(l.device).last_job_status();
-          cause = dev_status.ok() ? Status::Internal("probe failed")
-                                  : dev_status;
-        } else {
-          n = array_->device(l.device).last_match_count();
-        }
-        array_->PostToHost(
-            dev, [this, li, cause, n] { OnLeaseDone(*lanes_[li], cause, n); });
-      });
-      NDP_CHECK_MSG(st.ok(), st.message().c_str());
-    });
-    return;
-  }
-  if (c.job->kind == JobKind::kGroupBy) {
-    // Bucket-window lease shaping (DESIGN.md §12): the device aggregates keys
-    // in [key_offset, key_offset + buckets) and silently skips the rest, so
-    // exactness requires every dispatched row's key to land in the window.
-    // Scan forward from the resume point (host-side, against the backing
-    // store — standing in for the zone-map key ranges a real planner keeps)
-    // and shrink the lease to the maximal in-window prefix. Clustered keys
-    // (TPC-H lineitem by orderkey) keep whole leases; adversarial keys
-    // degrade to shorter leases, never to wrong answers.
-    const uint32_t buckets = array_->device_config().groupby_buckets;
-    auto& store = array_->dram().backing_store();
-    uint64_t base = c.col_base + c.rows_done * 8;
-    int64_t k0 = static_cast<int64_t>(store.Read64(base));
-    uint64_t window = 1;
-    while (window < lane.cur_lease_rows) {
-      int64_t k = static_cast<int64_t>(store.Read64(base + window * 8));
-      if (k < k0 || k - k0 >= static_cast<int64_t>(buckets)) break;
-      ++window;
-    }
-    uint64_t aligned = window & ~uint64_t{7};
-    if (aligned == 0) {
-      // Ragged seam: fewer than one 64 B burst of rows before the keys leave
-      // the window, which the engine's alignment rule cannot express. Fold a
-      // whole burst (or the chunk tail) host-side — a full 8 rows, not just
-      // the window, so the resume point stays 64 B aligned — and complete
-      // the lease without a device job.
-      uint64_t seam = std::min<uint64_t>(8, lane.cur_lease_rows);
-      for (uint64_t r = 0; r < seam; ++r) {
-        int64_t key = static_cast<int64_t>(store.Read64(base + r * 8));
-        int64_t val =
-            static_cast<int64_t>(store.Read64(c.val_base + (c.rows_done + r) * 8));
-        MergeGroup(*c.job, key,
-                   c.job->agg == jafar::AggKind::kCount ? 1 : val, 1);
-      }
-      lane.cur_lease_rows = seam;
-      c.rows_leased = c.rows_done + seam;
-      lane.gb_host_seam = true;
-      OnLeaseDone(lane, Status::OK(), 0);
-      return;
-    }
-    lane.cur_lease_rows = aligned;
-    c.rows_leased = c.rows_done + aligned;
-    lane.gb_key_offset = k0;
-    if (lane.gb_scratch == 0) {
-      Result<uint64_t> scratch =
-          array_->AllocOnDevice(lane.device, uint64_t{buckets} * 16, 64);
-      if (!scratch.ok()) {
-        OnLeaseDone(lane, scratch.status(), 0);
+    case JobKind::kProbe: {
+      Result<uint64_t> filter = EnsureProbeFilter(lane, *c.job);
+      if (!filter.ok()) {
+        OnLeaseDone(lane, filter.status(), 0);
         return;
       }
-      lane.gb_scratch = scratch.value();
+      jafar::ProbeJob probe;
+      probe.col_base = col_addr;
+      probe.num_rows = lane.cur_lease_rows;
+      probe.out_base = out_addr;
+      probe.filter_base = filter.value();
+      probe.filter_words = c.job->filter_words;
+      probe.hash_count = c.job->hash_count;
+      job = probe;
+      break;
     }
-    jafar::GroupByJob job;
-    job.key_base = c.col_base + c.rows_done * 8;
-    job.val_base = c.val_base + c.rows_done * 8;
-    job.num_rows = lane.cur_lease_rows;
-    job.kind = c.job->agg;
-    job.key_offset = k0;
-    job.bitmap_base = 0;
-    job.out_base = lane.gb_scratch;
-    array_->PostToDevice(dev, [this, li, dev, job] {
-      Status st = lanes_[li]->driver->GroupByJafar(job, [this, li,
-                                                         dev](sim::Tick) {
-        Lane& l = *lanes_[li];
-        Status cause = Status::OK();
-        if (l.driver->registers().Read(jafar::Reg::kStatus) ==
-            static_cast<uint64_t>(jafar::DeviceStatus::kError)) {
-          Status dev_status = array_->device(l.device).last_job_status();
-          cause = dev_status.ok() ? Status::Internal("group-by failed")
-                                  : dev_status;
-        }
-        array_->PostToHost(
-            dev, [this, li, cause] { OnLeaseDone(*lanes_[li], cause, 0); });
-      });
-      NDP_CHECK_MSG(st.ok(), st.message().c_str());
-    });
-    return;
-  }
-  if (lane.agg_scratch == 0) {
-    Result<uint64_t> scratch = array_->AllocOnDevice(lane.device, 64, 64);
-    if (!scratch.ok()) {
-      OnLeaseDone(lane, scratch.status(), 0);
-      return;
-    }
-    lane.agg_scratch = scratch.value();
-  }
-  jafar::AggregateJob job;
-  job.col_base = c.col_base + c.rows_done * 8;
-  job.num_rows = lane.cur_lease_rows;
-  job.kind = c.job->agg;
-  job.bitmap_base = 0;
-  job.out_addr = lane.agg_scratch;
-  array_->PostToDevice(dev, [this, li, dev, job] {
-    Status st = lanes_[li]->driver->AggregateJafar(job, [this, li,
-                                                         dev](sim::Tick) {
-      // The status register and last-job status live lane-side: read them
-      // here and ship only the resolved cause across the port.
-      Lane& l = *lanes_[li];
-      Status cause = Status::OK();
-      if (l.driver->registers().Read(jafar::Reg::kStatus) ==
-          static_cast<uint64_t>(jafar::DeviceStatus::kError)) {
-        Status dev_status = array_->device(l.device).last_job_status();
-        cause = dev_status.ok() ? Status::Internal("aggregate failed")
-                                : dev_status;
+    case JobKind::kGroupBy: {
+      // Bucket-window lease shaping (DESIGN.md §12): the device aggregates
+      // keys in [key_offset, key_offset + buckets) and silently skips the
+      // rest, so exactness requires every dispatched row's key to land in
+      // the window. Scan forward from the resume point (host-side, against
+      // the backing store — standing in for the zone-map key ranges a real
+      // planner keeps) and shrink the lease to the maximal in-window prefix.
+      // Clustered keys (TPC-H lineitem by orderkey) keep whole leases;
+      // adversarial keys degrade to shorter leases, never to wrong answers.
+      const uint32_t buckets = array_->device_config().groupby_buckets;
+      auto& store = array_->dram().backing_store();
+      int64_t k0 = static_cast<int64_t>(store.Read64(col_addr));
+      uint64_t window = 1;
+      while (window < lane.cur_lease_rows) {
+        int64_t k = static_cast<int64_t>(store.Read64(col_addr + window * 8));
+        if (k < k0 || k - k0 >= static_cast<int64_t>(buckets)) break;
+        ++window;
       }
-      array_->PostToHost(
-          dev, [this, li, cause] { OnLeaseDone(*lanes_[li], cause, 0); });
-    });
+      uint64_t aligned = window & ~uint64_t{7};
+      if (aligned == 0) {
+        // Ragged seam: fewer than one 64 B burst of rows before the keys
+        // leave the window, which the engine's alignment rule cannot
+        // express. Fold a whole burst (or the chunk tail) host-side — a full
+        // 8 rows, not just the window, so the resume point stays 64 B
+        // aligned — and complete the lease without a device job.
+        uint64_t seam = std::min<uint64_t>(8, lane.cur_lease_rows);
+        for (uint64_t r = 0; r < seam; ++r) {
+          int64_t key = static_cast<int64_t>(store.Read64(col_addr + r * 8));
+          int64_t val = static_cast<int64_t>(
+              store.Read64(c.val_base + (c.rows_done + r) * 8));
+          MergeGroup(*c.job, key,
+                     c.job->agg == jafar::AggKind::kCount ? 1 : val, 1);
+        }
+        lane.cur_lease_rows = seam;
+        c.rows_leased = c.rows_done + seam;
+        lane.gb_host_seam = true;
+        OnLeaseDone(lane, Status::OK(), 0);
+        return;
+      }
+      lane.cur_lease_rows = aligned;
+      c.rows_leased = c.rows_done + aligned;
+      lane.gb_key_offset = k0;
+      if (lane.gb_scratch == 0) {
+        Result<uint64_t> scratch =
+            array_->AllocOnDevice(lane.device, uint64_t{buckets} * 16, 64);
+        if (!scratch.ok()) {
+          OnLeaseDone(lane, scratch.status(), 0);
+          return;
+        }
+        lane.gb_scratch = scratch.value();
+      }
+      jafar::GroupByJob gb;
+      gb.key_base = col_addr;
+      gb.val_base = c.val_base + c.rows_done * 8;
+      gb.num_rows = lane.cur_lease_rows;
+      gb.kind = c.job->agg;
+      gb.key_offset = k0;
+      gb.out_base = lane.gb_scratch;
+      job = gb;
+      break;
+    }
+    case JobKind::kAggregate: {
+      if (lane.agg_scratch == 0) {
+        Result<uint64_t> scratch = array_->AllocOnDevice(lane.device, 64, 64);
+        if (!scratch.ok()) {
+          OnLeaseDone(lane, scratch.status(), 0);
+          return;
+        }
+        lane.agg_scratch = scratch.value();
+      }
+      jafar::AggregateJob agg;
+      agg.col_base = col_addr;
+      agg.num_rows = lane.cur_lease_rows;
+      agg.kind = c.job->agg;
+      agg.out_addr = lane.agg_scratch;
+      job = agg;
+      break;
+    }
+  }
+  const uint32_t li = lane.index;
+  const uint32_t dev = lane.device;
+  array_->PostToDevice(dev, [this, li, dev, job] {
+    Status st = lanes_[li]->driver->Submit(
+        job, [this, li, dev](const jafar::Completion& done) {
+          Status s = done.status;
+          uint64_t n = done.matches;
+          array_->PostToHost(
+              dev, [this, li, s, n] { OnLeaseDone(*lanes_[li], s, n); });
+        });
+    // The lane runs one lease at a time, so the driver is never busy here;
+    // a refusal is a wiring bug, not a device fault.
     NDP_CHECK_MSG(st.ok(), st.message().c_str());
   });
 }
@@ -1274,6 +1224,18 @@ uint64_t NdpRuntime::StealableRows(const Lane& lane) const {
   return rows;
 }
 
+NdpRuntime::Lane* NdpRuntime::LeastLoadedLiveLane() const {
+  Lane* best = nullptr;
+  for (const auto& cand : lanes_) {
+    if (cand->state == Lane::State::kDead) continue;
+    // Strict <: the first of equally loaded lanes wins.
+    if (best == nullptr || StealableRows(*cand) < StealableRows(*best)) {
+      best = cand.get();
+    }
+  }
+  return best;
+}
+
 void NdpRuntime::TrySteal(Lane& thief) {
   if (!config_.steal_enabled || thief.state != Lane::State::kIdle) return;
   // Victim selection. Row count is the classic choice; ETA (rows x observed
@@ -1425,14 +1387,7 @@ bool NdpRuntime::TransplantRows(Lane& target, Job& job, JobPriority priority,
         auto owned = std::make_unique<Chunk>(*pending);
         if (lane.state == Lane::State::kDead) {
           // The thief died during the copy; bounce the rows once more.
-          Lane* next = nullptr;
-          for (auto& cand : lanes_) {
-            if (cand->state == Lane::State::kDead) continue;
-            if (next == nullptr ||
-                StealableRows(*cand) < StealableRows(*next)) {
-              next = cand.get();
-            }
-          }
+          Lane* next = LeastLoadedLiveLane();
           if (next == nullptr) {
             FailJob(*owned->job,
                     Status::Internal("runtime: all device lanes failed"));
@@ -1497,13 +1452,7 @@ void NdpRuntime::HandleLaneFailure(Lane& lane, const Status& status) {
 
   for (const Orphan& o : orphans) {
     if (o.job->failed) continue;
-    Lane* target = nullptr;
-    for (auto& cand : lanes_) {
-      if (cand->state == Lane::State::kDead) continue;
-      if (target == nullptr || StealableRows(*cand) < StealableRows(*target)) {
-        target = cand.get();
-      }
-    }
+    Lane* target = LeastLoadedLiveLane();
     if (target == nullptr) {
       FailJob(*o.job, status);
       continue;

@@ -350,6 +350,10 @@ class NdpRuntime {
                       uint64_t src_addr, uint64_t val_src_addr,
                       uint64_t first_row, uint64_t rows);
   uint64_t StealableRows(const Lane& lane) const;
+  /// The live lane with the fewest stealable rows (ties go to the lowest
+  /// index), or null when every lane is dead. Rerouting and failure
+  /// reassignment both pick their target this way.
+  Lane* LeastLoadedLiveLane() const;
   /// Lazily allocates + lays the job's Bloom image into the lane's rank
   /// (functional write; the modeled cost is the device's timed filter-load
   /// reads at every probe lease) and returns its base address there.

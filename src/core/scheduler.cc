@@ -48,19 +48,24 @@ Result<NdpScheduler::SlicedResult> NdpScheduler::RunSlicedSelect(
     ++result.ownership_transfers;
 
     bool done = false;
-    jafar::SelectResult sr;
+    jafar::Completion sr;
+    jafar::SelectJob job;
+    job.col_base = col_base + row * 8;
+    job.num_rows = rows;
+    job.range_low = lo;
+    job.range_high = hi;
+    job.out_base = bitmap + row / 8;
+    auto on_done = [&done, &sr](const jafar::Completion& c) {
+      sr = c;
+      done = true;
+    };
     // Single-query lease scheduler predates the multi-query runtime; it owns
     // the whole channel for the slice. ndp-lint: runtime-bypass-ok
-    NDP_RETURN_NOT_OK(driver.SelectJafar(
-        col_base + row * 8, lo, hi, bitmap + row / 8, rows, /*flag_addr=*/0,
-        [&done, &sr](const jafar::SelectResult& r) {
-          sr = r;
-          done = true;
-        }));
+    NDP_RETURN_NOT_OK(driver.Submit(job, on_done));
     if (!eq.RunUntilTrue([&] { return done; })) {
       return Status::Internal("sliced select stalled");
     }
-    result.matches += sr.num_output_rows;
+    result.matches += sr.matches;
     ++result.slices;
 
     bool released = false;

@@ -208,18 +208,23 @@ Result<SystemModel::JafarRunResult> SystemModel::RunJafarSelect(
   r.ownership_ps = own_at - start;
 
   bool done = false;
-  jafar::SelectResult select_result;
+  jafar::Completion select_result;
+  jafar::SelectJob job;
+  job.col_base = col_base;
+  job.num_rows = col.size();
+  job.range_low = lo;
+  job.range_high = hi;
+  job.out_base = bitmap_base;
+  job.flag_addr = flag_addr;
   // fig3/fig4 single-query measurement path: the experiment needs exclusive
   // device access, not runtime multiplexing. ndp-lint: runtime-bypass-ok
-  NDP_RETURN_NOT_OK(driver_->SelectJafar(
-      col_base, lo, hi, bitmap_base, col.size(), flag_addr,
-      [&done, &select_result](const jafar::SelectResult& sr) {
-        select_result = sr;
+  NDP_RETURN_NOT_OK(driver_->Submit(
+      job, [&done, &select_result](const jafar::Completion& c) {
+        select_result = c;
         done = true;
       }));
   PumpUntil(&done);
-  if (driver_->registers().Read(jafar::Reg::kStatus) ==
-      static_cast<uint64_t>(jafar::DeviceStatus::kError)) {
+  if (!select_result.status.ok()) {
     // Release the rank before reporting: a failed select must not leave the
     // host memory controller locked out.
     bool relinquished = false;
@@ -227,8 +232,7 @@ Result<SystemModel::JafarRunResult> SystemModel::RunJafarSelect(
       relinquished = true;
     });
     PumpUntil(&relinquished);
-    if (!select_result.status.ok()) return select_result.status;
-    return Status::Internal("JAFAR select failed (status register = ERROR)");
+    return select_result.status;
   }
 
   bool released = false;
@@ -237,7 +241,7 @@ Result<SystemModel::JafarRunResult> SystemModel::RunJafarSelect(
   r.ownership_ps += end - select_result.completed_at;
 
   r.duration_ps = end - start;
-  r.matches = select_result.num_output_rows;
+  r.matches = select_result.matches;
   // Per-run stats as deltas against the before-run snapshots.
   r.stats = device_->stats().DeltaSince(device_before);
   r.counters = stats_.Snapshot().DeltaSince(before);

@@ -64,7 +64,7 @@ struct DeviceConfig {
 
   /// Bloom hash lanes the probe datapath instantiates. The derivation
   /// schedules MakeProbeKernel(probe_hashes); a ProbeJob whose hash_count
-  /// differs is rejected at StartProbe.
+  /// differs is rejected at Device::Start.
   uint32_t probe_hashes = 2;
   /// Join keys the probe datapath evaluates per JAFAR cycle (rank IO path).
   double probe_words_per_cycle = 0.0;

@@ -33,17 +33,23 @@ sim::Tick DatapathModel::BusCycles(uint32_t n) const {
   return dev_->BusCycles(n);
 }
 
-bool DatapathModel::is_rowstore() const { return dev_->rowstore_.has_value(); }
-
-bool DatapathModel::is_probe() const { return dev_->probe_.has_value(); }
-
-const SelectJob& DatapathModel::select_job() const { return *dev_->select_; }
-
-const RowStoreJob& DatapathModel::rowstore_job() const {
-  return *dev_->rowstore_;
+bool DatapathModel::is_rowstore() const {
+  return dev_->active_is<RowStoreJob>();
 }
 
-const ProbeJob& DatapathModel::probe_job() const { return *dev_->probe_; }
+bool DatapathModel::is_probe() const { return dev_->active_is<ProbeJob>(); }
+
+const SelectJob& DatapathModel::select_job() const {
+  return dev_->active_job<SelectJob>();
+}
+
+const RowStoreJob& DatapathModel::rowstore_job() const {
+  return dev_->active_job<RowStoreJob>();
+}
+
+const ProbeJob& DatapathModel::probe_job() const {
+  return dev_->active_job<ProbeJob>();
+}
 
 bool DatapathModel::EvalProbeKey(int64_t key) const {
   return dev_->EvalProbeKey(key);
@@ -63,10 +69,7 @@ void DatapathModel::set_engine_ready_at(sim::Tick t) {
   dev_->engine_ready_at_ = t;
 }
 
-void DatapathModel::add_matches(uint64_t n) {
-  dev_->last_matches_ += n;
-  dev_->stats_.matches += n;
-}
+void DatapathModel::add_matches(uint64_t n) { dev_->CountMatches(n); }
 
 void DatapathModel::AppendBit(bool set) {
   dev_->pending_bits_.SetTo(dev_->pending_bit_count_++, set);
@@ -104,12 +107,12 @@ void DatapathModel::BeginProbe() {
   // the shadow checker, stream the Bloom image out of DRAM with ordinary
   // reads (the timing), latch it into the probe SRAM (the function), close
   // the window, and only then start the generation's scan sequencer.
-  const ProbeJob& job = *dev_->probe_;
+  const ProbeJob& job = probe_job();
   channel().NoteProbeFilterLoadStart(rank_index(), eq()->Now());
   dev_->probe_sram_.assign(job.filter_words, 0);
   uint64_t bursts = (job.filter_words * 8 + 63) / 64;
   ReadBurstChain(job.filter_base, bursts, [this](sim::Tick) {
-    const ProbeJob& j = *dev_->probe_;
+    const ProbeJob& j = probe_job();
     for (uint64_t w = 0; w < j.filter_words; ++w) {
       dev_->probe_sram_[w] = Read64(j.filter_base + w * 8);
     }

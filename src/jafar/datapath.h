@@ -78,7 +78,7 @@ class DatapathModel {
   const dram::DramTiming& timing() const;
   sim::Tick BusCycles(uint32_t n) const;
 
-  // Job state staged by the shell's Start* entry points.
+  // Job state staged by the shell's Start entry point.
   bool is_rowstore() const;
   bool is_probe() const;
   const SelectJob& select_job() const;

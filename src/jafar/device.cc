@@ -102,50 +102,32 @@ void Device::ScheduleAfterGuarded(sim::Tick delta, std::function<void()> fn) {
   ScheduleAtGuarded(eq_->Now() + delta, std::move(fn));
 }
 
-void Device::AbortJob() {
-  if (!busy_) return;  // completion won the race against the watchdog
-  datapath_->OnJobTeardown();  // release generation-held DRAM state
-  if (probe_.has_value()) {
-    // The abort may land mid filter-load; close the shadow window (idempotent).
+void Device::EndJob() {
+  datapath_->OnJobTeardown();
+  if (active_is<ProbeJob>()) {
+    // The job may end mid filter-load; close the shadow window (idempotent).
     channel().NoteProbeFilterLoadDone(rank_index_);
   }
-  ++job_epoch_;        // strand every in-flight sequencer event
+  ++job_epoch_;  // strand every in-flight sequencer event
   stats_.total_busy_ps += eq_->Now();  // settle the negative start stamp
-  ++stats_.jobs_failed;
   busy_ = false;
-  select_.reset();
-  aggregate_.reset();
-  project_.reset();
-  rowstore_.reset();
-  sort_.reset();
-  groupby_.reset();
-  probe_.reset();
+  job_.reset();
+}
+
+void Device::AbortJob() {
+  if (!busy_) return;  // completion won the race against the watchdog
+  EndJob();
+  ++stats_.jobs_failed;
   on_done_ = nullptr;  // the aborting driver already gave up on this callback
-  last_job_status_ = Status::Internal("job aborted by driver reset");
 }
 
 void Device::FailJob(Status st) {
   NDP_CHECK(busy_);
-  datapath_->OnJobTeardown();
-  if (probe_.has_value()) {
-    channel().NoteProbeFilterLoadDone(rank_index_);
-  }
-  ++job_epoch_;
-  sim::Tick now = eq_->Now();
-  stats_.total_busy_ps += now;
+  EndJob();
   ++stats_.jobs_failed;
-  busy_ = false;
-  select_.reset();
-  aggregate_.reset();
-  project_.reset();
-  rowstore_.reset();
-  sort_.reset();
-  groupby_.reset();
-  probe_.reset();
-  last_job_status_ = std::move(st);
   auto cb = std::move(on_done_);
   on_done_ = nullptr;
-  if (cb) cb(now);
+  if (cb) cb(Completion{std::move(st), 0, eq_->Now(), 0});
 }
 
 bool Device::MaybeInjectHang() {
@@ -343,39 +325,46 @@ void Device::WriteBurst(uint64_t addr, std::function<void(sim::Tick)> next) {
 }
 
 // ---------------------------------------------------------------------------
-// Select / row-store
+// Job admission: the prologue every kind shares, around the per-kind
+// Validate and Begin halves.
 
-Status Device::StartSelect(const SelectJob& job,
-                           std::function<void(sim::Tick)> on_done) {
+Status Device::Start(const JobDescriptor& job,
+                     std::function<void(const Completion&)> on_done) {
   NDP_RETURN_NOT_OK(CheckIdleAndOwned());
-  NDP_RETURN_NOT_OK(CheckRange(job.col_base, job.num_rows * config_.elem_bytes));
-  uint64_t bitmap_bytes = (job.num_rows + 7) / 8;
-  NDP_RETURN_NOT_OK(CheckRange(job.out_base, bitmap_bytes));
-  if (job.col_base % kBurstBytes != 0 || job.out_base % kBurstBytes != 0) {
-    return Status::InvalidArgument("col_base/out_base must be 64 B aligned");
-  }
+  NDP_RETURN_NOT_OK(
+      std::visit([this](const auto& j) { return Validate(j); }, job));
   busy_ = true;
-  select_ = job;
+  job_ = job;
   on_done_ = std::move(on_done);
   cursor_rows_ = 0;
   engine_ready_at_ = eq_->Now();
   pending_bits_.ClearAll();
   pending_bit_count_ = 0;
   bitmap_write_cursor_ = 0;
-  last_matches_ = 0;
-  last_job_status_ = Status::OK();
+  job_matches_ = 0;
   last_result_checksum_ = kChecksumInit;
-  stats_.total_busy_ps -= eq_->Now();  // settled in FinishJob
+  stats_.total_busy_ps -= eq_->Now();  // settled in EndJob
   if (MaybeInjectHang()) return Status::OK();
-  ScheduleAfterGuarded(config_.invocation_overhead_cycles *
-                           config_.clock.period_ps(),
-                       [this] { datapath_->BeginScan(); });
+  ScheduleAfterGuarded(
+      config_.invocation_overhead_cycles * config_.clock.period_ps(),
+      [this] { std::visit([this](const auto& j) { Begin(j); }, *job_); });
   return Status::OK();
 }
 
-Status Device::StartRowStore(const RowStoreJob& job,
-                             std::function<void(sim::Tick)> on_done) {
-  NDP_RETURN_NOT_OK(CheckIdleAndOwned());
+// ---------------------------------------------------------------------------
+// Select / row-store / probe: the scan kinds. Their sequencer lives in the
+// generation's DatapathModel; the shell keeps admission and writeback.
+
+Status Device::Validate(const SelectJob& job) const {
+  NDP_RETURN_NOT_OK(CheckRange(job.col_base, job.num_rows * config_.elem_bytes));
+  NDP_RETURN_NOT_OK(CheckRange(job.out_base, (job.num_rows + 7) / 8));
+  if (job.col_base % kBurstBytes != 0 || job.out_base % kBurstBytes != 0) {
+    return Status::InvalidArgument("col_base/out_base must be 64 B aligned");
+  }
+  return Status::OK();
+}
+
+Status Device::Validate(const RowStoreJob& job) const {
   if (job.tuple_bytes == 0 || job.tuple_bytes % 8 != 0) {
     return Status::InvalidArgument("tuple_bytes must be a positive multiple of 8");
   }
@@ -393,28 +382,10 @@ Status Device::StartRowStore(const RowStoreJob& job,
   if (job.tuple_base % kBurstBytes != 0 || job.out_base % kBurstBytes != 0) {
     return Status::InvalidArgument("tuple_base/out_base must be 64 B aligned");
   }
-  busy_ = true;
-  rowstore_ = job;
-  on_done_ = std::move(on_done);
-  cursor_rows_ = 0;
-  engine_ready_at_ = eq_->Now();
-  pending_bits_.ClearAll();
-  pending_bit_count_ = 0;
-  bitmap_write_cursor_ = 0;
-  last_matches_ = 0;
-  last_job_status_ = Status::OK();
-  last_result_checksum_ = kChecksumInit;
-  stats_.total_busy_ps -= eq_->Now();
-  if (MaybeInjectHang()) return Status::OK();
-  ScheduleAfterGuarded(config_.invocation_overhead_cycles *
-                           config_.clock.period_ps(),
-                       [this] { datapath_->BeginScan(); });
   return Status::OK();
 }
 
-Status Device::StartProbe(const ProbeJob& job,
-                          std::function<void(sim::Tick)> on_done) {
-  NDP_RETURN_NOT_OK(CheckIdleAndOwned());
+Status Device::Validate(const ProbeJob& job) const {
   if (config_.elem_bytes != 8) {
     return Status::Unimplemented("probe engine hashes 64-bit join keys");
   }
@@ -439,29 +410,19 @@ Status Device::StartProbe(const ProbeJob& job,
     return Status::InvalidArgument(
         "col_base/out_base/filter_base must be 64 B aligned");
   }
-  busy_ = true;
-  probe_ = job;
-  on_done_ = std::move(on_done);
-  cursor_rows_ = 0;
-  engine_ready_at_ = eq_->Now();
-  pending_bits_.ClearAll();
-  pending_bit_count_ = 0;
-  bitmap_write_cursor_ = 0;
-  last_matches_ = 0;
-  last_job_status_ = Status::OK();
-  last_result_checksum_ = kChecksumInit;
-  stats_.total_busy_ps -= eq_->Now();  // settled in FinishJob
-  if (MaybeInjectHang()) return Status::OK();
-  // BeginProbe (datapath base, generation-neutral) streams the Bloom image
-  // into the probe SRAM before handing over to the generation's scan loop.
-  ScheduleAfterGuarded(config_.invocation_overhead_cycles *
-                           config_.clock.period_ps(),
-                       [this] { datapath_->BeginProbe(); });
   return Status::OK();
 }
 
+void Device::Begin(const SelectJob&) { datapath_->BeginScan(); }
+
+void Device::Begin(const RowStoreJob&) { datapath_->BeginScan(); }
+
+// BeginProbe (datapath base, generation-neutral) streams the Bloom image into
+// the probe SRAM before handing over to the generation's scan loop.
+void Device::Begin(const ProbeJob&) { datapath_->BeginProbe(); }
+
 bool Device::EvalProbeKey(int64_t key) const {
-  const ProbeJob& job = *probe_;
+  const ProbeJob& job = active_job<ProbeJob>();
   for (uint32_t h = 0; h < job.hash_count; ++h) {
     uint64_t bit =
         BloomBitIndex(static_cast<uint64_t>(key), h, job.filter_words);
@@ -496,16 +457,17 @@ void Device::FlushBitmap(std::function<void()> next) {
   uint64_t out_base;
   bool masked = false;
   uint64_t mask = ~uint64_t{0};
-  if (rowstore_.has_value()) {
-    out_base = rowstore_->out_base;
-  } else if (probe_.has_value()) {
+  if (active_is<RowStoreJob>()) {
+    out_base = active_job<RowStoreJob>().out_base;
+  } else if (active_is<ProbeJob>()) {
     // Probe bitmaps are always whole-word owned by this device (the runtime
     // chunks on page boundaries), so no masked merge is needed.
-    out_base = probe_->out_base;
+    out_base = active_job<ProbeJob>().out_base;
   } else {
-    out_base = select_->out_base;
-    masked = select_->masked_writeback;
-    mask = masked ? select_->writeback_mask : ~uint64_t{0};
+    const SelectJob& sel = active_job<SelectJob>();
+    out_base = sel.out_base;
+    masked = sel.masked_writeback;
+    mask = masked ? sel.writeback_mask : ~uint64_t{0};
   }
 
   uint64_t bytes = (pending_bit_count_ + 7) / 8;
@@ -563,19 +525,8 @@ void Device::WriteBurstChain(uint64_t addr, uint64_t bursts,
 }
 
 void Device::FinishJob() {
-  sim::Tick now = eq_->Now();
-  datapath_->OnJobTeardown();  // no-op after a clean drain; keeps the invariant
-  ++job_epoch_;  // hygiene: no continuation of this job may fire after done
-  stats_.total_busy_ps += now;
+  EndJob();
   ++stats_.jobs_completed;
-  busy_ = false;
-  select_.reset();
-  aggregate_.reset();
-  project_.reset();
-  rowstore_.reset();
-  sort_.reset();
-  groupby_.reset();
-  probe_.reset();
   auto cb = std::move(on_done_);
   on_done_ = nullptr;
 #ifdef NDP_FAULT_INJECT
@@ -585,15 +536,13 @@ void Device::FinishJob() {
     cb = nullptr;
   }
 #endif
-  if (cb) cb(now);
+  if (cb) cb(Completion{Status::OK(), job_matches_, eq_->Now(), 1});
 }
 
 // ---------------------------------------------------------------------------
 // Sort (§4 "Sorting": fixed-function bitonic block sorter)
 
-Status Device::StartSort(const SortJob& job,
-                         std::function<void(sim::Tick)> on_done) {
-  NDP_RETURN_NOT_OK(CheckIdleAndOwned());
+Status Device::Validate(const SortJob& job) const {
   if (config_.elem_bytes != 8) {
     return Status::Unimplemented("sort engine operates on 64-bit words");
   }
@@ -602,19 +551,10 @@ Status Device::StartSort(const SortJob& job,
   if (job.col_base % kBurstBytes != 0 || job.out_base % kBurstBytes != 0) {
     return Status::InvalidArgument("sort addresses must be 64 B aligned");
   }
-  busy_ = true;
-  sort_ = job;
-  on_done_ = std::move(on_done);
-  cursor_rows_ = 0;
-  engine_ready_at_ = eq_->Now();
-  last_job_status_ = Status::OK();
-  stats_.total_busy_ps -= eq_->Now();
-  if (MaybeInjectHang()) return Status::OK();
-  ScheduleAfterGuarded(config_.invocation_overhead_cycles *
-                           config_.clock.period_ps(),
-                       [this] { SortStep(); });
   return Status::OK();
 }
+
+void Device::Begin(const SortJob&) { SortStep(); }
 
 void Device::ReadBurstChain(uint64_t addr, uint64_t bursts,
                             std::function<void(sim::Tick)> on_last_data) {
@@ -630,7 +570,7 @@ void Device::ReadBurstChain(uint64_t addr, uint64_t bursts,
 }
 
 void Device::SortStep() {
-  const SortJob& job = *sort_;
+  const SortJob& job = active_job<SortJob>();
   if (cursor_rows_ >= job.num_rows) {
     FinishJob();
     return;
@@ -647,7 +587,7 @@ void Device::SortStep() {
     //    block; timing: the network's stage count on the comparator array).
     std::vector<int64_t> block(block_rows);
     dram_->backing_store().Read(in_addr, block.data(), block_rows * 8);
-    if (sort_->descending) {
+    if (active_job<SortJob>().descending) {
       std::sort(block.begin(), block.end(), std::greater<int64_t>());
     } else {
       std::sort(block.begin(), block.end());
@@ -679,9 +619,20 @@ void Device::SortStep() {
 // ---------------------------------------------------------------------------
 // Aggregate
 
-Status Device::StartAggregate(const AggregateJob& job,
-                              std::function<void(sim::Tick)> on_done) {
-  NDP_RETURN_NOT_OK(CheckIdleAndOwned());
+namespace {
+/// The fold identity of `kind`: what an accumulator holds before any row.
+int64_t AggIdentity(AggKind kind) {
+  switch (kind) {
+    case AggKind::kSum:
+    case AggKind::kCount: return 0;
+    case AggKind::kMin: return INT64_MAX;
+    case AggKind::kMax: return INT64_MIN;
+  }
+  return 0;
+}
+}  // namespace
+
+Status Device::Validate(const AggregateJob& job) const {
   if (config_.elem_bytes != 8) {
     return Status::Unimplemented("aggregate engine operates on 64-bit words");
   }
@@ -693,28 +644,16 @@ Status Device::StartAggregate(const AggregateJob& job,
   if (job.col_base % kBurstBytes != 0) {
     return Status::InvalidArgument("col_base must be 64 B aligned");
   }
-  busy_ = true;
-  aggregate_ = job;
-  on_done_ = std::move(on_done);
-  cursor_rows_ = 0;
-  engine_ready_at_ = eq_->Now();
-  switch (job.kind) {
-    case AggKind::kSum:
-    case AggKind::kCount: agg_acc_ = 0; break;
-    case AggKind::kMin: agg_acc_ = INT64_MAX; break;
-    case AggKind::kMax: agg_acc_ = INT64_MIN; break;
-  }
-  last_job_status_ = Status::OK();
-  stats_.total_busy_ps -= eq_->Now();
-  if (MaybeInjectHang()) return Status::OK();
-  ScheduleAfterGuarded(config_.invocation_overhead_cycles *
-                           config_.clock.period_ps(),
-                       [this] { AggregateStep(); });
   return Status::OK();
 }
 
+void Device::Begin(const AggregateJob& job) {
+  agg_acc_ = AggIdentity(job.kind);
+  AggregateStep();
+}
+
 void Device::AggregateStep() {
-  const AggregateJob& job = *aggregate_;
+  const AggregateJob& job = active_job<AggregateJob>();
   if (cursor_rows_ >= job.num_rows) {
     dram_->backing_store().Write64(job.out_addr,
                                    static_cast<uint64_t>(agg_acc_));
@@ -726,11 +665,11 @@ void Device::AggregateStep() {
   bool need_bitmap =
       job.bitmap_base != 0 && cursor_rows_ % kBitsPerBurst == 0;
   auto process_col_burst = [this]() {
-    const AggregateJob& j = *aggregate_;
+    const AggregateJob& j = active_job<AggregateJob>();
     uint64_t burst_addr = j.col_base + cursor_rows_ * config_.elem_bytes;
     burst_addr -= burst_addr % kBurstBytes;
     ReadBurst(burst_addr, [this](sim::Tick data_done) {
-      const AggregateJob& jb = *aggregate_;
+      const AggregateJob& jb = active_job<AggregateJob>();
       uint64_t rows_here = std::min<uint64_t>(
           kBurstBytes / config_.elem_bytes, jb.num_rows - cursor_rows_);
       for (uint64_t r = cursor_rows_; r < cursor_rows_ + rows_here; ++r) {
@@ -747,7 +686,7 @@ void Device::AggregateStep() {
           case AggKind::kMin: agg_acc_ = std::min(agg_acc_, v); break;
           case AggKind::kMax: agg_acc_ = std::max(agg_acc_, v); break;
         }
-        ++stats_.matches;
+        CountMatches(1);
       }
       stats_.rows_processed += rows_here;
       cursor_rows_ += rows_here;
@@ -757,7 +696,7 @@ void Device::AggregateStep() {
       engine_ready_at_ = start + proc;
       stats_.engine_busy_ps += proc;
       stats_.energy_fj += config_.energy_per_word_fj * words;
-      ContinueAggregateWhenEngineReady();
+      ContinueWhenEngineReady(&Device::AggregateStep);
     });
   };
   if (need_bitmap) {
@@ -769,16 +708,10 @@ void Device::AggregateStep() {
   }
 }
 
-void Device::ContinueAggregateWhenEngineReady() {
-  ContinueWhenEngineReady(&Device::AggregateStep);
-}
-
 // ---------------------------------------------------------------------------
 // Grouped aggregation (§4: bucket-limited, hierarchical passes)
 
-Status Device::StartGroupBy(const GroupByJob& job,
-                            std::function<void(sim::Tick)> on_done) {
-  NDP_RETURN_NOT_OK(CheckIdleAndOwned());
+Status Device::Validate(const GroupByJob& job) const {
   if (config_.elem_bytes != 8) {
     return Status::Unimplemented("group-by engine operates on 64-bit words");
   }
@@ -796,31 +729,17 @@ Status Device::StartGroupBy(const GroupByJob& job,
       job.out_base % kBurstBytes != 0) {
     return Status::InvalidArgument("group-by addresses must be 64 B aligned");
   }
-  busy_ = true;
-  groupby_ = job;
-  on_done_ = std::move(on_done);
-  cursor_rows_ = 0;
-  engine_ready_at_ = eq_->Now();
-  int64_t init = 0;
-  switch (job.kind) {
-    case AggKind::kSum:
-    case AggKind::kCount: init = 0; break;
-    case AggKind::kMin: init = INT64_MAX; break;
-    case AggKind::kMax: init = INT64_MIN; break;
-  }
-  groupby_agg_.assign(config_.groupby_buckets, init);
-  groupby_count_.assign(config_.groupby_buckets, 0);
-  last_job_status_ = Status::OK();
-  stats_.total_busy_ps -= eq_->Now();
-  if (MaybeInjectHang()) return Status::OK();
-  ScheduleAfterGuarded(config_.invocation_overhead_cycles *
-                           config_.clock.period_ps(),
-                       [this] { GroupByStep(); });
   return Status::OK();
 }
 
+void Device::Begin(const GroupByJob& job) {
+  groupby_agg_.assign(config_.groupby_buckets, AggIdentity(job.kind));
+  groupby_count_.assign(config_.groupby_buckets, 0);
+  GroupByStep();
+}
+
 void Device::GroupByStep() {
-  const GroupByJob& job = *groupby_;
+  const GroupByJob& job = active_job<GroupByJob>();
   if (cursor_rows_ >= job.num_rows) {
     // Dump the bucket SRAM back to DRAM: buckets * 16 bytes.
     for (uint32_t b = 0; b < config_.groupby_buckets; ++b) {
@@ -867,7 +786,7 @@ void Device::GroupByStep() {
 }
 
 void Device::ProcessGroupByChunk(uint64_t chunk_rows, sim::Tick data_done) {
-  const GroupByJob& j = *groupby_;
+  const GroupByJob& j = active_job<GroupByJob>();
   uint64_t rows_here = chunk_rows;
   for (uint64_t r = cursor_rows_; r < cursor_rows_ + rows_here; ++r) {
     if (j.bitmap_base != 0) {
@@ -894,7 +813,7 @@ void Device::ProcessGroupByChunk(uint64_t chunk_rows, sim::Tick data_done) {
         break;
     }
     ++groupby_count_[bucket];
-    ++stats_.matches;
+    CountMatches(1);
   }
   stats_.rows_processed += rows_here;
   cursor_rows_ += rows_here;
@@ -912,9 +831,7 @@ void Device::ProcessGroupByChunk(uint64_t chunk_rows, sim::Tick data_done) {
 // ---------------------------------------------------------------------------
 // Project
 
-Status Device::StartProject(const ProjectJob& job,
-                            std::function<void(sim::Tick)> on_done) {
-  NDP_RETURN_NOT_OK(CheckIdleAndOwned());
+Status Device::Validate(const ProjectJob& job) const {
   if (config_.elem_bytes != 8) {
     return Status::Unimplemented("project engine operates on 64-bit words");
   }
@@ -924,35 +841,28 @@ Status Device::StartProject(const ProjectJob& job,
       job.bitmap_base % kBurstBytes != 0) {
     return Status::InvalidArgument("project addresses must be 64 B aligned");
   }
-  busy_ = true;
-  project_ = job;
-  on_done_ = std::move(on_done);
-  cursor_rows_ = 0;
-  engine_ready_at_ = eq_->Now();
-  project_out_buffer_.clear();
-  project_emitted_ = 0;
-  last_job_status_ = Status::OK();
-  stats_.total_busy_ps -= eq_->Now();
-  if (MaybeInjectHang()) return Status::OK();
-  ScheduleAfterGuarded(config_.invocation_overhead_cycles *
-                           config_.clock.period_ps(),
-                       [this] { ProjectStep(); });
   return Status::OK();
 }
 
+void Device::Begin(const ProjectJob&) {
+  project_out_buffer_.clear();
+  project_emitted_ = 0;
+  ProjectStep();
+}
+
 void Device::ProjectStep() {
-  const ProjectJob& job = *project_;
+  const ProjectJob& job = active_job<ProjectJob>();
   if (cursor_rows_ >= job.num_rows) {
     FlushProjectOutput([this] { FinishJob(); }, /*final_flush=*/true);
     return;
   }
   bool need_bitmap = cursor_rows_ % kBitsPerBurst == 0;
   auto process = [this]() {
-    const ProjectJob& j = *project_;
+    const ProjectJob& j = active_job<ProjectJob>();
     uint64_t burst_addr = j.col_base + cursor_rows_ * config_.elem_bytes;
     burst_addr -= burst_addr % kBurstBytes;
     ReadBurst(burst_addr, [this](sim::Tick data_done) {
-      const ProjectJob& jb = *project_;
+      const ProjectJob& jb = active_job<ProjectJob>();
       uint64_t rows_here = std::min<uint64_t>(
           kBurstBytes / config_.elem_bytes, jb.num_rows - cursor_rows_);
       for (uint64_t r = cursor_rows_; r < cursor_rows_ + rows_here; ++r) {
@@ -962,7 +872,7 @@ void Device::ProjectStep() {
           project_out_buffer_.push_back(static_cast<int64_t>(
               dram_->backing_store().Read64(jb.col_base +
                                             r * config_.elem_bytes)));
-          ++stats_.matches;
+          CountMatches(1);
         }
       }
       stats_.rows_processed += rows_here;
@@ -1002,7 +912,7 @@ void Device::FlushProjectOutput(std::function<void()> next, bool final_flush) {
     next();
     return;
   }
-  uint64_t addr = project_->out_base + project_emitted_ * 8;
+  uint64_t addr = active_job<ProjectJob>().out_base + project_emitted_ * 8;
   for (uint64_t i = 0; i < to_write; ++i) {
     dram_->backing_store().Write64(
         addr + i * 8, static_cast<uint64_t>(project_out_buffer_[i]));

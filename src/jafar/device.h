@@ -84,22 +84,15 @@ class Device {
   ~Device();  // out of line: DatapathModel is incomplete here
   NDP_DISALLOW_COPY_AND_ASSIGN(Device);
 
-  // -- Job entry points. One job at a time; on_done receives the completion
-  //    tick. All fail with DeviceBusy if a job is running, InvalidArgument if
-  //    the job's addresses leave this device's rank, and FailedPrecondition
-  //    if ownership is required but not held. ------------------------------
-
-  Status StartSelect(const SelectJob& job, std::function<void(sim::Tick)> on_done);
-  Status StartAggregate(const AggregateJob& job,
-                        std::function<void(sim::Tick)> on_done);
-  Status StartProject(const ProjectJob& job,
-                      std::function<void(sim::Tick)> on_done);
-  Status StartRowStore(const RowStoreJob& job,
-                       std::function<void(sim::Tick)> on_done);
-  Status StartSort(const SortJob& job, std::function<void(sim::Tick)> on_done);
-  Status StartGroupBy(const GroupByJob& job,
-                      std::function<void(sim::Tick)> on_done);
-  Status StartProbe(const ProbeJob& job, std::function<void(sim::Tick)> on_done);
+  /// Starts one job of any kind; one job at a time. `on_done` receives the
+  /// job's Completion (OK, or the cause of an asynchronous failure such as
+  /// an uncorrectable ECC error) unless AbortJob reclaims the device first.
+  /// Fails with DeviceBusy if a job is running, FailedPrecondition if
+  /// ownership is required but not held, and InvalidArgument/Unimplemented
+  /// if the job does not fit this device (addresses outside its rank,
+  /// misalignment, a datapath without the kind's engine).
+  Status Start(const JobDescriptor& job,
+               std::function<void(const Completion&)> on_done);
 
   bool busy() const { return busy_; }
   const DeviceStats& stats() const { return stats_; }
@@ -112,9 +105,6 @@ class Device {
   /// partitioned mode, the system's shared queue otherwise.
   sim::EventQueue* event_queue() const { return eq_; }
 
-  /// Matches produced by the most recent completed select/row-store job.
-  uint64_t last_match_count() const { return last_matches_; }
-
   // -- Fault injection & recovery (src/fault) -------------------------------
 
   /// Attaches a seeded fault source. Null (the default) means no faults; the
@@ -123,15 +113,10 @@ class Device {
     injector_ = injector;
   }
 
-  /// Outcome of the most recent job: OK after a clean FinishJob, the failure
-  /// Status after an async abort (uncorrectable ECC, watchdog AbortJob).
-  /// Drivers must consult this in their completion callback — a callback
-  /// invocation alone no longer implies success.
-  const Status& last_job_status() const { return last_job_status_; }
-
   /// FNV-1a checksum over every output-bitmap word the most recent
-  /// select/row-store job wrote back, in flush order. The driver recomputes
-  /// it from DRAM to detect result corruption (writeback verification).
+  /// select/row-store/probe job wrote back, in flush order. The driver
+  /// recomputes it from DRAM to detect result corruption (writeback
+  /// verification).
   uint64_t last_result_checksum() const { return last_result_checksum_; }
 
   /// Hard-resets a hung or runaway job: strands all in-flight sequencer
@@ -157,6 +142,33 @@ class Device {
   /// elem_bytes == 4) from the functional backing store.
   int64_t ReadValue(uint64_t addr) const;
   Status CheckIdleAndOwned() const;
+
+  // -- Per-kind halves of Start: admission checks, then the first step once
+  //    the invocation overhead has elapsed. --------------------------------
+  Status Validate(const SelectJob& job) const;
+  Status Validate(const AggregateJob& job) const;
+  Status Validate(const ProjectJob& job) const;
+  Status Validate(const RowStoreJob& job) const;
+  Status Validate(const SortJob& job) const;
+  Status Validate(const GroupByJob& job) const;
+  Status Validate(const ProbeJob& job) const;
+  void Begin(const SelectJob& job);
+  void Begin(const AggregateJob& job);
+  void Begin(const ProjectJob& job);
+  void Begin(const RowStoreJob& job);
+  void Begin(const SortJob& job);
+  void Begin(const GroupByJob& job);
+  void Begin(const ProbeJob& job);
+
+  /// The running job as kind J (it must be one).
+  template <typename J>
+  const J& active_job() const {
+    return std::get<J>(*job_);
+  }
+  template <typename J>
+  bool active_is() const {
+    return job_.has_value() && std::holds_alternative<J>(*job_);
+  }
 
   dram::Channel& channel() { return dram_->channel(channel_index_); }
   const dram::DramTiming& timing() const { return dram_->timing(); }
@@ -200,9 +212,20 @@ class Device {
   void FinishJob();
 
   /// Fails the running job with `st`: strands in-flight events, settles
-  /// stats, records last_job_status_ and invokes the completion callback
-  /// (which must check last_job_status()).
+  /// stats and reports `st` through the completion callback.
   void FailJob(Status st);
+
+  /// The teardown every job end shares (finish, failure, abort): releases
+  /// generation-held DRAM state, closes a probe's filter-load window,
+  /// strands in-flight events, settles the busy-time stamp, frees the unit.
+  void EndJob();
+
+  /// Counts `n` result rows of the running job (Completion::matches) and in
+  /// the lifetime stats.
+  void CountMatches(uint64_t n) {
+    job_matches_ += n;
+    stats_.matches += n;
+  }
 
   /// Epoch-guarded scheduling: the closure is dropped (not run) if the job
   /// it belongs to was aborted or finished before the event fires. Every
@@ -227,7 +250,6 @@ class Device {
   bool EvalProbeKey(int64_t key) const;
 
   void AggregateStep();
-  void ContinueAggregateWhenEngineReady();
   void ProjectStep();
   void FlushProjectOutput(std::function<void()> next, bool final_flush);
   void SortStep();
@@ -244,23 +266,16 @@ class Device {
   std::unique_ptr<DatapathModel> datapath_;  ///< generation-specific sequencer
 
   bool busy_ = false;
-  std::function<void(sim::Tick)> on_done_;
+  std::function<void(const Completion&)> on_done_;
   DeviceStats stats_;
-  uint64_t last_matches_ = 0;
+  uint64_t job_matches_ = 0;  ///< result rows of the running job
 
   fault::FaultInjector* injector_ = nullptr;  ///< not owned; may be null
   uint64_t job_epoch_ = 0;       ///< bumped on job end/abort to strand events
-  Status last_job_status_;       ///< outcome of the most recent job
   uint64_t last_result_checksum_ = 0;  ///< FNV-1a over flushed bitmap words
 
-  // Job state (one job at a time; union-like, only the active kind is used).
-  std::optional<SelectJob> select_;
-  std::optional<AggregateJob> aggregate_;
-  std::optional<ProjectJob> project_;
-  std::optional<RowStoreJob> rowstore_;
-  std::optional<SortJob> sort_;
-  std::optional<GroupByJob> groupby_;
-  std::optional<ProbeJob> probe_;
+  // Job state (one job at a time).
+  std::optional<JobDescriptor> job_;
   std::vector<int64_t> groupby_agg_;
   std::vector<int64_t> groupby_count_;
   std::vector<uint64_t> probe_sram_;  ///< Bloom image latched by BeginProbe

@@ -7,6 +7,10 @@
 
 namespace ndp::jafar {
 
+static_assert(static_cast<size_t>(Command::kGoProbe) ==
+                  std::variant_size_v<JobDescriptor>,
+              "one kGo* command per JobDescriptor alternative, in order");
+
 Driver::Driver(Device* device, dram::MemoryController* controller,
                DriverConfig config, const StatsScope& stats)
     : device_(device),
@@ -37,8 +41,7 @@ bool Driver::IsRetryable(StatusCode code) {
   }
 }
 
-void Driver::ArmWatchdog(uint64_t rows, bool for_select) {
-  watchdog_for_select_ = for_select;
+void Driver::ArmWatchdog(uint64_t rows) {
   DisarmWatchdog();
   sim::Tick deadline = eq_->Now() + config_.watchdog_base_ps +
                        rows * config_.watchdog_per_row_ps;
@@ -55,17 +58,8 @@ void Driver::OnWatchdogFire() {
   // but its completion signal was dropped — either way the device is idle
   // afterwards and the attempt is treated as timed out.
   device_->AbortJob();
-  Status timeout =
-      Status::Internal("watchdog timeout: device did not signal completion");
-  if (watchdog_for_select_) {
-    HandlePageFailure(std::move(timeout));
-  } else {
-    HandleEngineFailure(std::move(timeout));
-  }
-}
-
-void Driver::RecordRecovery(sim::Tick latency_ps) {
-  recovery_latency_.Add(static_cast<double>(latency_ps));
+  HandleFailure(
+      Status::Internal("watchdog timeout: device did not signal completion"));
 }
 
 void Driver::AcquireOwnership(std::function<void(sim::Tick)> done) {
@@ -79,342 +73,196 @@ void Driver::ReleaseOwnership(std::function<void(sim::Tick)> done) {
 }
 
 // ---------------------------------------------------------------------------
-// Paged select
+// Submit and the attempt loop
 
-Status Driver::SelectJafar(uint64_t col_addr, int64_t range_low,
-                           int64_t range_high, uint64_t out_addr,
-                           uint64_t num_input_rows, uint64_t flag_addr,
-                           std::function<void(const SelectResult&)> on_done) {
-  if (select_active_) {
-    return Status::DeviceBusy("a select_jafar call is already in flight");
+Status Driver::Submit(const JobDescriptor& job,
+                      std::function<void(const Completion&)> on_done) {
+  if (active_) {
+    return Status::DeviceBusy("a job is already in flight on this driver");
   }
-  if (num_input_rows == 0) {
-    return Status::InvalidArgument("num_input_rows must be positive");
-  }
-  if (col_addr % config_.page_bytes != 0) {
+  const uint64_t rows = JobRows(job);
+  if (rows == 0) return Status::InvalidArgument("a job needs at least one row");
+  const auto* sel = std::get_if<SelectJob>(&job);
+  if (sel != nullptr && sel->col_base % config_.page_bytes != 0) {
     return Status::InvalidArgument("col_data must be page aligned (Figure 2: "
                                    "one call per virtual memory page)");
   }
-  // Program the control-register block, as the memory-mapped interface would.
-  regs_.Write(Reg::kColBase, col_addr);
-  regs_.Write(Reg::kNumRows, num_input_rows);
-  regs_.Write(Reg::kCompareOp, static_cast<uint64_t>(CompareOp::kBetween));
-  regs_.Write(Reg::kRangeLow, static_cast<uint64_t>(range_low));
-  regs_.Write(Reg::kRangeHigh, static_cast<uint64_t>(range_high));
-  regs_.Write(Reg::kOutBase, out_addr);
-  regs_.Write(Reg::kFlagAddr, flag_addr);
-  regs_.Write(Reg::kCommand, static_cast<uint64_t>(Command::kGoSelect));
+  // Program the control-register block, as the memory-mapped interface
+  // would, then GO.
+  regs_.Write(Reg::kNumRows, rows);
+  if (sel != nullptr) {
+    regs_.Write(Reg::kColBase, sel->col_base);
+    regs_.Write(Reg::kCompareOp, static_cast<uint64_t>(sel->op));
+    regs_.Write(Reg::kRangeLow, static_cast<uint64_t>(sel->range_low));
+    regs_.Write(Reg::kRangeHigh, static_cast<uint64_t>(sel->range_high));
+    regs_.Write(Reg::kOutBase, sel->out_base);
+    regs_.Write(Reg::kFlagAddr, sel->flag_addr);
+  }
+  regs_.Write(Reg::kCommand,
+              static_cast<uint64_t>(Command::kGoSelect) + job.index());
   regs_.Write(Reg::kStatus, static_cast<uint64_t>(DeviceStatus::kBusy));
 
-  select_active_ = true;
-  cur_col_ = col_addr;
-  cur_out_ = out_addr;
-  rows_left_ = num_input_rows;
-  lo_ = range_low;
-  hi_ = range_high;
-  flag_addr_ = flag_addr;
-  result_ = SelectResult{};
-  select_done_ = std::move(on_done);
-  StartPageAttempt(1);
+  active_ = true;
+  job_ = job;
+  result_ = Completion{};
+  on_done_ = std::move(on_done);
+  StartAttempt(1);
   return Status::OK();
 }
 
-void Driver::StartPageAttempt(uint32_t attempt) {
-  NDP_CHECK(rows_left_ > 0);
-  page_attempt_ = attempt;
-  if (attempt == 1) page_first_dispatch_ps_ = eq_->Now();
-  uint64_t elem = device_->config().elem_bytes;
-  // Job granularity: at least one virtual-memory page (Figure 2's API unit),
-  // widened to the device's preferred scan chunk when it advertises one
-  // (the v2 sequencer needs a whole bank wave per invocation).
+JobDescriptor Driver::NextPage() const {
+  const auto* sel = std::get_if<SelectJob>(&job_);
+  if (sel == nullptr) return job_;
+  // Page granularity: at least one virtual-memory page (Figure 2's API
+  // unit), widened to the device's preferred scan chunk when it advertises
+  // one (the v2 sequencer needs a whole bank wave per invocation).
   uint64_t chunk =
       std::max(config_.page_bytes, device_->config().scan_chunk_bytes);
-  uint64_t rows_per_page = chunk / elem;
-  uint64_t rows = std::min(rows_left_, rows_per_page);
-
-  SelectJob job;
-  job.col_base = cur_col_;
-  job.num_rows = rows;
-  job.op = CompareOp::kBetween;
-  job.range_low = lo_;
-  job.range_high = hi_;
-  job.out_base = cur_out_;
-  Status st = device_->StartSelect(
-      job, [this, rows, elem](sim::Tick) { OnPageDone(rows, elem); });
-  if (!st.ok()) {
-    ++stats_.device_errors;
-    HandlePageFailure(std::move(st));
-    return;
-  }
-  ArmWatchdog(rows, /*for_select=*/true);
+  SelectJob page = *sel;
+  page.num_rows =
+      std::min(sel->num_rows, chunk / device_->config().elem_bytes);
+  return page;
 }
 
-void Driver::OnPageDone(uint64_t rows, uint64_t elem) {
-  DisarmWatchdog();
-  if (!device_->last_job_status().ok()) {
-    // Async job failure (e.g. uncorrectable ECC machine check).
+void Driver::StartAttempt(uint32_t attempt) {
+  attempt_ = attempt;
+  if (attempt == 1) first_dispatch_ps_ = eq_->Now();
+  page_ = NextPage();
+  Status st = device_->Start(
+      page_, [this](const Completion& done) { OnAttemptDone(done); });
+  if (!st.ok()) {
     ++stats_.device_errors;
-    HandlePageFailure(device_->last_job_status());
+    HandleFailure(std::move(st));
     return;
   }
-  if (config_.verify_writeback && !VerifyPageChecksum(rows)) {
+  ArmWatchdog(JobRows(page_));
+}
+
+void Driver::OnAttemptDone(const Completion& done) {
+  DisarmWatchdog();
+  if (!done.status.ok()) {
+    // Async job failure (e.g. uncorrectable ECC machine check).
+    ++stats_.device_errors;
+    HandleFailure(done.status);
+    return;
+  }
+  if (config_.verify_writeback && !VerifyWriteback()) {
     ++stats_.checksum_errors;
-    HandlePageFailure(
+    HandleFailure(
         Status::Internal("writeback checksum mismatch on result bitmap"));
     return;
   }
-  if (page_attempt_ > 1) {
-    RecordRecovery(eq_->Now() - page_first_dispatch_ps_);
+  if (attempt_ > 1) {
+    recovery_latency_.Add(static_cast<double>(eq_->Now() - first_dispatch_ps_));
   }
-  // The page's matches enter the result exactly once, here: a retried
-  // attempt rewrites the page's bitmap from scratch and last_match_count()
-  // reflects only the attempt that succeeded, so no double counting.
-  result_.num_output_rows += device_->last_match_count();
+  // The attempt's matches enter the result exactly once, here: a retried
+  // attempt rewrites its output from scratch and reports only its own
+  // count, so no double counting.
+  result_.matches += done.matches;
   ++result_.pages;
-  rows_left_ -= rows;
-  cur_col_ += rows * elem;
-  cur_out_ += (rows + 7) / 8;
-  if (rows_left_ == 0) {
-    FinishSelect(eq_->Now());
-  } else {
-    StartPageAttempt(1);
+  if (auto* sel = std::get_if<SelectJob>(&job_)) {
+    const uint64_t rows = std::get<SelectJob>(page_).num_rows;
+    sel->num_rows -= rows;
+    sel->col_base += rows * device_->config().elem_bytes;
+    sel->out_base += (rows + 7) / 8;
+    if (sel->num_rows > 0) {
+      StartAttempt(1);
+      return;
+    }
   }
+  Finish(Status::OK());
 }
 
-bool Driver::VerifyPageChecksum(uint64_t rows) const {
+bool Driver::VerifyWriteback() const {
+  uint64_t out = 0, rows = 0;
+  if (const auto* s = std::get_if<SelectJob>(&page_)) {
+    out = s->out_base;
+    rows = s->num_rows;
+  } else if (const auto* r = std::get_if<RowStoreJob>(&page_)) {
+    out = r->out_base;
+    rows = r->num_tuples;
+  } else if (const auto* p = std::get_if<ProbeJob>(&page_)) {
+    out = p->out_base;
+    rows = p->num_rows;
+  } else {
+    return true;  // no bitmap output, nothing checksummed
+  }
   // Recompute the FNV-1a the device folded over every bitmap word it wrote
-  // for this page, reading the words back from the DRAM array.
+  // for this attempt, reading the words back from the DRAM array.
   uint64_t bytes = (rows + 7) / 8;
   uint64_t h = kChecksumInit;
   for (uint64_t w = 0; w * 8 < bytes; ++w) {
-    h = ChecksumMix(h, device_->dram()->backing_store().Read64(cur_out_ + w * 8));
+    h = ChecksumMix(h, device_->dram()->backing_store().Read64(out + w * 8));
   }
   return h == device_->last_result_checksum();
 }
 
-void Driver::HandlePageFailure(Status st) {
+void Driver::HandleFailure(Status st) {
   DisarmWatchdog();
-  if (!IsRetryable(st.code()) ||
-      page_attempt_ >= config_.retry.max_attempts) {
+  if (!IsRetryable(st.code()) || attempt_ >= config_.retry.max_attempts) {
     ++stats_.permanent_failures;
-    FailSelect(std::move(st));
+    Finish(std::move(st));
     return;
   }
   ++stats_.retries;
-  eq_->ScheduleAfter(config_.retry.DelayFor(page_attempt_),
-                     [this] { StartPageAttempt(page_attempt_ + 1); });
+  eq_->ScheduleAfter(config_.retry.DelayFor(attempt_),
+                     [this] { StartAttempt(attempt_ + 1); });
 }
 
-void Driver::FailSelect(Status st) {
-  // Surface the failure through the status register and abort the call.
-  regs_.Write(Reg::kStatus, static_cast<uint64_t>(DeviceStatus::kError));
-  select_active_ = false;
-  auto cb = std::move(select_done_);
-  select_done_ = nullptr;
-  result_.num_output_rows = 0;
+void Driver::Finish(Status st) {
+  const bool ok = st.ok();
+  regs_.Write(Reg::kStatus, static_cast<uint64_t>(ok ? DeviceStatus::kDone
+                                                     : DeviceStatus::kError));
+  active_ = false;
   result_.status = std::move(st);
-  if (cb) cb(result_);
-}
-
-void Driver::FinishSelect(sim::Tick now) {
-  regs_.Write(Reg::kStatus, static_cast<uint64_t>(DeviceStatus::kDone));
-  select_active_ = false;
-  result_.completed_at = now;
+  result_.completed_at = eq_->Now();
+  if (!ok) result_.matches = 0;
   // Completion flag for CPU polling (§2.2). Timing is folded into the final
   // bitmap write-back burst; the flag word itself is a functional store.
-  if (flag_addr_ != 0) {
-    device_->dram()->backing_store().Write64(flag_addr_,
+  const auto* sel = std::get_if<SelectJob>(&job_);
+  if (ok && sel != nullptr && sel->flag_addr != 0) {
+    device_->dram()->backing_store().Write64(sel->flag_addr,
                                              config_.done_flag_value);
   }
-  auto cb = std::move(select_done_);
-  select_done_ = nullptr;
-  if (cb) cb(result_);
+  // Copies: the callback may Submit the next job, which resets both.
+  Completion done = result_;
+  auto cb = std::move(on_done_);
+  on_done_ = nullptr;
+  if (cb) cb(done);
 }
 
-// ---------------------------------------------------------------------------
-// Engine jobs: shared watchdog/retry wrapper
-
-Status Driver::StartEngineJob(
-    std::function<Status(std::function<void(sim::Tick)>)> start,
-    uint64_t watch_rows, std::function<void(sim::Tick)> on_done) {
-  if (engine_active_ || select_active_) {
-    return Status::DeviceBusy("another driver call is already in flight");
-  }
-  engine_active_ = true;
-  engine_attempt_ = 0;
-  engine_watch_rows_ = watch_rows;
-  engine_first_dispatch_ps_ = eq_->Now();
-  engine_start_ = std::move(start);
-  engine_done_ = std::move(on_done);
-  Status st = EngineAttempt();
-  if (!st.ok()) {
-    // First-attempt synchronous failures (validation, ownership) keep the
-    // original pass-through contract: status register + sync return, no
-    // retry, no callback.
-    regs_.Write(Reg::kStatus, static_cast<uint64_t>(DeviceStatus::kError));
-    engine_active_ = false;
-    engine_start_ = nullptr;
-    engine_done_ = nullptr;
-  }
-  return st;
-}
-
-Status Driver::EngineAttempt() {
-  ++engine_attempt_;
-  Status st = engine_start_([this](sim::Tick t) { OnEngineDone(t); });
-  if (st.ok()) ArmWatchdog(engine_watch_rows_, /*for_select=*/false);
-  return st;
-}
-
-void Driver::OnEngineDone(sim::Tick t) {
-  DisarmWatchdog();
-  if (!device_->last_job_status().ok()) {
-    ++stats_.device_errors;
-    HandleEngineFailure(device_->last_job_status());
-    return;
-  }
-  if (engine_attempt_ > 1) {
-    RecordRecovery(eq_->Now() - engine_first_dispatch_ps_);
-  }
-  engine_active_ = false;
-  engine_start_ = nullptr;
-  regs_.Write(Reg::kStatus, static_cast<uint64_t>(DeviceStatus::kDone));
-  auto cb = std::move(engine_done_);
-  engine_done_ = nullptr;
-  if (cb) cb(t);
-}
-
-void Driver::HandleEngineFailure(Status st) {
-  DisarmWatchdog();
-  if (!IsRetryable(st.code()) ||
-      engine_attempt_ >= config_.retry.max_attempts) {
-    ++stats_.permanent_failures;
-    engine_active_ = false;
-    engine_start_ = nullptr;
-    regs_.Write(Reg::kStatus, static_cast<uint64_t>(DeviceStatus::kError));
-    // The callback still fires so callers pumping the event loop terminate;
-    // they must consult the kStatus register (kError) for the outcome.
-    auto cb = std::move(engine_done_);
-    engine_done_ = nullptr;
-    if (cb) cb(eq_->Now());
-    return;
-  }
-  ++stats_.retries;
-  eq_->ScheduleAfter(config_.retry.DelayFor(engine_attempt_), [this] {
-    Status st2 = EngineAttempt();
-    if (!st2.ok()) {
-      ++stats_.device_errors;
-      HandleEngineFailure(std::move(st2));
-    }
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Engine pass-throughs
-
-Status Driver::AggregateJafar(const AggregateJob& job,
-                              std::function<void(sim::Tick)> on_done) {
-  regs_.Write(Reg::kCommand, static_cast<uint64_t>(Command::kGoAggregate));
-  regs_.Write(Reg::kStatus, static_cast<uint64_t>(DeviceStatus::kBusy));
-  return StartEngineJob(
-      [this, job](std::function<void(sim::Tick)> cb) {
-        return device_->StartAggregate(job, std::move(cb));
-      },
-      job.num_rows, std::move(on_done));
-}
-
-Status Driver::ProjectJafar(const ProjectJob& job,
-                            std::function<void(sim::Tick)> on_done) {
-  regs_.Write(Reg::kCommand, static_cast<uint64_t>(Command::kGoProject));
-  regs_.Write(Reg::kStatus, static_cast<uint64_t>(DeviceStatus::kBusy));
-  return StartEngineJob(
-      [this, job](std::function<void(sim::Tick)> cb) {
-        return device_->StartProject(job, std::move(cb));
-      },
-      job.num_rows, std::move(on_done));
-}
-
-Status Driver::RowStoreJafar(const RowStoreJob& job,
-                             std::function<void(sim::Tick)> on_done) {
-  return StartEngineJob(
-      [this, job](std::function<void(sim::Tick)> cb) {
-        return device_->StartRowStore(job, std::move(cb));
-      },
-      job.num_tuples, std::move(on_done));
-}
-
-Status Driver::SortJafar(const SortJob& job,
-                         std::function<void(sim::Tick)> on_done) {
-  return StartEngineJob(
-      [this, job](std::function<void(sim::Tick)> cb) {
-        return device_->StartSort(job, std::move(cb));
-      },
-      job.num_rows, std::move(on_done));
-}
-
-Status Driver::GroupByJafar(const GroupByJob& job,
-                            std::function<void(sim::Tick)> on_done) {
-  return StartEngineJob(
-      [this, job](std::function<void(sim::Tick)> cb) {
-        return device_->StartGroupBy(job, std::move(cb));
-      },
-      job.num_rows, std::move(on_done));
-}
-
-Status Driver::ProbeJafar(const ProbeJob& job,
-                          std::function<void(sim::Tick)> on_done) {
-  return StartEngineJob(
-      [this, job](std::function<void(sim::Tick)> cb) {
-        return device_->StartProbe(job, std::move(cb));
-      },
-      job.num_rows, std::move(on_done));
-}
-
-Status Driver::HierarchicalGroupBy(GroupByJob job, uint32_t num_groups,
-                                   std::function<void(sim::Tick)> on_done) {
-  uint32_t buckets = device_->config().groupby_buckets;
-  uint32_t passes = (num_groups + buckets - 1) / buckets;
+Status Driver::HierarchicalGroupBy(
+    GroupByJob job, uint32_t num_groups,
+    std::function<void(const Completion&)> on_done) {
+  const uint32_t buckets = device_->config().groupby_buckets;
+  const uint32_t passes = (num_groups + buckets - 1) / buckets;
   if (passes == 0) return Status::InvalidArgument("num_groups must be > 0");
-  // Each pass writes its bucket window to out_base + window * 16 bytes; the
-  // device result layout is already contiguous per window. Every pass rides
-  // the engine watchdog/retry wrapper.
-  auto run_pass = std::make_shared<std::function<Status(uint32_t)>>();
-  auto done_cb =
-      std::make_shared<std::function<void(sim::Tick)>>(std::move(on_done));
-  uint64_t out_base = job.out_base;
-  // Weak self-reference: a strong capture would cycle through the stored
-  // function and leak it (plus done_cb) after the chain completes. The
-  // pass-completion callbacks below hold the strong references that keep
-  // the chain alive while any pass is in flight.
-  std::weak_ptr<std::function<Status(uint32_t)>> weak = run_pass;
-  *run_pass = [this, job, passes, buckets, out_base, weak,
-               done_cb](uint32_t pass) mutable -> Status {
-    auto self = weak.lock();
-    GroupByJob p = job;
-    p.key_offset = static_cast<int64_t>(pass) * buckets;
-    p.out_base = out_base + static_cast<uint64_t>(pass) * buckets * 16;
-    return GroupByJafar(
-        p, [this, pass, passes, self, done_cb](sim::Tick t) {
-          if (regs_.Read(Reg::kStatus) ==
-              static_cast<uint64_t>(DeviceStatus::kError)) {
-            // Permanent failure of this pass: stop the chain. kStatus stays
-            // kError for the caller to observe.
-            if (*done_cb) (*done_cb)(t);
-            return;
-          }
-          if (pass + 1 < passes) {
-            // Later passes re-run the same validated job on an idle device;
-            // a synchronous failure here indicates a bug, not a caller error.
-            Status st = (*self)(pass + 1);
-            NDP_CHECK_MSG(st.ok(), st.ToString().c_str());
-          } else {
-            regs_.Write(Reg::kStatus,
-                        static_cast<uint64_t>(DeviceStatus::kDone));
-            if (*done_cb) (*done_cb)(t);
-          }
-        });
-  };
-  return (*run_pass)(0);
+  return SubmitGroupByPass(job, 0, passes, Completion{}, std::move(on_done));
+}
+
+Status Driver::SubmitGroupByPass(
+    const GroupByJob& job, uint32_t pass, uint32_t passes, Completion total,
+    std::function<void(const Completion&)> on_done) {
+  // Pass p covers keys [p * buckets, (p + 1) * buckets) and writes its
+  // window to out_base + p * buckets * 16 bytes, so the merged result is
+  // contiguous.
+  const uint32_t buckets = device_->config().groupby_buckets;
+  GroupByJob window = job;
+  window.key_offset = static_cast<int64_t>(pass) * buckets;
+  window.out_base = job.out_base + static_cast<uint64_t>(pass) * buckets * 16;
+  return Submit(window, [this, job, pass, passes, total,
+                         on_done](const Completion& done) mutable {
+    total.status = done.status;
+    total.matches += done.matches;
+    total.pages += done.pages;
+    total.completed_at = done.completed_at;
+    if (done.status.ok() && pass + 1 < passes) {
+      total.status = SubmitGroupByPass(job, pass + 1, passes, total, on_done);
+      if (total.status.ok()) return;
+    }
+    if (!total.status.ok()) total.matches = 0;
+    if (on_done) on_done(total);
+  });
 }
 
 }  // namespace ndp::jafar

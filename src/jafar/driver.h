@@ -1,14 +1,18 @@
 // Host-side driver for a JAFAR unit. Implements the paper's invocation model:
 //  * rank ownership hand-off through the memory controller's MR3/MPR write
 //    (§2.2, "Coordinating DRAM Access");
+//  * one submit path for every job kind: the descriptor is written into the
+//    control-register block, GO is written, and STATUS reads BUSY until the
+//    job ends in DONE or ERROR;
 //  * the Figure 2 API, `select_jafar(col_data, range_low, range_high,
 //    out_buf, num_input_rows, &num_output_rows)`, called once per (pinned)
-//    virtual-memory page because JAFAR relies on the CPU for translation;
+//    virtual-memory page because JAFAR relies on the CPU for translation:
+//    Submit splits a select into pages itself;
 //  * completion signalling through a polled flag word in shared memory;
-//  * recovery: a watchdog timer armed for every dispatched job, writeback
-//    checksum verification of select bitmaps, and capped-exponential-backoff
-//    retries, so a hung/faulted device job surfaces as a retried page rather
-//    than a wedged query.
+//  * recovery: a watchdog timer armed for every dispatched attempt,
+//    writeback checksum verification of result bitmaps, and
+//    capped-exponential-backoff retries, so a hung/faulted device job
+//    surfaces as a retried attempt rather than a wedged query.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +27,7 @@ namespace ndp::jafar {
 struct DriverConfig {
   /// Invocation granularity: Figure 2's API is per virtual-memory page.
   uint64_t page_bytes = 4096;
-  /// Completion flag value written to SelectResult::flag_addr when done.
+  /// Completion flag value written to SelectJob::flag_addr when done.
   uint64_t done_flag_value = 1;
 
   // -- Recovery -------------------------------------------------------------
@@ -35,8 +39,9 @@ struct DriverConfig {
   /// of base slack only fires on a genuinely wedged device.
   sim::Tick watchdog_base_ps = 50'000'000;
   sim::Tick watchdog_per_row_ps = 10'000;
-  /// Recompute the device's writeback checksum from DRAM after each select
-  /// page and retry on mismatch (detects result-bitmap corruption).
+  /// Recompute the device's writeback checksum from DRAM after every
+  /// select, row-store and probe attempt and retry on mismatch (detects
+  /// result-bitmap corruption).
   bool verify_writeback = true;
 };
 
@@ -47,16 +52,6 @@ struct DriverStats {
   uint64_t checksum_errors = 0;    ///< writeback verification mismatches
   uint64_t device_errors = 0;      ///< jobs that failed asynchronously
   uint64_t permanent_failures = 0; ///< retry budget exhausted / non-retryable
-};
-
-/// Result of a driver-level select call.
-struct SelectResult {
-  uint64_t num_output_rows = 0;  ///< population count of the bitmap
-  sim::Tick completed_at = 0;
-  uint64_t pages = 0;            ///< per-page device invocations performed
-  /// OK on success; the failure cause after the retry budget is exhausted
-  /// (num_output_rows is zeroed in that case).
-  Status status;
 };
 
 /// \brief The driver: control-register ceremony, page chunking, recovery.
@@ -72,39 +67,30 @@ class Driver {
   /// Returns the rank to the host memory controller.
   void ReleaseOwnership(std::function<void(sim::Tick)> done);
 
-  /// Asynchronous Figure-2 select over `num_input_rows` 64-bit values at
-  /// physical address `col_addr` (page-aligned), bitmap to `out_addr`.
-  /// `flag_addr` (0 = none) receives the done flag for CPU polling.
-  /// Internally issues one device job per page; failed pages are retried
-  /// under the RetryPolicy, and on permanent failure `on_done` fires with
-  /// a non-OK SelectResult::status and the kStatus register reads kError.
-  Status SelectJafar(uint64_t col_addr, int64_t range_low, int64_t range_high,
-                     uint64_t out_addr, uint64_t num_input_rows,
-                     uint64_t flag_addr,
-                     std::function<void(const SelectResult&)> on_done);
-
-  /// Single-shot pass-throughs for the §4 extension engines. All are guarded
-  /// by the same watchdog/retry machinery; `on_done` always fires (check the
-  /// kStatus register: kDone on success, kError on permanent failure).
-  Status AggregateJafar(const AggregateJob& job,
-                        std::function<void(sim::Tick)> on_done);
-  Status ProjectJafar(const ProjectJob& job,
-                      std::function<void(sim::Tick)> on_done);
-  Status RowStoreJafar(const RowStoreJob& job,
-                       std::function<void(sim::Tick)> on_done);
-  Status SortJafar(const SortJob& job, std::function<void(sim::Tick)> on_done);
-  Status GroupByJafar(const GroupByJob& job,
-                      std::function<void(sim::Tick)> on_done);
-  Status ProbeJafar(const ProbeJob& job,
-                    std::function<void(sim::Tick)> on_done);
+  /// Runs one job of any kind. A select is split into Figure-2 pages (a
+  /// select's col_base must be page aligned); every other kind is one
+  /// device invocation. Each attempt is watched by the watchdog, bitmap
+  /// results are checksum-verified, and retryable failures are re-dispatched
+  /// under the RetryPolicy.
+  ///
+  /// Contract, the same for every kind: a non-OK return means the driver
+  /// itself refused the call (another Submit in flight, zero rows, an
+  /// unaligned select) — nothing was dispatched and `on_done` never fires.
+  /// After an OK return `on_done` fires exactly once, possibly before
+  /// Submit returns; everything the device reports, including a rejected
+  /// dispatch, arrives there as Completion::status. kStatus reads kBusy
+  /// while the job runs, then kDone or kError.
+  Status Submit(const JobDescriptor& job,
+                std::function<void(const Completion&)> on_done);
 
   /// §4's hierarchical aggregation: covers a key domain of `num_groups`
   /// (starting at key 0) that may exceed the device's bucket SRAM by running
   /// one GroupBy pass per bucket window over the same data. The merged
   /// results land contiguously at job.out_base (num_groups x 16 bytes).
-  /// `job.key_offset` is managed internally.
+  /// `job.key_offset` is managed internally. Same contract as Submit; the
+  /// Completion sums the passes and stops at the first failed one.
   Status HierarchicalGroupBy(GroupByJob job, uint32_t num_groups,
-                             std::function<void(sim::Tick)> on_done);
+                             std::function<void(const Completion&)> on_done);
 
   /// The memory-mapped register block (exposed for inspection/testing).
   const ControlRegisters& registers() const { return regs_; }
@@ -125,28 +111,26 @@ class Driver {
 
   static bool IsRetryable(StatusCode code);
 
-  void ArmWatchdog(uint64_t rows, bool for_select);
+  void ArmWatchdog(uint64_t rows);
   void DisarmWatchdog();
   void OnWatchdogFire();
-  void RecordRecovery(sim::Tick latency_ps);
 
-  // -- Paged select ---------------------------------------------------------
-  void StartPageAttempt(uint32_t attempt);
-  void OnPageDone(uint64_t rows, uint64_t elem);
-  void HandlePageFailure(Status st);
-  void FailSelect(Status st);
-  void FinishSelect(sim::Tick now);
-  bool VerifyPageChecksum(uint64_t rows) const;
-
-  // -- Engine jobs (aggregate/project/row-store/sort/group-by) --------------
-  /// `start` re-dispatches the job with the wrapped callback; `watch_rows`
-  /// scales the watchdog deadline.
-  Status StartEngineJob(
-      std::function<Status(std::function<void(sim::Tick)>)> start,
-      uint64_t watch_rows, std::function<void(sim::Tick)> on_done);
-  Status EngineAttempt();
-  void OnEngineDone(sim::Tick t);
-  void HandleEngineFailure(Status st);
+  // -- The attempt loop: start -> verify -> next page, retry, or finish. ----
+  /// The device job of the next attempt: the next page of a select, the
+  /// whole job otherwise.
+  JobDescriptor NextPage() const;
+  void StartAttempt(uint32_t attempt);
+  void OnAttemptDone(const Completion& done);
+  void HandleFailure(Status st);
+  void Finish(Status st);
+  /// True when the attempt's result bitmap in DRAM matches the checksum the
+  /// device folded while writing it (or the kind writes no bitmap).
+  bool VerifyWriteback() const;
+  /// Submits bucket window `pass` of a HierarchicalGroupBy; its completion
+  /// folds into `total` and submits the next window.
+  Status SubmitGroupByPass(const GroupByJob& job, uint32_t pass,
+                           uint32_t passes, Completion total,
+                           std::function<void(const Completion&)> on_done);
 
   Device* device_;
   dram::MemoryController* controller_;
@@ -158,27 +142,15 @@ class Driver {
   ndp::Histogram recovery_latency_{0.0, 5.0e8, 50};
 
   WatchdogNode watchdog_;
-  bool watchdog_for_select_ = false;
 
-  // In-flight paged select state.
-  bool select_active_ = false;
-  uint64_t cur_col_ = 0;
-  uint64_t cur_out_ = 0;
-  uint64_t rows_left_ = 0;
-  int64_t lo_ = 0, hi_ = 0;
-  uint64_t flag_addr_ = 0;
-  uint32_t page_attempt_ = 0;                ///< 1-based, current page
-  sim::Tick page_first_dispatch_ps_ = 0;     ///< attempt 1 dispatch time
-  SelectResult result_;
-  std::function<void(const SelectResult&)> select_done_;
-
-  // In-flight engine-job state.
-  bool engine_active_ = false;
-  uint32_t engine_attempt_ = 0;
-  uint64_t engine_watch_rows_ = 0;
-  sim::Tick engine_first_dispatch_ps_ = 0;
-  std::function<Status(std::function<void(sim::Tick)>)> engine_start_;
-  std::function<void(sim::Tick)> engine_done_;
+  // The in-flight Submit.
+  bool active_ = false;
+  JobDescriptor job_;   ///< work not yet done (a select shrinks per page)
+  JobDescriptor page_;  ///< the device job of the current attempt
+  uint32_t attempt_ = 0;               ///< 1-based, current page
+  sim::Tick first_dispatch_ps_ = 0;    ///< attempt 1 dispatch time
+  Completion result_;
+  std::function<void(const Completion&)> on_done_;
 };
 
 }  // namespace ndp::jafar

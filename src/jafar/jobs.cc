@@ -1,5 +1,7 @@
 #include "jafar/jobs.h"
 
+#include <type_traits>
+
 namespace ndp::jafar {
 
 const char* CompareOpToString(CompareOp op) {
@@ -24,6 +26,18 @@ bool EvalCompare(CompareOp op, int64_t value, int64_t lo, int64_t hi) {
     case CompareOp::kBetween: return value >= lo && value <= hi;
   }
   return false;
+}
+
+uint64_t JobRows(const JobDescriptor& job) {
+  return std::visit(
+      [](const auto& j) -> uint64_t {
+        if constexpr (std::is_same_v<std::decay_t<decltype(j)>, RowStoreJob>) {
+          return j.num_tuples;
+        } else {
+          return j.num_rows;
+        }
+      },
+      job);
 }
 
 uint64_t ProbeMix64(uint64_t key, uint32_t hash_index) {

@@ -1,12 +1,19 @@
 // Job descriptors for the operations JAFAR can execute: the select of §2.2
 // plus the §4 extensions (aggregation, projection, row-store multi-predicate
-// filters). A job always targets physically contiguous data within one rank —
-// the driver (and ultimately the OS, per §4 "Memory Management") guarantees
-// this by pinning and translating pages before invocation.
+// filters, sort, group-by, semijoin probe). A job always targets physically
+// contiguous data within one rank — the driver (and ultimately the OS, per §4
+// "Memory Management") guarantees this by pinning and translating pages
+// before invocation. Every kind travels the same path: a JobDescriptor goes
+// down through Driver::Submit and Device::Start, and one Completion comes
+// back up.
 #pragma once
 
 #include <cstdint>
+#include <variant>
 #include <vector>
+
+#include "sim/time.h"
+#include "util/status.h"
 
 namespace ndp::jafar {
 
@@ -39,6 +46,9 @@ struct SelectJob {
   /// write-back merges under a mask instead of overwriting whole words.
   bool masked_writeback = false;
   uint64_t writeback_mask = ~uint64_t{0};
+  /// Completion-poll word (§2.2): the driver stores its done flag here once
+  /// every page of the select finished (0 = none). The device ignores it.
+  uint64_t flag_addr = 0;
 };
 
 /// Aggregation kinds (§4 "Aggregations").
@@ -141,6 +151,27 @@ struct RowStoreJob {
   uint32_t tuple_bytes = 0;  ///< must be a multiple of 8
   std::vector<RowPredicate> predicates;
   uint64_t out_base = 0;  ///< bitmap, one bit per tuple
+};
+
+/// \brief One job of any kind: what the CPU writes into the control-register
+/// block before GO (§2.2). The alternative index + 1 is the kGo* command
+/// value (registers.h).
+using JobDescriptor = std::variant<SelectJob, AggregateJob, ProjectJob,
+                                   RowStoreJob, SortJob, GroupByJob, ProbeJob>;
+
+/// Rows (row-store: tuples) the job streams.
+uint64_t JobRows(const JobDescriptor& job);
+
+/// \brief Outcome of one job, delivered exactly once through its completion
+/// callback: per invocation by the device, per Submit by the driver.
+struct Completion {
+  Status status;  ///< OK, or why the job failed
+  /// Rows the device counted; 0 on failure. Select, row-store and probe:
+  /// set result bits. Aggregate and group-by: rows folded. Project: values
+  /// emitted. Sort: 0.
+  uint64_t matches = 0;
+  sim::Tick completed_at = 0;
+  uint64_t pages = 0;  ///< device invocations that succeeded
 };
 
 }  // namespace ndp::jafar

@@ -28,12 +28,16 @@ enum class Reg : uint32_t {
   kNumRegisters,
 };
 
-/// COMMAND values.
+/// COMMAND values: JobDescriptor's alternative index + 1 (jobs.h).
 enum class Command : uint64_t {
   kNop = 0,
   kGoSelect = 1,
   kGoAggregate = 2,
   kGoProject = 3,
+  kGoRowStore = 4,
+  kGoSort = 5,
+  kGoGroupBy = 6,
+  kGoProbe = 7,
 };
 
 /// STATUS values.

@@ -106,7 +106,14 @@ TEST(ForEncodingTest, NdpScanOverEncodedDataMatchesOracle) {
   job.range_high = chi;
   job.out_base = 1 << 20;
   bool done = false;
-  ASSERT_TRUE(device.StartSelect(job, [&](sim::Tick) { done = true; }).ok());
+  uint64_t matches = 0;
+  ASSERT_TRUE(device
+                  .Start(job,
+                         [&](const jafar::Completion& c) {
+                           done = true;
+                           matches = c.matches;
+                         })
+                  .ok());
   ASSERT_TRUE(eq.RunUntilTrue([&] { return done; }));
 
   uint64_t oracle = 0;
@@ -116,7 +123,7 @@ TEST(ForEncodingTest, NdpScanOverEncodedDataMatchesOracle) {
     uint64_t word = dram.backing_store().Read64((1 << 20) + (i / 64) * 8);
     ASSERT_EQ(((word >> (i % 64)) & 1) != 0, pass) << "row " << i;
   }
-  EXPECT_EQ(device.last_match_count(), oracle);
+  EXPECT_EQ(matches, oracle);
   // Half the bursts of the uncompressed scan.
   EXPECT_EQ(device.stats().bursts_read, values.size() / 16);
 }

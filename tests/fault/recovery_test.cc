@@ -56,7 +56,7 @@ struct RecoveryHarness {
 
   /// Loads `rows` uniform values, acquires ownership, and runs one select
   /// over [100, 499]; returns the driver-level result.
-  SelectResult RunSelect(uint64_t rows) {
+  Completion RunSelect(uint64_t rows) {
     Rng rng(77);
     values_.resize(rows);
     for (auto& v : values_) v = rng.NextInRange(0, 999);
@@ -64,13 +64,19 @@ struct RecoveryHarness {
     bool acquired = false;
     driver_->AcquireOwnership([&](sim::Tick) { acquired = true; });
     EXPECT_TRUE(eq_->RunUntilTrue([&] { return acquired; }));
-    SelectResult result;
+    SelectJob job;
+    job.col_base = kCol;
+    job.num_rows = rows;
+    job.range_low = 100;
+    job.range_high = 499;
+    job.out_base = kOut;
+    job.flag_addr = kFlag;
+    Completion result;
     bool done = false;
-    Status st = driver_->SelectJafar(kCol, 100, 499, kOut, rows, kFlag,
-                                     [&](const SelectResult& r) {
-                                       result = r;
-                                       done = true;
-                                     });
+    Status st = driver_->Submit(job, [&](const Completion& c) {
+      result = c;
+      done = true;
+    });
     EXPECT_TRUE(st.ok()) << st.ToString();
     EXPECT_TRUE(eq_->RunUntilTrue([&] { return done; }));
     return result;
@@ -102,9 +108,9 @@ TEST_F(RecoveryTest, HangsAreReclaimedByWatchdogAndRetried) {
   plan.seed = 21;
   plan.hang_per_job = 0.5;  // every other dispatch wedges the sequencer
   BuildSystem(plan);
-  SelectResult r = RunSelect(4096);  // 8 pages
+  Completion r = RunSelect(4096);  // 8 pages
   EXPECT_TRUE(r.status.ok()) << r.status.ToString();
-  EXPECT_EQ(r.num_output_rows, Oracle());
+  EXPECT_EQ(r.matches, Oracle());
   EXPECT_GT(driver_->stats().watchdog_fires, 0u);
   EXPECT_GT(driver_->stats().retries, 0u);
   EXPECT_EQ(driver_->stats().permanent_failures, 0u);
@@ -122,9 +128,9 @@ TEST_F(RecoveryTest, PermanentHangExhaustsBudgetAndFailsCleanly) {
   DriverConfig config;
   config.retry.max_attempts = 3;
   BuildSystem(plan, config);
-  SelectResult r = RunSelect(512);  // one page
+  Completion r = RunSelect(512);  // one page
   EXPECT_FALSE(r.status.ok());
-  EXPECT_EQ(r.num_output_rows, 0u);
+  EXPECT_EQ(r.matches, 0u);
   EXPECT_EQ(driver_->registers().Read(Reg::kStatus),
             static_cast<uint64_t>(DeviceStatus::kError));
   EXPECT_EQ(driver_->stats().watchdog_fires, 3u);
@@ -142,11 +148,11 @@ TEST_F(RecoveryTest, MidJobStallLeavesNoPartialDoubleCounting) {
   plan.seed = 23;
   plan.stall_per_burst = 0.004;  // a few stalls across ~1k bursts
   BuildSystem(plan);
-  SelectResult r = RunSelect(8192);
+  Completion r = RunSelect(8192);
   EXPECT_TRUE(r.status.ok()) << r.status.ToString();
   // A stalled attempt has already written part of its page bitmap; the retry
   // rewrites the page from scratch, so the match count stays exact.
-  EXPECT_EQ(r.num_output_rows, Oracle());
+  EXPECT_EQ(r.matches, Oracle());
   EXPECT_GT(injector_->counters().stalls_injected, 0u);
   EXPECT_GT(driver_->stats().watchdog_fires, 0u);
 }
@@ -156,9 +162,9 @@ TEST_F(RecoveryTest, DroppedCompletionsAreRecoveredByWatchdog) {
   plan.seed = 24;
   plan.drop_per_completion = 0.5;
   BuildSystem(plan);
-  SelectResult r = RunSelect(4096);
+  Completion r = RunSelect(4096);
   EXPECT_TRUE(r.status.ok()) << r.status.ToString();
-  EXPECT_EQ(r.num_output_rows, Oracle());
+  EXPECT_EQ(r.matches, Oracle());
   EXPECT_GT(injector_->counters().drops_injected, 0u);
   EXPECT_GT(driver_->stats().watchdog_fires, 0u);
 }
@@ -168,9 +174,9 @@ TEST_F(RecoveryTest, CorrectableEccIsTransparentToTheJob) {
   plan.seed = 25;
   plan.ecc_ce_per_burst = 1.0;  // every read burst takes a single-bit flip
   BuildSystem(plan);
-  SelectResult r = RunSelect(4096);
+  Completion r = RunSelect(4096);
   EXPECT_TRUE(r.status.ok()) << r.status.ToString();
-  EXPECT_EQ(r.num_output_rows, Oracle());
+  EXPECT_EQ(r.matches, Oracle());
   // Corrected in-line: no retries, but the rank's scrub counter advanced.
   EXPECT_EQ(driver_->stats().retries, 0u);
   EXPECT_GT(dram_->channel(0).rank(0).ecc_corrected(), 0u);
@@ -182,9 +188,9 @@ TEST_F(RecoveryTest, UncorrectableEccFailsTheJobThenRetrySucceeds) {
   plan.seed = 26;
   plan.ecc_ue_per_burst = 0.005;
   BuildSystem(plan);
-  SelectResult r = RunSelect(8192);
+  Completion r = RunSelect(8192);
   EXPECT_TRUE(r.status.ok()) << r.status.ToString();
-  EXPECT_EQ(r.num_output_rows, Oracle());
+  EXPECT_EQ(r.matches, Oracle());
   EXPECT_GT(injector_->counters().ecc_ue_injected, 0u);
   EXPECT_GT(dram_->channel(0).rank(0).ecc_uncorrectable(), 0u);
   EXPECT_GT(driver_->stats().device_errors, 0u);
@@ -196,9 +202,9 @@ TEST_F(RecoveryTest, CorruptedBitmapIsCaughtByWritebackChecksum) {
   plan.seed = 27;
   plan.corrupt_per_flush = 0.25;
   BuildSystem(plan);
-  SelectResult r = RunSelect(8192);
+  Completion r = RunSelect(8192);
   EXPECT_TRUE(r.status.ok()) << r.status.ToString();
-  EXPECT_EQ(r.num_output_rows, Oracle());
+  EXPECT_EQ(r.matches, Oracle());
   EXPECT_GT(injector_->counters().corruptions_injected, 0u);
   EXPECT_GT(driver_->stats().checksum_errors, 0u);
   EXPECT_GT(driver_->stats().retries, 0u);
@@ -209,6 +215,75 @@ TEST_F(RecoveryTest, CorruptedBitmapIsCaughtByWritebackChecksum) {
         __builtin_popcountll(dram_->backing_store().Read64(kOut + w * 8)));
   }
   EXPECT_EQ(popcount, Oracle());
+}
+
+TEST_F(RecoveryTest, CorruptedProbeBitmapIsCaughtByWritebackChecksum) {
+  // Probe candidate bitmaps carry the same writeback checksum as select
+  // bitmaps. An undetected 1->0 flip would drop a real semijoin match that
+  // host refinement can never restore.
+  fault::FaultPlan plan;
+  plan.seed = 29;
+  plan.corrupt_per_flush = 0.25;
+  BuildSystem(plan);
+  constexpr uint64_t kRows = 8192;
+  constexpr uint64_t kFilter = 10 << 20;
+  constexpr uint64_t kFilterWords = 256;
+  const uint32_t hashes = device_->config().probe_hashes;
+  Rng rng(78);
+  values_.resize(kRows);
+  for (auto& v : values_) v = rng.NextInRange(0, 99999);
+  dram_->backing_store().Write(kCol, values_.data(), kRows * 8);
+  // Build side: every seventh probe key, hashed into the Bloom image.
+  std::vector<uint64_t> filter(kFilterWords, 0);
+  auto bloom_bit = [&](int64_t key, uint32_t h) {
+    return BloomBitIndex(static_cast<uint64_t>(key), h, kFilterWords);
+  };
+  for (uint64_t i = 0; i < kRows; i += 7) {
+    for (uint32_t h = 0; h < hashes; ++h) {
+      uint64_t bit = bloom_bit(values_[i], h);
+      filter[bit / 64] |= uint64_t{1} << (bit % 64);
+    }
+  }
+  dram_->backing_store().Write(kFilter, filter.data(), kFilterWords * 8);
+  bool acquired = false;
+  driver_->AcquireOwnership([&](sim::Tick) { acquired = true; });
+  ASSERT_TRUE(eq_->RunUntilTrue([&] { return acquired; }));
+
+  ProbeJob job;
+  job.col_base = kCol;
+  job.num_rows = kRows;
+  job.out_base = kOut;
+  job.filter_base = kFilter;
+  job.filter_words = kFilterWords;
+  job.hash_count = hashes;
+  Completion r;
+  bool done = false;
+  ASSERT_TRUE(driver_
+                  ->Submit(job,
+                           [&](const Completion& c) {
+                             r = c;
+                             done = true;
+                           })
+                  .ok());
+  ASSERT_TRUE(eq_->RunUntilTrue([&] { return done; }));
+  EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+
+  // The bitmap in DRAM equals a host Bloom evaluation of every row.
+  uint64_t candidates = 0;
+  for (uint64_t i = 0; i < kRows; ++i) {
+    bool hit = true;
+    for (uint32_t h = 0; h < hashes; ++h) {
+      uint64_t bit = bloom_bit(values_[i], h);
+      hit = hit && ((filter[bit / 64] >> (bit % 64)) & 1) != 0;
+    }
+    candidates += hit;
+    uint64_t word = dram_->backing_store().Read64(kOut + (i / 64) * 8);
+    ASSERT_EQ(((word >> (i % 64)) & 1) != 0, hit) << "row " << i;
+  }
+  EXPECT_EQ(r.matches, candidates);
+  EXPECT_GT(injector_->counters().corruptions_injected, 0u);
+  EXPECT_GT(driver_->stats().checksum_errors, 0u);
+  EXPECT_GT(driver_->stats().retries, 0u);
 }
 
 TEST_F(RecoveryTest, EngineJobsAreWatchdogGuardedToo) {
@@ -228,7 +303,7 @@ TEST_F(RecoveryTest, EngineJobsAreWatchdogGuardedToo) {
   job.num_rows = 512;
   job.out_addr = kOut;
   bool done = false;
-  Status st = driver_->AggregateJafar(job, [&](sim::Tick) { done = true; });
+  Status st = driver_->Submit(job, [&](const Completion&) { done = true; });
   ASSERT_TRUE(st.ok()) << st.ToString();
   // Permanent failure still fires the callback; the register reads kError.
   ASSERT_TRUE(eq_->RunUntilTrue([&] { return done; }));
@@ -246,8 +321,8 @@ TEST_F(RecoveryTest, FaultSequenceIsDeterministicAcrossRuns) {
     plan.hang_per_job = 0.25;
     plan.corrupt_per_flush = 0.25;
     t.BuildSystem(plan);
-    SelectResult r = t.RunSelect(4096);
-    EXPECT_EQ(r.num_output_rows, t.Oracle());
+    Completion r = t.RunSelect(4096);
+    EXPECT_EQ(r.matches, t.Oracle());
     return t.registry_.DumpText();
   };
   EXPECT_EQ(run(31), run(31));

@@ -53,8 +53,14 @@ TEST_P(JafarOracleProperty, SelectMatchesOracleOnRandomJobs) {
     dram.backing_store().Write(job.out_base, zeros.data(), zeros.size());
 
     bool done = false;
-    ASSERT_TRUE(
-        device.StartSelect(job, [&](sim::Tick) { done = true; }).ok());
+    uint64_t matches = 0;
+    ASSERT_TRUE(device
+                    .Start(job,
+                           [&](const jafar::Completion& c) {
+                             done = true;
+                             matches = c.matches;
+                           })
+                    .ok());
     ASSERT_TRUE(eq.RunUntilTrue([&] { return done; }));
 
     uint64_t oracle = 0;
@@ -67,7 +73,7 @@ TEST_P(JafarOracleProperty, SelectMatchesOracleOnRandomJobs) {
           << "trial " << trial << " row " << i << " op "
           << jafar::CompareOpToString(job.op);
     }
-    EXPECT_EQ(device.last_match_count(), oracle);
+    EXPECT_EQ(matches, oracle);
   }
 }
 

@@ -67,9 +67,10 @@ class DeviceTest : public ::testing::Test {
   sim::Tick RunSelect(const SelectJob& job) {
     bool done = false;
     sim::Tick start = eq_->Now(), end = 0;
-    Status st = device_->StartSelect(job, [&](sim::Tick t) {
+    Status st = device_->Start(job, [&](const Completion& c) {
       done = true;
-      end = t;
+      end = c.completed_at;
+      matches_ = c.matches;
     });
     EXPECT_TRUE(st.ok()) << st.ToString();
     if (!st.ok()) return 0;
@@ -80,6 +81,7 @@ class DeviceTest : public ::testing::Test {
   std::unique_ptr<sim::EventQueue> eq_;
   std::unique_ptr<dram::DramSystem> dram_;
   std::unique_ptr<Device> device_;
+  uint64_t matches_ = 0;  ///< Completion::matches of the last RunSelect
 };
 
 constexpr uint64_t kCol = 0;           // rank 0
@@ -103,7 +105,7 @@ TEST_F(DeviceTest, SelectBitmapMatchesScalarOracle) {
     EXPECT_EQ(bm.Get(i), pass) << "row " << i;
     expected_matches += pass;
   }
-  EXPECT_EQ(device_->last_match_count(), expected_matches);
+  EXPECT_EQ(matches_, expected_matches);
   EXPECT_EQ(bm.CountOnes(), expected_matches);
 }
 
@@ -165,7 +167,7 @@ TEST_F(DeviceTest, RequiresOwnershipWhenConfigured) {
   job.col_base = kCol;
   job.num_rows = 64;
   job.out_base = kOut;
-  Status st = device_->StartSelect(job, nullptr);
+  Status st = device_->Start(job, nullptr);
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
 }
 
@@ -176,14 +178,14 @@ TEST_F(DeviceTest, RejectsJobOutsideItsRank) {
   job.col_base = rank1;
   job.num_rows = 64;
   job.out_base = rank1 + (1 << 20);
-  EXPECT_EQ(device_->StartSelect(job, nullptr).code(),
+  EXPECT_EQ(device_->Start(job, nullptr).code(),
             StatusCode::kInvalidArgument);
   // A job whose data straddles the rank boundary is also rejected.
   SelectJob straddle;
   straddle.col_base = rank1 - 64;
   straddle.num_rows = 64;
   straddle.out_base = kOut;
-  EXPECT_EQ(device_->StartSelect(straddle, nullptr).code(),
+  EXPECT_EQ(device_->Start(straddle, nullptr).code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -194,8 +196,8 @@ TEST_F(DeviceTest, RejectsConcurrentJobs) {
   job.col_base = kCol;
   job.num_rows = values.size();
   job.out_base = kOut;
-  ASSERT_TRUE(device_->StartSelect(job, nullptr).ok());
-  EXPECT_EQ(device_->StartSelect(job, nullptr).code(), StatusCode::kDeviceBusy);
+  ASSERT_TRUE(device_->Start(job, nullptr).ok());
+  EXPECT_EQ(device_->Start(job, nullptr).code(), StatusCode::kDeviceBusy);
   eq_->RunUntilTrue([&] { return !device_->busy(); });
 }
 
@@ -307,7 +309,7 @@ TEST_F(DeviceTest, UnalignedBaseRejected) {
   job.col_base = 8;  // not 64 B aligned
   job.num_rows = 64;
   job.out_base = kOut;
-  EXPECT_EQ(device_->StartSelect(job, nullptr).code(),
+  EXPECT_EQ(device_->Start(job, nullptr).code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -34,9 +34,10 @@ class Elem32Test : public ::testing::Test {
   sim::Tick RunSelect(const SelectJob& job) {
     bool done = false;
     sim::Tick start = eq_->Now(), end = 0;
-    Status st = device_->StartSelect(job, [&](sim::Tick t) {
+    Status st = device_->Start(job, [&](const Completion& c) {
       done = true;
-      end = t;
+      end = c.completed_at;
+      matches_ = c.matches;
     });
     EXPECT_TRUE(st.ok()) << st.ToString();
     EXPECT_TRUE(eq_->RunUntilTrue([&] { return done; }));
@@ -47,6 +48,7 @@ class Elem32Test : public ::testing::Test {
   std::unique_ptr<dram::DramSystem> dram_;
   DeviceConfig cfg_;
   std::unique_ptr<Device> device_;
+  uint64_t matches_ = 0;  ///< Completion::matches of the last RunSelect
 };
 
 TEST_F(Elem32Test, SelectOnInt32ColumnMatchesOracle) {
@@ -70,7 +72,7 @@ TEST_F(Elem32Test, SelectOnInt32ColumnMatchesOracle) {
     uint64_t word = dram_->backing_store().Read64((1 << 20) + (i / 64) * 8);
     ASSERT_EQ(((word >> (i % 64)) & 1) != 0, pass) << "row " << i;
   }
-  EXPECT_EQ(device_->last_match_count(), oracle);
+  EXPECT_EQ(matches_, oracle);
 }
 
 TEST_F(Elem32Test, NegativeValuesSignExtendCorrectly) {
@@ -112,13 +114,13 @@ TEST_F(Elem32Test, OtherEnginesRejectPackedMode) {
   agg.col_base = 0;
   agg.num_rows = 64;
   agg.out_addr = 1 << 20;
-  EXPECT_EQ(device_->StartAggregate(agg, nullptr).code(),
+  EXPECT_EQ(device_->Start(agg, nullptr).code(),
             StatusCode::kUnimplemented);
   SortJob sort;
   sort.col_base = 0;
   sort.num_rows = 64;
   sort.out_base = 1 << 20;
-  EXPECT_EQ(device_->StartSort(sort, nullptr).code(),
+  EXPECT_EQ(device_->Start(sort, nullptr).code(),
             StatusCode::kUnimplemented);
 }
 

@@ -74,7 +74,7 @@ TEST_F(EnginesTest, AggregateSumMinMaxCountMatchOracle) {
     job.kind = c.kind;
     job.out_addr = kOut;
     bool done = false;
-    Run(device_->StartAggregate(job, [&](sim::Tick) { done = true; }), &done);
+    Run(device_->Start(job, [&](const Completion&) { done = true; }), &done);
     EXPECT_EQ(static_cast<int64_t>(dram_->backing_store().Read64(kOut)),
               c.expected)
         << static_cast<int>(c.kind);
@@ -101,7 +101,7 @@ TEST_F(EnginesTest, FilteredAggregateHonoursBitmap) {
   job.bitmap_base = kBitmap;
   job.out_addr = kOut;
   bool done = false;
-  Run(device_->StartAggregate(job, [&](sim::Tick) { done = true; }), &done);
+  Run(device_->Start(job, [&](const Completion&) { done = true; }), &done);
   EXPECT_EQ(static_cast<int64_t>(dram_->backing_store().Read64(kOut)), expected);
 }
 
@@ -124,7 +124,7 @@ TEST_F(EnginesTest, ProjectEmitsDenselyPackedQualifyingValues) {
   job.bitmap_base = kBitmap;
   job.out_base = kOut;
   bool done = false;
-  Run(device_->StartProject(job, [&](sim::Tick) { done = true; }), &done);
+  Run(device_->Start(job, [&](const Completion&) { done = true; }), &done);
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(static_cast<int64_t>(dram_->backing_store().Read64(kOut + i * 8)),
               expected[i])
@@ -144,7 +144,7 @@ TEST_F(EnginesTest, ProjectWithEmptyBitmapWritesNothing) {
   job.bitmap_base = kBitmap;
   job.out_base = kOut;
   bool done = false;
-  Run(device_->StartProject(job, [&](sim::Tick) { done = true; }), &done);
+  Run(device_->Start(job, [&](const Completion&) { done = true; }), &done);
   EXPECT_EQ(device_->stats().matches, 0u);
   EXPECT_EQ(dram_->backing_store().Read64(kOut), 0u);
 }
@@ -168,7 +168,13 @@ TEST_F(EnginesTest, RowStoreConjunctionMatchesOracle) {
   };
   job.out_base = kOut;
   bool done = false;
-  Run(device_->StartRowStore(job, [&](sim::Tick) { done = true; }), &done);
+  uint64_t matches = 0;
+  Run(device_->Start(job,
+                     [&](const Completion& c) {
+                       done = true;
+                       matches = c.matches;
+                     }),
+      &done);
 
   uint64_t expected_matches = 0;
   for (size_t t = 0; t < tuples; ++t) {
@@ -177,7 +183,7 @@ TEST_F(EnginesTest, RowStoreConjunctionMatchesOracle) {
     EXPECT_EQ(((word >> (t % 64)) & 1) != 0, pass) << "tuple " << t;
     expected_matches += pass;
   }
-  EXPECT_EQ(device_->last_match_count(), expected_matches);
+  EXPECT_EQ(matches, expected_matches);
 }
 
 TEST_F(EnginesTest, RowStoreReadsMoreDataThanColumnStore) {
@@ -195,7 +201,7 @@ TEST_F(EnginesTest, RowStoreReadsMoreDataThanColumnStore) {
   rs.predicates = {{0, CompareOp::kBetween, 0, 100}};
   rs.out_base = kOut;
   bool done = false;
-  Run(device_->StartRowStore(rs, [&](sim::Tick) { done = true; }), &done);
+  Run(device_->Start(rs, [&](const Completion&) { done = true; }), &done);
   uint64_t rowstore_bursts = device_->stats().bursts_read;
 
   device_->ResetStats();
@@ -206,7 +212,7 @@ TEST_F(EnginesTest, RowStoreReadsMoreDataThanColumnStore) {
   cs.range_high = 100;
   cs.out_base = kOut;
   done = false;
-  Run(device_->StartSelect(cs, [&](sim::Tick) { done = true; }), &done);
+  Run(device_->Start(cs, [&](const Completion&) { done = true; }), &done);
   uint64_t colstore_bursts = device_->stats().bursts_read;
   EXPECT_EQ(rowstore_bursts, colstore_bursts * 4);
 }
@@ -217,14 +223,14 @@ TEST_F(EnginesTest, RowStoreRejectsBadPredicates) {
   job.num_tuples = 16;
   job.tuple_bytes = 16;
   job.out_base = kOut;
-  EXPECT_EQ(device_->StartRowStore(job, nullptr).code(),
+  EXPECT_EQ(device_->Start(job, nullptr).code(),
             StatusCode::kInvalidArgument);  // no predicates
   job.predicates = {{16, CompareOp::kEq, 1, 0}};  // offset beyond tuple
-  EXPECT_EQ(device_->StartRowStore(job, nullptr).code(),
+  EXPECT_EQ(device_->Start(job, nullptr).code(),
             StatusCode::kInvalidArgument);
   job.predicates = {{0, CompareOp::kEq, 1, 0}};
   job.tuple_bytes = 12;  // not a multiple of 8
-  EXPECT_EQ(device_->StartRowStore(job, nullptr).code(),
+  EXPECT_EQ(device_->Start(job, nullptr).code(),
             StatusCode::kInvalidArgument);
 }
 

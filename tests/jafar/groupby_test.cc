@@ -65,7 +65,8 @@ TEST_F(GroupByTest, SumPerGroupMatchesOracle) {
   job.kind = AggKind::kSum;
   job.out_base = kOut;
   bool done = false;
-  ASSERT_TRUE(device_->StartGroupBy(job, [&](sim::Tick) { done = true; }).ok());
+  ASSERT_TRUE(
+      device_->Start(job, [&](const Completion&) { done = true; }).ok());
   ASSERT_TRUE(eq_->RunUntilTrue([&] { return done; }));
 
   std::map<int64_t, std::pair<int64_t, int64_t>> oracle;  // key -> (sum, n)
@@ -98,7 +99,7 @@ TEST_F(GroupByTest, MinMaxKinds) {
     job.out_base = kOut;
     bool done = false;
     ASSERT_TRUE(
-        device_->StartGroupBy(job, [&](sim::Tick) { done = true; }).ok());
+        device_->Start(job, [&](const Completion&) { done = true; }).ok());
     ASSERT_TRUE(eq_->RunUntilTrue([&] { return done; }));
     EXPECT_EQ(static_cast<int64_t>(dram_->backing_store().Read64(kOut)), g0);
     EXPECT_EQ(static_cast<int64_t>(dram_->backing_store().Read64(kOut + 16)),
@@ -117,7 +118,8 @@ TEST_F(GroupByTest, KeysOutsideWindowAreSkipped) {
   job.kind = AggKind::kSum;
   job.out_base = kOut;
   bool done = false;
-  ASSERT_TRUE(device_->StartGroupBy(job, [&](sim::Tick) { done = true; }).ok());
+  ASSERT_TRUE(
+      device_->Start(job, [&](const Completion&) { done = true; }).ok());
   ASSERT_TRUE(eq_->RunUntilTrue([&] { return done; }));
   EXPECT_EQ(dram_->backing_store().Read64(kOut + 10 * 16), 2u);
   EXPECT_EQ(device_->stats().matches, 2u);
@@ -144,7 +146,7 @@ TEST_F(GroupByTest, HierarchicalPassesCoverLargeKeyDomain) {
   uint64_t jobs_before = device_->stats().jobs_completed;
   ASSERT_TRUE(driver_
                   ->HierarchicalGroupBy(job, num_groups,
-                                        [&](sim::Tick) { done = true; })
+                                        [&](const Completion&) { done = true; })
                   .ok());
   ASSERT_TRUE(eq_->RunUntilTrue([&] { return done; }));
   EXPECT_EQ(device_->stats().jobs_completed - jobs_before, 4u);
@@ -181,7 +183,8 @@ TEST_F(GroupByTest, BitmapFilteredGroupByMatchesOracle) {
   job.bitmap_base = bitmap_addr;
   job.out_base = kOut;
   bool done = false;
-  ASSERT_TRUE(device_->StartGroupBy(job, [&](sim::Tick) { done = true; }).ok());
+  ASSERT_TRUE(
+      device_->Start(job, [&](const Completion&) { done = true; }).ok());
   ASSERT_TRUE(eq_->RunUntilTrue([&] { return done; }));
 
   std::map<int64_t, std::pair<int64_t, int64_t>> oracle;
@@ -210,7 +213,7 @@ TEST_F(GroupByTest, RejectsBadJobs) {
   job.val_base = kVals;
   job.num_rows = 64;
   job.out_base = kOut;
-  EXPECT_EQ(device_->StartGroupBy(job, nullptr).code(),
+  EXPECT_EQ(device_->Start(job, nullptr).code(),
             StatusCode::kInvalidArgument);
 }
 

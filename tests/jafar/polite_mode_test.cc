@@ -43,9 +43,16 @@ TEST_F(PoliteModeTest, RunsWithoutOwnership) {
   job.range_high = 200;
   job.out_base = 1 << 20;
   bool done = false;
-  ASSERT_TRUE(device_->StartSelect(job, [&](sim::Tick) { done = true; }).ok());
+  uint64_t matches = 0;
+  ASSERT_TRUE(device_
+                  ->Start(job,
+                          [&](const Completion& c) {
+                            done = true;
+                            matches = c.matches;
+                          })
+                  .ok());
   ASSERT_TRUE(eq_->RunUntilTrue([&] { return done; }));
-  EXPECT_EQ(device_->last_match_count(), values.size());
+  EXPECT_EQ(matches, values.size());
 }
 
 TEST_F(PoliteModeTest, SurvivesRefreshClosingItsRows) {
@@ -63,11 +70,18 @@ TEST_F(PoliteModeTest, SurvivesRefreshClosingItsRows) {
   job.range_high = 499;
   job.out_base = 1 << 24;
   bool done = false;
-  ASSERT_TRUE(device_->StartSelect(job, [&](sim::Tick) { done = true; }).ok());
+  uint64_t matches = 0;
+  ASSERT_TRUE(device_
+                  ->Start(job,
+                          [&](const Completion& c) {
+                            done = true;
+                            matches = c.matches;
+                          })
+                  .ok());
   ASSERT_TRUE(eq_->RunUntilTrue([&] { return done; }));
   uint64_t oracle = 0;
   for (int64_t v : values) oracle += v <= 499;
-  EXPECT_EQ(device_->last_match_count(), oracle);
+  EXPECT_EQ(matches, oracle);
   // The scan crossed refresh windows.
   EXPECT_GE(dram_->channel(0).rank(0).refreshes_issued(), 1u);
 }
@@ -96,10 +110,17 @@ TEST_F(PoliteModeTest, DefersToHostTraffic) {
   job.range_high = 10;
   job.out_base = 1 << 24;
   bool done = false;
-  ASSERT_TRUE(device_->StartSelect(job, [&](sim::Tick) { done = true; }).ok());
+  uint64_t matches = 0;
+  ASSERT_TRUE(device_
+                  ->Start(job,
+                          [&](const Completion& c) {
+                            done = true;
+                            matches = c.matches;
+                          })
+                  .ok());
   ASSERT_TRUE(eq_->RunUntilTrue([&] { return done; }));
   EXPECT_GT(device_->stats().polite_backoffs, 0u);
-  EXPECT_EQ(device_->last_match_count(), values.size());
+  EXPECT_EQ(matches, values.size());
 }
 
 TEST_F(PoliteModeTest, ExclusiveModeStillRequiresOwnership) {
@@ -110,7 +131,7 @@ TEST_F(PoliteModeTest, ExclusiveModeStillRequiresOwnership) {
   job.col_base = 0;
   job.num_rows = 64;
   job.out_base = 1 << 20;
-  EXPECT_EQ(strict.StartSelect(job, nullptr).code(),
+  EXPECT_EQ(strict.Start(job, nullptr).code(),
             StatusCode::kFailedPrecondition);
 }
 

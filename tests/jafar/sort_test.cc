@@ -37,9 +37,9 @@ class SortEngineTest : public ::testing::Test {
   sim::Tick RunSort(const SortJob& job) {
     bool done = false;
     sim::Tick start = eq_->Now(), end = 0;
-    Status st = device_->StartSort(job, [&](sim::Tick t) {
+    Status st = device_->Start(job, [&](const Completion& c) {
       done = true;
-      end = t;
+      end = c.completed_at;
     });
     EXPECT_TRUE(st.ok()) << st.ToString();
     EXPECT_TRUE(eq_->RunUntilTrue([&] { return done; }));
@@ -145,11 +145,11 @@ TEST_F(SortEngineTest, RejectsBadJobs) {
   job.col_base = 8;  // unaligned
   job.num_rows = 64;
   job.out_base = 1 << 20;
-  EXPECT_EQ(device_->StartSort(job, nullptr).code(),
+  EXPECT_EQ(device_->Start(job, nullptr).code(),
             StatusCode::kInvalidArgument);
   job.col_base = 0;
   job.num_rows = 0;
-  EXPECT_FALSE(device_->StartSort(job, nullptr).ok());
+  EXPECT_FALSE(device_->Start(job, nullptr).ok());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // ndp-analyze fixture: core-layer device dispatch — runtime-bypass fires.
 namespace ndp::fixture {
-Status BypassFire(Driver* drv, Query q) {
-  return drv->SelectJafar(q);
+Status BypassFire(Driver* drv, ProbeJob probe) {
+  return drv->Submit(probe, nullptr);
 }
 }  // namespace ndp::fixture

@@ -1,7 +1,7 @@
 // ndp-analyze fixture: the same dispatch, waived with a reason.
 namespace ndp::fixture {
-Status BypassWaive(Driver* drv, Query q) {
+Status BypassWaive(Driver* drv, ProbeJob probe) {
   // ndp-lint: runtime-bypass-ok fixture: single-query calibration path
-  return drv->SelectJafar(q);
+  return drv->Submit(probe, nullptr);
 }
 }  // namespace ndp::fixture

@@ -1,6 +1,6 @@
 // ndp-analyze fixture: discarded dispatch Status — status fires.
 namespace ndp::fixture {
-void StatusFire(Api* dev, Query q) {
-  dev->SelectJafar(q);
+void StatusFire(Driver* drv, ProbeJob probe) {
+  drv->Submit(probe, nullptr);
 }
 }  // namespace ndp::fixture

@@ -1,7 +1,7 @@
 // ndp-analyze fixture: the same discard, waived with a reason.
 namespace ndp::fixture {
-void StatusWaive(Api* dev, Query q) {
+void StatusWaive(Driver* drv, ProbeJob probe) {
   // ndp-lint: status-ok fixture: probe call, failure handled by the drain
-  dev->SelectJafar(q);
+  drv->Submit(probe, nullptr);
 }
 }  // namespace ndp::fixture

@@ -1,7 +1,7 @@
 // ndp-analyze fixture: device dispatch with no watchdog — watchdog-arm fires.
 namespace ndp::fixture {
-Status WatchdogFire(Device* dev, Job job) {
-  Status s = dev->StartSelect(job, nullptr);
+Status WatchdogFire(Device* dev, JobDescriptor job) {
+  Status s = dev->Start(job, nullptr);
   return s;
 }
 }  // namespace ndp::fixture

@@ -178,12 +178,12 @@ void CheckUnorderedIteration(SourceFile& f, std::vector<Finding>* out) {
 void CheckStatusIgnored(SourceFile& f, std::vector<Finding>* out) {
   // A JAFAR dispatch call at statement position (optionally behind an
   // explicit (void) cast): the returned Status vanishes, so a rejected or
-  // failed dispatch is indistinguishable from a started job.
+  // failed dispatch is indistinguishable from a started job. The entry
+  // points are Device::Start and Driver::Submit / HierarchicalGroupBy; a
+  // Start() with no arguments (a traffic generator's) is not a dispatch.
   static const std::regex kIgnored(
       R"re(^\s*(?:\(void\)\s*)?(?:[\w]+(?:\.|->))?)re"
-      R"re((?:Start(?:Select|Aggregate|Project|RowStore|Sort|GroupBy))re"
-      R"re(|(?:Select|Aggregate|Project|RowStore|Sort|GroupBy)Jafar)re"
-      R"re(|HierarchicalGroupBy)\s*\()re");
+      R"re((?:Start|Submit|HierarchicalGroupBy)\s*\((?!\s*\)))re");
   // A dispatch that begins a continuation line (the previous code line ends
   // mid-expression, e.g. inside ASSERT_TRUE( or after =) is an argument or
   // an assigned value, not a discarded statement.
@@ -208,8 +208,7 @@ void CheckWatchdogArm(SourceFile& f, std::vector<Finding>* out) {
   // Only library code: benches and tests pump the queue themselves and a
   // wedged job surfaces as a failed RunUntilTrue there.
   if (f.top != "src") return;
-  static const std::regex kDispatch(
-      R"re((?:\.|->)Start(?:Select|Aggregate|Project|RowStore|Sort|GroupBy)\s*\()re");
+  static const std::regex kDispatch(R"re((?:\.|->)Start\s*\((?!\s*\)))re");
   bool has_watchdog = false;
   for (const std::string& code : f.lex.code) {
     if (code.find("ArmWatchdog") != std::string::npos) {
@@ -243,8 +242,8 @@ void CheckRuntimeBypass(SourceFile& f, std::vector<Finding>* out) {
     return;
   }
   static const std::regex kDispatch(
-      R"re((?:\.|->)(?:Start(?:Select|Aggregate|Project|RowStore|Sort|GroupBy))re"
-      R"re(|(?:Select|Aggregate|Project|RowStore|Sort|GroupBy)Jafar)\s*\()re");
+      R"re((?:\.|->)(?:(?:Start|Submit)\s*\((?!\s*\)))re"
+      R"re(|HierarchicalGroupBy\s*\())re");
   for (size_t i = 0; i < f.lex.code.size(); ++i) {
     if (std::regex_search(f.lex.code[i], kDispatch)) {
       Emit(f, i + 1, "runtime-bypass",
