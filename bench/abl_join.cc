@@ -172,7 +172,7 @@ SkewPoint RunSkewPoint(const db::Column& col, double theta, bool steal) {
   cfg.steal_enabled = steal;
   // Short lease windows so the probe spans many leases per lane: the
   // heavy-hitter detector only trusts a lane's rate after
-  // `join_hh_min_leases` completed leases, so the hot lane must finish
+  // core::kHeavyHitterMinLeases completed leases, so the hot lane must finish
   // several leases while the imbalance is still live (DESIGN.md §12).
   cfg.lease_init_bus_cycles = 4'000;
   cfg.lease_max_bus_cycles = 8'000;

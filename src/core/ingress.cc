@@ -1,9 +1,6 @@
 #include "core/ingress.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
 
 #include "util/logging.h"
 
@@ -13,73 +10,9 @@ namespace {
 
 constexpr sim::Tick kPsPerMs = 1'000'000'000;
 
-/// Strict full-string env parses (the fault_plan discipline: a typo must
-/// fail loudly, not silently configure a different experiment).
-Status OverlayEnvU64(const char* name, uint64_t* field) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return Status::OK();
-  errno = 0;
-  char* end = nullptr;
-  uint64_t v = std::strtoull(raw, &end, 10);
-  if (*raw == '\0' || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument(std::string(name) + "='" + raw +
-                                   "' is not an unsigned integer");
-  }
-  *field = v;
-  return Status::OK();
-}
-
-Status OverlayEnvDouble(const char* name, double* field) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return Status::OK();
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(raw, &end);
-  if (*raw == '\0' || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument(std::string(name) + "='" + raw +
-                                   "' is not a number");
-  }
-  *field = v;
-  return Status::OK();
-}
-
 }  // namespace
 
 // -- IngressConfig ------------------------------------------------------------
-
-Result<IngressConfig> IngressConfig::FromEnv() {
-  IngressConfig cfg;
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_INGRESS_RINGS", &cfg.rings));
-  NDP_RETURN_NOT_OK(
-      OverlayEnvU64("NDP_INGRESS_RING_CAPACITY", &cfg.ring_capacity));
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_INGRESS_SLOTS", &cfg.slots));
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_INGRESS_BURST", &cfg.burst));
-  NDP_RETURN_NOT_OK(
-      OverlayEnvU64("NDP_INGRESS_POLL_CYCLES", &cfg.poll_bus_cycles));
-  NDP_RETURN_NOT_OK(
-      OverlayEnvDouble("NDP_INGRESS_RETRY_TOKENS", &cfg.retry_tokens));
-  NDP_RETURN_NOT_OK(OverlayEnvDouble("NDP_INGRESS_RETRY_REFILL_PER_MS",
-                                     &cfg.retry_refill_per_ms));
-  uint64_t governor = cfg.governor_enabled ? 1 : 0;
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_INGRESS_GOVERNOR", &governor));
-  cfg.governor_enabled = governor != 0;
-  NDP_RETURN_NOT_OK(
-      OverlayEnvDouble("NDP_INGRESS_SHED_THRESHOLD", &cfg.shed_threshold));
-  NDP_RETURN_NOT_OK(OverlayEnvDouble("NDP_INGRESS_BROWNOUT_THRESHOLD",
-                                     &cfg.brownout_threshold));
-  NDP_RETURN_NOT_OK(
-      OverlayEnvDouble("NDP_INGRESS_HYSTERESIS", &cfg.governor_hysteresis));
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_INGRESS_GOVERNOR_CYCLES",
-                                  &cfg.governor_poll_bus_cycles));
-  NDP_RETURN_NOT_OK(
-      OverlayEnvDouble("NDP_INGRESS_GOVERNOR_ALPHA", &cfg.governor_alpha));
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_INGRESS_BROWNOUT_NDP_INFLIGHT",
-                                  &cfg.brownout_ndp_inflight));
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_INGRESS_CPU_ROW_CYCLES",
-                                  &cfg.cpu_scan_bus_cycles_per_row));
-  NDP_RETURN_NOT_OK(cfg.Validate());
-  return cfg;
-}
 
 Status IngressConfig::Validate() const {
   if (rings == 0 || slots == 0 || burst == 0 || poll_bus_cycles == 0) {
@@ -284,7 +217,7 @@ void ServingIngress::Pump() {
   pump_scheduled_ = false;
   // Round-robin over the rings, at most `burst` requests each; the whole
   // drain admits as ONE runtime burst (single poke pass).
-  std::vector<uint32_t> ndp_batch;  // ndp: bounded-by(NDP_INGRESS_BURST)
+  std::vector<uint32_t> ndp_batch;  // ndp: bounded-by(IngressConfig::burst)
   ndp_batch.reserve(config_.burst * config_.rings);
   uint64_t drained = 0;
   for (uint64_t i = 0; i < config_.rings; ++i) {
@@ -345,7 +278,8 @@ SubmitOptions ServingIngress::OptionsFor(uint32_t slot) {
 }
 
 void ServingIngress::SubmitNdpBurst(const std::vector<uint32_t>& slot_ids) {
-  std::vector<NdpRuntime::BurstSelect> burst;  // ndp: bounded-by(NDP_INGRESS_BURST)
+  // ndp: bounded-by(IngressConfig::burst)
+  std::vector<NdpRuntime::BurstSelect> burst;
   burst.reserve(slot_ids.size());
   for (uint32_t slot : slot_ids) {
     Slot& s = pool_[slot];

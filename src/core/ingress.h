@@ -35,8 +35,7 @@
 
 namespace ndp::core {
 
-/// Ingress policy knobs. Overridable from the environment via NDP_INGRESS_*
-/// (FromEnv; strict parses, a malformed value fails loudly).
+/// Ingress policy knobs.
 struct IngressConfig {
   // -- Bounded buffering ----------------------------------------------------
   uint64_t rings = 4;            ///< per-core SPSC request rings
@@ -64,8 +63,6 @@ struct IngressConfig {
   /// through a single host core.
   uint64_t cpu_scan_bus_cycles_per_row = 4;
 
-  /// Reads NDP_INGRESS_* overrides onto the defaults (strict parse).
-  static Result<IngressConfig> FromEnv();
   Status Validate() const;
 };
 
@@ -228,10 +225,10 @@ class ServingIngress {
   sim::EventQueue& eq_;
 
   /// Fixed mbuf-style request pool; never grows after construction.
-  std::vector<Slot> pool_;       // ndp: bounded-by(NDP_INGRESS_SLOTS)
-  std::vector<uint32_t> free_;   // ndp: bounded-by(NDP_INGRESS_SLOTS)
+  std::vector<Slot> pool_;       // ndp: bounded-by(IngressConfig::slots)
+  std::vector<uint32_t> free_;   // ndp: bounded-by(IngressConfig::slots)
   /// Fixed ring set; each ring is capacity-bounded via TryPush.
-  // ndp: bounded-by(NDP_INGRESS_RINGS)
+  // ndp: bounded-by(IngressConfig::rings)
   std::vector<std::unique_ptr<sim::SpscQueue<uint32_t>>> rings_;
   // Setup-time metadata, not on the per-request admission path.
   std::vector<Table> tables_;         // ndp-lint: bounded-queue-ok registered once at setup, before Start

@@ -85,7 +85,7 @@ class PushdownPlanner {
   /// MakeGroupByHook) with the cost model and result-hygiene checks, then
   /// installs them into `ctx`. A declined or failed call returns an error, so
   /// the operator layer falls back to the CPU path. `filter_kb` is the Bloom
-  /// image size the semijoin hook will build (NDP_JOIN_FILTER_KB).
+  /// image size the semijoin hook will build (RuntimeConfig::join_filter_kb).
   void InstallJoin(db::QueryContext* ctx, db::NdpSemiJoinHook semi_join,
                    db::NdpGroupByHook group_by, uint64_t filter_kb = 16);
 

@@ -1,11 +1,7 @@
 #include "core/runtime.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <unordered_set>
 
 #include "core/profiling.h"
@@ -30,87 +26,9 @@ bool KindHasBitmap(ndp::core::JobKind kind) {
          kind == ndp::core::JobKind::kProbe;
 }
 
-/// Strict full-string env parses (the fault_plan discipline: a typo must
-/// fail loudly, not silently configure a different experiment).
-Status OverlayEnvU64(const char* name, uint64_t* field) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return Status::OK();
-  errno = 0;
-  char* end = nullptr;
-  uint64_t v = std::strtoull(raw, &end, 10);
-  if (*raw == '\0' || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument(std::string(name) + "='" + raw +
-                                   "' is not an unsigned integer");
-  }
-  *field = v;
-  return Status::OK();
-}
-
-Status OverlayEnvDouble(const char* name, double* field) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return Status::OK();
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(raw, &end);
-  if (*raw == '\0' || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument(std::string(name) + "='" + raw +
-                                   "' is not a number");
-  }
-  *field = v;
-  return Status::OK();
-}
-
 }  // namespace
 
 // -- RuntimeConfig ------------------------------------------------------------
-
-Result<RuntimeConfig> RuntimeConfig::FromEnv() {
-  RuntimeConfig cfg;
-  NDP_RETURN_NOT_OK(
-      OverlayEnvU64("NDP_RUNTIME_LEASE_MIN", &cfg.lease_min_bus_cycles));
-  NDP_RETURN_NOT_OK(
-      OverlayEnvU64("NDP_RUNTIME_LEASE_MAX", &cfg.lease_max_bus_cycles));
-  NDP_RETURN_NOT_OK(
-      OverlayEnvU64("NDP_RUNTIME_LEASE_INIT", &cfg.lease_init_bus_cycles));
-  NDP_RETURN_NOT_OK(OverlayEnvDouble("NDP_RUNTIME_GROW", &cfg.lease_grow));
-  NDP_RETURN_NOT_OK(OverlayEnvDouble("NDP_RUNTIME_SHRINK", &cfg.lease_shrink));
-  NDP_RETURN_NOT_OK(OverlayEnvDouble("NDP_RUNTIME_ALPHA", &cfg.ewma_alpha));
-  NDP_RETURN_NOT_OK(OverlayEnvDouble("NDP_RUNTIME_IDLE_THRESHOLD",
-                                     &cfg.idle_busy_threshold));
-  NDP_RETURN_NOT_OK(
-      OverlayEnvDouble("NDP_RUNTIME_IDLE_FILL", &cfg.idle_fill_factor));
-  NDP_RETURN_NOT_OK(OverlayEnvDouble("NDP_RUNTIME_QOS_SLOWDOWN_PCT",
-                                     &cfg.qos_max_cpu_slowdown_pct));
-  NDP_RETURN_NOT_OK(
-      OverlayEnvU64("NDP_RUNTIME_QOS_MAX_STALL", &cfg.qos_max_stall_bus_cycles));
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_RUNTIME_HOST_WINDOW_MIN",
-                                  &cfg.host_window_min_bus_cycles));
-  NDP_RETURN_NOT_OK(
-      OverlayEnvU64("NDP_RUNTIME_DEFER_CYCLES", &cfg.admission_defer_bus_cycles));
-  uint64_t max_defers = cfg.admission_max_defers;
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_RUNTIME_MAX_DEFERS", &max_defers));
-  cfg.admission_max_defers = static_cast<uint32_t>(max_defers);
-  uint64_t steal = cfg.steal_enabled ? 1 : 0;
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_RUNTIME_STEAL", &steal));
-  cfg.steal_enabled = steal != 0;
-  NDP_RETURN_NOT_OK(
-      OverlayEnvU64("NDP_RUNTIME_STEAL_MIN_PAGES", &cfg.steal_min_pages));
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_RUNTIME_STEAL_OVERHEAD",
-                                  &cfg.steal_copy_overhead_bus_cycles));
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_JOIN_HASHES", &cfg.join_hashes));
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_JOIN_FILTER_KB", &cfg.join_filter_kb));
-  uint64_t eta_steal = cfg.join_eta_steal ? 1 : 0;
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_JOIN_ETA_STEAL", &eta_steal));
-  cfg.join_eta_steal = eta_steal != 0;
-  NDP_RETURN_NOT_OK(
-      OverlayEnvDouble("NDP_JOIN_HH_THRESHOLD", &cfg.join_hh_threshold));
-  NDP_RETURN_NOT_OK(
-      OverlayEnvU64("NDP_JOIN_HH_MIN_LEASES", &cfg.join_hh_min_leases));
-  NDP_ASSIGN_OR_RETURN(cfg.device_gen,
-                       jafar::DeviceGenerationFromEnv(cfg.device_gen));
-  NDP_RETURN_NOT_OK(cfg.Validate());
-  return cfg;
-}
 
 Status RuntimeConfig::Validate() const {
   if (lease_min_bus_cycles == 0 ||
@@ -119,19 +37,11 @@ Status RuntimeConfig::Validate() const {
     return Status::InvalidArgument(
         "runtime config: need 0 < lease_min <= lease_init <= lease_max");
   }
-  if (!(lease_shrink > 0.0 && lease_shrink < 1.0 && lease_grow > 1.0)) {
-    return Status::InvalidArgument(
-        "runtime config: need 0 < shrink < 1 < grow");
-  }
-  if (!(ewma_alpha > 0.0 && ewma_alpha <= 1.0)) {
-    return Status::InvalidArgument("runtime config: alpha must be in (0, 1]");
-  }
   if (!(qos_max_cpu_slowdown_pct > 0.0 && qos_max_cpu_slowdown_pct <= 100.0)) {
     return Status::InvalidArgument(
         "runtime config: slowdown budget must be in (0, 100] percent");
   }
-  if (!(idle_busy_threshold >= 0.0 &&
-        idle_busy_threshold < qos_budget_fraction())) {
+  if (!(kIdleBusyThreshold < qos_budget_fraction())) {
     return Status::InvalidArgument(
         "runtime config: idle threshold must be below the busy budget");
   }
@@ -139,9 +49,9 @@ Status RuntimeConfig::Validate() const {
     return Status::InvalidArgument(
         "runtime config: stall bound below the minimum lease");
   }
-  if (idle_fill_factor < 0.0 || host_window_min_bus_cycles == 0) {
+  if (host_window_min_bus_cycles == 0) {
     return Status::InvalidArgument(
-        "runtime config: bad idle_fill_factor / host_window_min");
+        "runtime config: host_window_min must be positive");
   }
   if (join_hashes == 0 || join_hashes > 8) {
     return Status::InvalidArgument(
@@ -150,14 +60,6 @@ Status RuntimeConfig::Validate() const {
   if (join_filter_kb == 0 || (join_filter_kb & (join_filter_kb - 1)) != 0) {
     return Status::InvalidArgument(
         "runtime config: join_filter_kb must be a nonzero power of two");
-  }
-  if (!(join_hh_threshold >= 1.0)) {
-    return Status::InvalidArgument(
-        "runtime config: join_hh_threshold must be >= 1");
-  }
-  if (join_hh_min_leases == 0) {
-    return Status::InvalidArgument(
-        "runtime config: join_hh_min_leases must be >= 1");
   }
   return Status::OK();
 }
@@ -186,19 +88,19 @@ void LeaseController::Observe(uint64_t window_cycles, uint64_t busy_cycles,
     ewma_idle_ = idle;
     has_observation_ = true;
   } else {
-    ewma_busy_ = cfg_.ewma_alpha * u + (1.0 - cfg_.ewma_alpha) * ewma_busy_;
+    ewma_busy_ = kEwmaAlpha * u + (1.0 - kEwmaAlpha) * ewma_busy_;
     ewma_idle_ =
-        cfg_.ewma_alpha * idle + (1.0 - cfg_.ewma_alpha) * ewma_idle_;
+        kEwmaAlpha * idle + (1.0 - kEwmaAlpha) * ewma_idle_;
   }
   double cap = static_cast<double>(LeaseCap());
   double floor = static_cast<double>(cfg_.lease_min_bus_cycles);
   if (ewma_busy_ > cfg_.qos_budget_fraction()) {
-    lease_ = std::max(floor, lease_ * cfg_.lease_shrink);
+    lease_ = std::max(floor, lease_ * kLeaseShrink);
     ++shrinks_;
-  } else if (ewma_busy_ < cfg_.idle_busy_threshold) {
+  } else if (ewma_busy_ < kIdleBusyThreshold) {
     lease_ = std::min(
-        cap, std::max(lease_ * cfg_.lease_grow,
-                      cfg_.idle_fill_factor * ewma_idle_));
+        cap, std::max(lease_ * kLeaseGrow,
+                      kIdleFillFactor * ewma_idle_));
     ++grows_;
   }
   lease_ = std::clamp(lease_, floor, cap);
@@ -209,7 +111,7 @@ uint64_t LeaseController::NextLeaseBusCycles() const {
 }
 
 bool LeaseController::ChannelIdle() const {
-  return has_observation_ && ewma_busy_ < cfg_.idle_busy_threshold;
+  return has_observation_ && ewma_busy_ < kIdleBusyThreshold;
 }
 
 bool LeaseController::OverBudget() const {
@@ -659,14 +561,14 @@ void NdpRuntime::DispatchNow(Lane& lane) {
   LeaseController& lc = *controllers_[lane.channel];
   const Chunk& front = *lane.queue.front();
   if (front.priority == JobPriority::kBatch && lc.OverBudget() &&
-      lane.defers < config_.admission_max_defers) {
+      lane.defers < kAdmissionMaxDefers) {
     // Idle-aware admission: hold background work while the channel runs
     // hotter than the QoS budget, but never indefinitely (defer cap).
     ++lane.defers;
     ++counters_.admission_defers;
     lane.state = Lane::State::kDeferred;
     uint32_t li = lane.index;
-    eq_.ScheduleAfter(BusCyclesToPs(config_.admission_defer_bus_cycles),
+    eq_.ScheduleAfter(BusCyclesToPs(kAdmissionDeferBusCycles),
                       [this, li] {
                         Lane& l = *lanes_[li];
                         if (l.state != Lane::State::kDeferred) return;
@@ -690,12 +592,6 @@ void NdpRuntime::StartLease(Lane& lane) {
   lane.cur_lease_rows =
       std::min(rows_per_lease, lane.active->rows - lane.active->rows_done);
   lane.active->rows_leased = lane.active->rows_done + lane.cur_lease_rows;
-  if (::getenv("NDP_RUNTIME_DEBUG")) {
-    std::fprintf(stderr, "[lease] t=%llu lane=%u cycles=%llu rows=%llu\n",
-                 (unsigned long long)eq_.Now(), lane.index,
-                 (unsigned long long)lane.cur_lease_cycles,
-                 (unsigned long long)lane.cur_lease_rows);
-  }
   lane.state = Lane::State::kLeasing;
   lane.lease_start_ps = eq_.Now();
   lane.gb_host_seam = false;
@@ -904,8 +800,8 @@ void NdpRuntime::OnLeaseDone(Lane& lane, const Status& status,
     lane.ewma_ps_per_row =
         lane.rate_leases == 0
             ? ps_per_row
-            : config_.ewma_alpha * ps_per_row +
-                  (1.0 - config_.ewma_alpha) * lane.ewma_ps_per_row;
+            : kEwmaAlpha * ps_per_row +
+                  (1.0 - kEwmaAlpha) * lane.ewma_ps_per_row;
     ++lane.rate_leases;
     UpdateHeavyHitters();
   }
@@ -995,13 +891,6 @@ void NdpRuntime::ObserveWindowThen(Lane& lane, std::function<void()> k) {
           static_cast<uint64_t>(std::max(0.0, busy - l.busy_base));
       uint64_t requests =
           static_cast<uint64_t>(std::max(0.0, reqs - l.req_base));
-      if (::getenv("NDP_RUNTIME_DEBUG")) {
-        std::fprintf(
-            stderr, "[obs] lane=%u win=%llu busy=%llu reqs=%llu ewma=%f\n",
-            l.index, (unsigned long long)window_cycles,
-            (unsigned long long)busy_cycles, (unsigned long long)requests,
-            controllers_[l.channel]->ewma_busy_fraction());
-      }
       controllers_[l.channel]->Observe(window_cycles,
                                       std::min(busy_cycles, window_cycles),
                                       requests);
@@ -1153,7 +1042,7 @@ double NdpRuntime::EtaScore(const Lane& lane) const {
   uint64_t rows = StealableRows(lane);
   if (rows == 0) return 0.0;
   double rate;
-  if (lane.rate_leases >= config_.join_hh_min_leases) {
+  if (lane.rate_leases >= kHeavyHitterMinLeases) {
     rate = lane.ewma_ps_per_row;
   } else {
     // No trustworthy rate of its own yet: borrow the mean of trusted
@@ -1163,7 +1052,7 @@ double NdpRuntime::EtaScore(const Lane& lane) const {
     uint32_t n = 0;
     for (const auto& l : lanes_) {
       if (l->state == Lane::State::kDead) continue;
-      if (l->rate_leases >= config_.join_hh_min_leases) {
+      if (l->rate_leases >= kHeavyHitterMinLeases) {
         sum += l->ewma_ps_per_row;
         ++n;
       }
@@ -1187,20 +1076,11 @@ void NdpRuntime::UpdateHeavyHitters() {
   }
   if (busy < 2) return;  // nothing to compare against (or nobody to steal)
   double mean = sum / busy;
-  if (::getenv("NDP_RUNTIME_DEBUG")) {
-    std::fprintf(stderr, "[hh] t=%llu busy=%u mean=%.3g etas=",
-                 (unsigned long long)eq_.Now(), busy, mean);
-    for (const auto& lane : lanes_) {
-      std::fprintf(stderr, "%.3g/%llu ", EtaScore(*lane),
-                   (unsigned long long)lane->rate_leases);
-    }
-    std::fprintf(stderr, "\n");
-  }
   bool flagged_new = false;
   for (auto& lane : lanes_) {
     if (lane->state == Lane::State::kDead) continue;
-    bool hot = lane->rate_leases >= config_.join_hh_min_leases &&
-               EtaScore(*lane) > config_.join_hh_threshold * mean;
+    bool hot = lane->rate_leases >= kHeavyHitterMinLeases &&
+               EtaScore(*lane) > kHeavyHitterThreshold * mean;
     if (hot && !lane->hh_flagged) {
       ++counters_.hh_flags;
       flagged_new = true;
@@ -1238,15 +1118,15 @@ NdpRuntime::Lane* NdpRuntime::LeastLoadedLiveLane() const {
 
 void NdpRuntime::TrySteal(Lane& thief) {
   if (!config_.steal_enabled || thief.state != Lane::State::kIdle) return;
-  // Victim selection. Row count is the classic choice; ETA (rows x observed
-  // ps/row) is the skew-aware one — a heavy-hitter lane with few rows of
-  // expensive keys outranks a fast lane with more rows. Both are computed so
-  // the divergence is visible in the eta_steals counter.
+  // Victim selection by ETA (rows x observed ps/row), the skew-aware choice:
+  // a heavy-hitter lane with few rows of expensive keys outranks a fast lane
+  // with more rows. The classic most-rows victim is tracked only so the
+  // divergence is visible in the eta_steals counter.
   Lane* rows_victim = nullptr;
   uint64_t max_rows = 0;
-  Lane* eta_victim = nullptr;
+  Lane* victim = nullptr;
   double max_eta = 0.0;
-  uint64_t eta_victim_rows = 0;
+  uint64_t victim_rows = 0;
   for (auto& cand : lanes_) {
     if (cand.get() == &thief) continue;
     uint64_t rows = StealableRows(*cand);
@@ -1254,21 +1134,15 @@ void NdpRuntime::TrySteal(Lane& thief) {
       rows_victim = cand.get();
       max_rows = rows;
     }
-    if (config_.join_eta_steal) {
-      double eta = EtaScore(*cand);
-      if (eta > max_eta) {
-        eta_victim = cand.get();
-        max_eta = eta;
-        eta_victim_rows = rows;
-      }
+    double eta = EtaScore(*cand);
+    if (eta > max_eta) {
+      victim = cand.get();
+      max_eta = eta;
+      victim_rows = rows;
     }
   }
-  Lane* victim = config_.join_eta_steal ? eta_victim : rows_victim;
-  uint64_t victim_rows = config_.join_eta_steal ? eta_victim_rows : max_rows;
   if (victim == nullptr) return;
-  if (config_.join_eta_steal && victim != rows_victim) {
-    ++counters_.eta_steals;
-  }
+  if (victim != rows_victim) ++counters_.eta_steals;
   // Steal from the tail of the victim's backlog: its newest queued chunk, or
   // the un-dispatched tail of its active chunk.
   Chunk* source = nullptr;
@@ -1290,14 +1164,14 @@ void NdpRuntime::TrySteal(Lane& thief) {
       RowsPerLeaseCycles(array_->timing(), array_->device_config(),
                          controllers_[thief.channel]->NextLeaseBusCycles());
   uint64_t quantum = std::max<uint64_t>(
-      config_.steal_min_pages * kRowsPerPage, lease_rows / 4);
+      kStealMinPages * kRowsPerPage, lease_rows / 4);
   uint64_t desired =
       std::min({source->rows - reserved, victim_rows / 2, quantum});
   // Keep the victim a page-aligned prefix so both halves' bitmap rows stay
   // word-aligned; the ragged tail (if any) travels with the thief.
   uint64_t keep = std::max(reserved, RoundDownPages(source->rows - desired));
   uint64_t steal_rows = source->rows - keep;
-  if (steal_rows < config_.steal_min_pages * kRowsPerPage) return;
+  if (steal_rows < kStealMinPages * kRowsPerPage) return;
   Job& job = *source->job;
   uint64_t src_addr = source->col_base + keep * 8;
   uint64_t val_src_addr =
@@ -1306,11 +1180,6 @@ void NdpRuntime::TrySteal(Lane& thief) {
   if (!TransplantRows(thief, job, source->priority, src_addr, val_src_addr,
                       first_row, steal_rows)) {
     return;  // thief rank full — not worth failing anything over
-  }
-  if (::getenv("NDP_RUNTIME_DEBUG")) {
-    std::fprintf(stderr, "[steal] t=%llu thief=%u victim=%u rows=%llu\n",
-                 (unsigned long long)eq_.Now(), thief.index, victim->index,
-                 (unsigned long long)steal_rows);
   }
   source->rows = keep;
   ++counters_.steals;
@@ -1366,7 +1235,7 @@ bool NdpRuntime::TransplantRows(Lane& target, Job& job, JobPriority priority,
     // (the image itself is laid down by EnsureProbeFilter at dispatch).
     bursts += (job.filter_words * 8 + 63) / 64;
   }
-  uint64_t copy_cycles = config_.steal_copy_overhead_bus_cycles +
+  uint64_t copy_cycles = kStealCopyOverheadBusCycles +
                          bursts * array_->timing().tccd;
   uint32_t ti = target.index;
   // Shared-pointer hand-off keeps the chunk alive inside the closure.

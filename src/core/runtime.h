@@ -35,22 +35,58 @@
 
 namespace ndp::core {
 
+// -- Fixed runtime policy -----------------------------------------------------
+// Constants of the lease controller, admission, stealing and the heavy-hitter
+// detector. No experiment varies them, so they are not RuntimeConfig knobs.
+// All cycle quantities are DDR3 bus cycles.
+
+/// Multiplicative lease increase when idle and decrease when over budget.
+inline constexpr double kLeaseGrow = 2.0;
+inline constexpr double kLeaseShrink = 0.5;
+/// EWMA smoothing for the per-window busy fraction, the idle estimate and
+/// each lane's progress rate.
+inline constexpr double kEwmaAlpha = 0.25;
+/// Host utilization below which the channel counts as idle (grow region).
+/// RuntimeConfig::Validate keeps the QoS budget fraction above it.
+inline constexpr double kIdleBusyThreshold = 0.05;
+/// When idle, grow at least to kIdleFillFactor x the EWMA of the §3.3
+/// mean-idle-period estimate — the "size leases from the estimator" rule.
+inline constexpr double kIdleFillFactor = 32.0;
+/// Batch-priority dispatches are deferred this long while the channel is
+/// over budget...
+inline constexpr uint64_t kAdmissionDeferBusCycles = 4'000;
+/// ...but at most this many consecutive times (starvation freedom).
+inline constexpr uint32_t kAdmissionMaxDefers = 8;
+/// Minimum profitable steal, in 4 KB pages.
+inline constexpr uint64_t kStealMinPages = 4;
+/// Fixed overhead of a host-mediated steal copy, in bus cycles (on top of
+/// 1 x tCCD per 64 B burst: the read and write streams pipeline through the
+/// host buffer on different channels).
+inline constexpr uint64_t kStealCopyOverheadBusCycles = 2'000;
+/// A lane whose drain ETA exceeds this multiple of the mean over busy lanes
+/// is flagged as a heavy hitter; newly flagged lanes wake idle siblings so
+/// stealing starts immediately rather than at the next natural wake-up.
+inline constexpr double kHeavyHitterThreshold = 1.5;
+/// Trust a lane's progress-rate EWMA only after this many completed
+/// leases; untrusted lanes borrow the mean rate of trusted siblings.
+inline constexpr uint64_t kHeavyHitterMinLeases = 2;
+
+static_assert(kLeaseShrink > 0.0 && kLeaseShrink < 1.0 && kLeaseGrow > 1.0,
+              "need 0 < shrink < 1 < grow");
+static_assert(kEwmaAlpha > 0.0 && kEwmaAlpha <= 1.0, "alpha must be in (0, 1]");
+static_assert(kIdleBusyThreshold >= 0.0 && kIdleFillFactor >= 0.0,
+              "idle threshold and fill factor must be non-negative");
+static_assert(kHeavyHitterThreshold >= 1.0,
+              "a sub-mean heavy hitter is meaningless");
+static_assert(kHeavyHitterMinLeases >= 1, "need at least one trusted lease");
+
 /// QoS and policy knobs of the runtime. All cycle quantities are DDR3 bus
-/// cycles. Overridable from the environment via NDP_RUNTIME_* (FromEnv).
+/// cycles.
 struct RuntimeConfig {
   // -- Lease controller -----------------------------------------------------
   uint64_t lease_min_bus_cycles = 2'000;
   uint64_t lease_max_bus_cycles = 160'000;
   uint64_t lease_init_bus_cycles = 20'000;
-  double lease_grow = 2.0;     ///< multiplicative increase when idle
-  double lease_shrink = 0.5;   ///< multiplicative decrease when over budget
-  /// EWMA smoothing for the per-window busy fraction and idle estimate.
-  double ewma_alpha = 0.25;
-  /// Host utilization below which the channel counts as idle (grow region).
-  double idle_busy_threshold = 0.05;
-  /// When idle, grow at least to idle_fill_factor x the EWMA of the §3.3
-  /// mean-idle-period estimate — the "size leases from the estimator" rule.
-  double idle_fill_factor = 32.0;
 
   // -- QoS budget -----------------------------------------------------------
   /// Max CPU slowdown budget, percent: bounds the rank-ownership duty cycle
@@ -62,13 +98,6 @@ struct RuntimeConfig {
   /// Floor for the host window between leases.
   uint64_t host_window_min_bus_cycles = 500;
 
-  // -- Admission ------------------------------------------------------------
-  /// Batch-priority dispatches are deferred this long while the channel is
-  /// over budget...
-  uint64_t admission_defer_bus_cycles = 4'000;
-  /// ...but at most this many consecutive times (starvation freedom).
-  uint32_t admission_max_defers = 8;
-
   // -- Recovery -------------------------------------------------------------
   /// Per-lane driver (watchdog/retry/writeback-checksum) configuration,
   /// passed through to each lane's jafar::Driver unchanged.
@@ -78,17 +107,13 @@ struct RuntimeConfig {
   /// Datapath generation of the JAFAR units this runtime drives; callers
   /// building the DimmArray must derive the matching DeviceConfig
   /// (DeviceConfig::Derive for v1_rank_io, DeriveBank for v2_bank_level).
-  /// Overridable via NDP_DEVICE_GEN (strict parse, like the other knobs).
   jafar::DeviceGeneration device_gen = jafar::DeviceGeneration::kV1RankIo;
 
   // -- Work stealing --------------------------------------------------------
+  /// Victims are picked by the largest estimated time to drain (stealable
+  /// rows x EWMA ps/row), so a slow lane buried under skewed partitions is
+  /// relieved first even when a fast lane happens to hold more raw rows.
   bool steal_enabled = true;
-  /// Minimum profitable steal, in 4 KB pages.
-  uint64_t steal_min_pages = 4;
-  /// Fixed overhead of a host-mediated steal copy, in bus cycles (on top of
-  /// 1 x tCCD per 64 B burst: the read and write streams pipeline through the
-  /// host buffer on different channels).
-  uint64_t steal_copy_overhead_bus_cycles = 2'000;
 
   // -- Join / group-by pushdown ---------------------------------------------
   /// Bloom hash lanes per probe job. Must match the DeviceConfig's
@@ -98,22 +123,7 @@ struct RuntimeConfig {
   /// Bloom filter image size in KB. Power of two, so the device can reduce
   /// hashes to bit indices with a mask instead of a divider.
   uint64_t join_filter_kb = 16;
-  /// Steal-victim selection: pick the lane with the largest estimated time
-  /// to drain (stealable rows x EWMA ps/row) instead of the most rows, so a
-  /// slow lane buried under skewed partitions is relieved first even when a
-  /// fast lane happens to hold more raw rows.
-  bool join_eta_steal = true;
-  /// A lane whose drain ETA exceeds threshold x the mean over busy lanes is
-  /// flagged as a heavy hitter; newly flagged lanes wake idle siblings so
-  /// stealing starts immediately rather than at the next natural wake-up.
-  double join_hh_threshold = 1.5;
-  /// Trust a lane's progress-rate EWMA only after this many completed
-  /// leases; untrusted lanes borrow the mean rate of trusted siblings.
-  uint64_t join_hh_min_leases = 2;
 
-  /// Reads NDP_RUNTIME_* overrides onto the defaults; strict parses, and a
-  /// malformed value is InvalidArgument, never silently ignored.
-  static Result<RuntimeConfig> FromEnv();
   Status Validate() const;
 
   double qos_budget_fraction() const { return qos_max_cpu_slowdown_pct / 100.0; }
@@ -126,10 +136,10 @@ struct RuntimeConfig {
 /// idle-period estimate, beta = qos budget fraction, and
 /// cap = min(lease_max, qos_max_stall). Per observation:
 ///
-///   u > beta                : L <- max(L_min, shrink * L)         (over budget)
-///   u < idle_busy_threshold : L <- min(cap, max(grow * L,
-///                                  idle_fill_factor * i))         (idle)
-///   otherwise               : L unchanged                         (hold)
+///   u > beta               : L <- max(L_min, kLeaseShrink * L)  (over budget)
+///   u < kIdleBusyThreshold : L <- min(cap, max(kLeaseGrow * L,
+///                                 kIdleFillFactor * i))        (idle)
+///   otherwise              : L unchanged                       (hold)
 ///
 /// and the host window is W(L) = max(W_min, L * (1 - beta) / beta), collapsed
 /// to W_min when the channel is idle. Tightening the budget (smaller beta or

@@ -1,6 +1,7 @@
 #include "fault/fault_plan.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -34,7 +35,9 @@ Result<uint64_t> ParseU64(const char* name, const std::string& text) {
   errno = 0;
   char* end = nullptr;
   uint64_t v = std::strtoull(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size() || text.empty() || errno == ERANGE) {
+  // strtoull legally wraps a leading '-' instead of failing; reject it too.
+  if (end != text.c_str() + text.size() || text.empty() || errno == ERANGE ||
+      text.find('-') != std::string::npos) {
     return Status::InvalidArgument(std::string(name) + "='" + text +
                                    "' is not an unsigned integer");
   }
@@ -72,10 +75,15 @@ Result<FaultPlan> FaultPlan::FromJson(const json::Value& v) {
   FaultPlan plan;
   for (const auto& [key, value] : v.members()) {
     if (key == "seed") {
-      if (!value.is_number()) {
-        return Status::InvalidArgument("fault plan 'seed' must be a number");
+      // JSON numbers are doubles: only integers up to 2^53 convert exactly,
+      // and casting a negative or out-of-range double is undefined.
+      const double seed = value.is_number() ? value.AsNumber() : -1.0;
+      if (!(seed >= 0.0 && seed <= 9007199254740992.0 &&
+            seed == std::floor(seed))) {
+        return Status::InvalidArgument(
+            "fault plan 'seed' must be an integer in [0, 2^53]");
       }
-      plan.seed = static_cast<uint64_t>(value.AsNumber());
+      plan.seed = static_cast<uint64_t>(seed);
       continue;
     }
     double* field = nullptr;

@@ -44,7 +44,7 @@ bool Driver::IsRetryable(StatusCode code) {
 void Driver::ArmWatchdog(uint64_t rows) {
   DisarmWatchdog();
   sim::Tick deadline = eq_->Now() + config_.watchdog_base_ps +
-                       rows * config_.watchdog_per_row_ps;
+                       rows * kWatchdogPerRowPs;
   eq_->Schedule(deadline, &watchdog_);
 }
 
@@ -146,7 +146,7 @@ void Driver::OnAttemptDone(const Completion& done) {
     HandleFailure(done.status);
     return;
   }
-  if (config_.verify_writeback && !VerifyWriteback()) {
+  if (!VerifyWriteback()) {
     ++stats_.checksum_errors;
     HandleFailure(
         Status::Internal("writeback checksum mismatch on result bitmap"));
@@ -221,8 +221,7 @@ void Driver::Finish(Status st) {
   // bitmap write-back burst; the flag word itself is a functional store.
   const auto* sel = std::get_if<SelectJob>(&job_);
   if (ok && sel != nullptr && sel->flag_addr != 0) {
-    device_->dram()->backing_store().Write64(sel->flag_addr,
-                                             config_.done_flag_value);
+    device_->dram()->backing_store().Write64(sel->flag_addr, kDoneFlagValue);
   }
   // Copies: the callback may Submit the next job, which resets both.
   Completion done = result_;

@@ -24,25 +24,24 @@
 
 namespace ndp::jafar {
 
+/// Completion flag value written to SelectJob::flag_addr when done.
+inline constexpr uint64_t kDoneFlagValue = 1;
+/// Per-row term of the watchdog deadline (DriverConfig::watchdog_base_ps +
+/// this x job rows).
+inline constexpr sim::Tick kWatchdogPerRowPs = 10'000;
+
 struct DriverConfig {
   /// Invocation granularity: Figure 2's API is per virtual-memory page.
   uint64_t page_bytes = 4096;
-  /// Completion flag value written to SelectJob::flag_addr when done.
-  uint64_t done_flag_value = 1;
 
   // -- Recovery -------------------------------------------------------------
   /// Retry budget for retryable job failures (timeouts, ECC machine checks,
   /// checksum mismatches). Validation errors are never retried.
   fault::RetryPolicy retry;
-  /// Watchdog deadline = base + per_row * job rows, armed at every dispatch.
-  /// Exclusive-ownership page jobs complete in a few microseconds, so 50 µs
-  /// of base slack only fires on a genuinely wedged device.
+  /// Watchdog deadline = base + kWatchdogPerRowPs x job rows, armed at every
+  /// dispatch. Exclusive-ownership page jobs complete in a few microseconds,
+  /// so 50 µs of base slack only fires on a genuinely wedged device.
   sim::Tick watchdog_base_ps = 50'000'000;
-  sim::Tick watchdog_per_row_ps = 10'000;
-  /// Recompute the device's writeback checksum from DRAM after every
-  /// select, row-store and probe attempt and retry on mismatch (detects
-  /// result-bitmap corruption).
-  bool verify_writeback = true;
 };
 
 /// Recovery counters of one driver (registered under its stats scope).

@@ -1,4 +1,4 @@
-// Serving-ingress unit tests: strict config parsing, every shed point at the
+// Serving-ingress unit tests: config validation, every shed point at the
 // door (ring full, slot pool empty, expired, governor), deadline propagation
 // through admission and retire, the brownout CPU-fallback route, and the
 // registered stats surface the governor itself reads.
@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -16,27 +15,6 @@
 
 namespace ndp::core {
 namespace {
-
-class ScopedEnv {
- public:
-  ScopedEnv(const std::string& name, const std::string& value) : name_(name) {
-    const char* old = ::getenv(name.c_str());
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv(name.c_str(), value.c_str(), 1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_, old_;
-  bool had_old_ = false;
-};
 
 db::Column RandomColumn(size_t n, uint64_t seed = 1) {
   db::Column col = db::Column::Int64("v");
@@ -102,29 +80,6 @@ TEST(IngressConfigTest, ValidateRejectsBadShapes) {
   cfg = IngressConfig{};
   cfg.governor_alpha = 0.0;
   EXPECT_FALSE(cfg.Validate().ok());
-}
-
-TEST(IngressConfigTest, FromEnvOverlaysAndParsesStrictly) {
-  {
-    ScopedEnv slots("NDP_INGRESS_SLOTS", "96");
-    ScopedEnv alpha("NDP_INGRESS_GOVERNOR_ALPHA", "0.5");
-    ScopedEnv governor("NDP_INGRESS_GOVERNOR", "0");
-    Result<IngressConfig> cfg = IngressConfig::FromEnv();
-    ASSERT_TRUE(cfg.ok()) << cfg.status().ToString();
-    EXPECT_EQ(cfg.ValueOrDie().slots, 96u);
-    EXPECT_DOUBLE_EQ(cfg.ValueOrDie().governor_alpha, 0.5);
-    EXPECT_FALSE(cfg.ValueOrDie().governor_enabled);
-  }
-  {
-    // A typo must fail loudly, not silently configure another experiment.
-    ScopedEnv slots("NDP_INGRESS_SLOTS", "lots");
-    EXPECT_FALSE(IngressConfig::FromEnv().ok());
-  }
-  {
-    // Strict parse succeeds but the shape is invalid: still an error.
-    ScopedEnv cap("NDP_INGRESS_RING_CAPACITY", "100");
-    EXPECT_FALSE(IngressConfig::FromEnv().ok());
-  }
 }
 
 // -- Door sheds ---------------------------------------------------------------

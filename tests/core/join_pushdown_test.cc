@@ -10,8 +10,7 @@
 //   * Skew property: at Zipf-2 placement skew, ETA-driven stealing cuts the
 //     probe makespan versus stealing disabled, and the heavy-hitter detector
 //     actually fires.
-//   * Knobs: NDP_JOIN_* strict parsing and Validate rejection.
-#include <cstdlib>
+//   * Knobs: Validate rejection of bad join_hashes / join_filter_kb.
 #include <map>
 #include <numeric>
 #include <unordered_set>
@@ -254,7 +253,7 @@ TEST(JoinPushdownTest, EtaStealingCutsZipf2ProbeMakespan) {
     RuntimeConfig cfg;
     cfg.steal_enabled = steal;
     // Short lease windows so the probe spans many leases per lane: the
-    // heavy-hitter detector needs `join_hh_min_leases` completed leases on
+    // heavy-hitter detector needs kHeavyHitterMinLeases completed leases on
     // the hot lane while the imbalance is still live (DESIGN.md §12).
     cfg.lease_init_bus_cycles = 4'000;
     cfg.lease_max_bus_cycles = 8'000;
@@ -300,38 +299,7 @@ TEST(JoinPushdownTest, ValidateRejectsBadJoinKnobs) {
   cfg = RuntimeConfig{};
   cfg.join_filter_kb = 12;  // not a power of two
   EXPECT_FALSE(cfg.Validate().ok());
-  cfg = RuntimeConfig{};
-  cfg.join_hh_threshold = 0.5;  // a sub-mean "heavy hitter" is meaningless
-  EXPECT_FALSE(cfg.Validate().ok());
-  cfg = RuntimeConfig{};
-  cfg.join_hh_min_leases = 0;
-  EXPECT_FALSE(cfg.Validate().ok());
   EXPECT_TRUE(RuntimeConfig{}.Validate().ok());
-}
-
-TEST(JoinPushdownTest, FromEnvStrictParsesJoinKnobs) {
-  setenv("NDP_JOIN_HASHES", "4", 1);
-  setenv("NDP_JOIN_FILTER_KB", "32", 1);
-  setenv("NDP_JOIN_ETA_STEAL", "0", 1);
-  setenv("NDP_JOIN_HH_THRESHOLD", "2.5", 1);
-  setenv("NDP_JOIN_HH_MIN_LEASES", "3", 1);
-  auto ok = RuntimeConfig::FromEnv();
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok.value().join_hashes, 4u);
-  EXPECT_EQ(ok.value().join_filter_kb, 32u);
-  EXPECT_FALSE(ok.value().join_eta_steal);
-  EXPECT_DOUBLE_EQ(ok.value().join_hh_threshold, 2.5);
-  EXPECT_EQ(ok.value().join_hh_min_leases, 3u);
-  // Malformed values are errors, never silently ignored.
-  setenv("NDP_JOIN_FILTER_KB", "16kb", 1);
-  EXPECT_FALSE(RuntimeConfig::FromEnv().ok());
-  unsetenv("NDP_JOIN_FILTER_KB");
-  setenv("NDP_JOIN_HH_THRESHOLD", "hot", 1);
-  EXPECT_FALSE(RuntimeConfig::FromEnv().ok());
-  unsetenv("NDP_JOIN_HASHES");
-  unsetenv("NDP_JOIN_ETA_STEAL");
-  unsetenv("NDP_JOIN_HH_THRESHOLD");
-  unsetenv("NDP_JOIN_HH_MIN_LEASES");
 }
 
 }  // namespace

@@ -123,24 +123,11 @@ TEST(RuntimeConfigTest, ValidateRejectsBadKnobs) {
   cfg.lease_min_bus_cycles = 0;
   EXPECT_FALSE(cfg.Validate().ok());
   cfg = RuntimeConfig{};
-  cfg.lease_shrink = 1.5;
-  EXPECT_FALSE(cfg.Validate().ok());
-  cfg = RuntimeConfig{};
-  cfg.idle_busy_threshold = 0.5;  // above the 25% budget fraction
+  cfg.qos_max_cpu_slowdown_pct = 5.0;  // budget fraction == idle threshold
   EXPECT_FALSE(cfg.Validate().ok());
   cfg = RuntimeConfig{};
   cfg.qos_max_stall_bus_cycles = 100;  // below lease_min
   EXPECT_FALSE(cfg.Validate().ok());
-}
-
-TEST(RuntimeConfigTest, FromEnvStrictParse) {
-  setenv("NDP_RUNTIME_LEASE_INIT", "30000", 1);
-  auto ok = RuntimeConfig::FromEnv();
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok.value().lease_init_bus_cycles, 30'000u);
-  setenv("NDP_RUNTIME_LEASE_INIT", "3zz", 1);
-  EXPECT_FALSE(RuntimeConfig::FromEnv().ok());
-  unsetenv("NDP_RUNTIME_LEASE_INIT");
 }
 
 // -- NdpRuntime ---------------------------------------------------------------

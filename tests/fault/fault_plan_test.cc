@@ -68,6 +68,19 @@ TEST(FaultPlanTest, FromJsonRejectsUnknownFieldsAndBadRates) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(FaultPlanTest, FromJsonRejectsNonIntegerSeeds) {
+  // A seed must survive the double -> uint64_t conversion exactly.
+  for (const char* text : {R"({"seed": -1})", R"({"seed": 1.5})",
+                           R"({"seed": 1e30})", R"({"seed": "7"})"}) {
+    auto doc = json::Value::Parse(text).ValueOrDie();
+    EXPECT_EQ(FaultPlan::FromJson(doc).status().code(),
+              StatusCode::kInvalidArgument)
+        << text;
+  }
+  auto max = json::Value::Parse(R"({"seed": 9007199254740992})").ValueOrDie();
+  EXPECT_EQ(FaultPlan::FromJson(max).ValueOrDie().seed, 9007199254740992u);
+}
+
 TEST(FaultPlanTest, FromEnvReturnsBaseWhenNothingSet) {
   FaultPlan base;
   base.seed = 7;
@@ -97,6 +110,16 @@ TEST(FaultPlanTest, MalformedEnvIsALoudError) {
   ScopedEnv range("NDP_FAULT_DROP", "1.5");
   EXPECT_EQ(FaultPlan::FromEnv().status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(FaultPlanTest, NegativeEnvSeedIsRejected) {
+  // strtoull would wrap "-1" to 2^64 - 1 without reporting an error.
+  for (const char* text : {"-1", " -1"}) {
+    ScopedEnv seed("NDP_FAULT_SEED", text);
+    EXPECT_EQ(FaultPlan::FromEnv().status().code(),
+              StatusCode::kInvalidArgument)
+        << text;
+  }
 }
 
 TEST(FaultPlanTest, PlanFileLoadsThenEnvOverrides) {

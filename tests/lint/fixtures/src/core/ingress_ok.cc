@@ -1,11 +1,13 @@
-// bounded-queue fixture: the annotated example — the pool's capacity knob is
-// read by real code, so the claimed bound cross-checks against the knob
-// index and nothing fires.
-#include <cstdlib>
+// bounded-queue fixture: the annotated example — the pool's capacity field
+// is a member of a scanned struct, so the claimed bound cross-checks against
+// the field index and nothing fires.
+#include <cstdint>
 #include <vector>
 
-struct IngressPool {
-  std::vector<int> pool_;  // ndp: bounded-by(NDP_FIX_CAP)
+struct IngressPoolConfig {
+  uint64_t cap = 64;  ///< pool capacity, fixed at construction
 };
 
-inline const char* FixCapRaw() { return std::getenv("NDP_FIX_CAP"); }
+struct IngressPool {
+  std::vector<int> pool_;  // ndp: bounded-by(IngressPoolConfig::cap)
+};

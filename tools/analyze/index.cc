@@ -211,8 +211,7 @@ void ScanKnobs(std::vector<SourceFile>& files, Index* idx) {
       if (toks[i].kind != TokKind::kIdent) continue;
       const std::string& id = toks[i].text;
       const bool reader = id == "getenv" || id == "EnvU64" ||
-                          id == "EnvDouble" || id == "OverlayEnvU64" ||
-                          id == "OverlayEnvDouble" || id == "OverlayEnvRate";
+                          id == "EnvDouble" || id == "OverlayEnvRate";
       if (!reader && id != "setenv") continue;
       if (!IsPunct(toks[i + 1], "(")) continue;
       if (toks[i + 2].kind != TokKind::kString) continue;
@@ -242,6 +241,116 @@ void ScanKnobs(std::vector<SourceFile>& files, Index* idx) {
         }
       }
       idx->knobs.push_back(std::move(site));
+    }
+  }
+}
+
+/// Records the member declared by the tokens [begin, end) of one member
+/// statement: the last identifier before the first top-level '=', '[', ':',
+/// '{' or ';'. Functions and constructors (a '(' outside template
+/// arguments), operators, nested type definitions, aliases and access
+/// specifiers declare no data member.
+void RecordMember(const std::vector<Tok>& toks, size_t begin, size_t end,
+                  const std::string& owner, Index* idx) {
+  static const std::set<std::string> kNotAMember = {
+      "struct", "class",  "enum",          "union",  "using",
+      "typedef", "friend", "template",     "static_assert",
+      "public",  "private", "protected"};
+  if (begin >= end) return;
+  if (toks[begin].kind == TokKind::kIdent &&
+      kNotAMember.count(toks[begin].text) > 0) {
+    return;
+  }
+  std::string name;
+  int angle = 0;
+  for (size_t k = begin; k < end; ++k) {
+    const Tok& t = toks[k];
+    if (t.kind == TokKind::kIdent) {
+      if (t.text == "operator") return;
+      name = t.text;
+      continue;
+    }
+    if (t.kind != TokKind::kPunct) continue;
+    if (t.text == "<") ++angle;
+    if (t.text == ">") --angle;
+    if (t.text == ">>") angle -= 2;
+    if (angle > 0) continue;
+    if (t.text == "(") return;
+    if (t.text == "=" || t.text == "[" || t.text == ":" || t.text == "{" ||
+        t.text == ";") {
+      break;
+    }
+  }
+  if (!name.empty()) idx->fields.insert(owner + "::" + name);
+}
+
+/// Walks the body of `owner` whose '{' is at `open`, one member statement
+/// at a time. Nested bodies (functions, brace initializers, nested types)
+/// are skipped; nested types are recorded under their own name by the
+/// caller's scan.
+void ScanStructBody(const std::vector<Tok>& toks, size_t open,
+                    const std::string& owner, Index* idx) {
+  int depth = 0;
+  size_t stmt = open + 1;  // first token of the current member statement
+  for (size_t k = open; k < toks.size(); ++k) {
+    const Tok& t = toks[k];
+    if (t.kind != TokKind::kPunct) continue;
+    if (t.text == "{") {
+      if (depth++ == 1) RecordMember(toks, stmt, k, owner, idx);
+    } else if (t.text == "}") {
+      if (--depth == 0) return;
+      // A function body ends its statement; a brace initializer is followed
+      // by the statement's ';'.
+      if (depth == 1 && !(k + 1 < toks.size() && IsPunct(toks[k + 1], ";"))) {
+        stmt = k + 1;
+      }
+    } else if (depth == 1 && t.text == ";") {
+      RecordMember(toks, stmt, k, owner, idx);
+      stmt = k + 1;
+    } else if (depth == 1 && t.text == ":" && k == stmt + 1 &&
+               toks[stmt].kind == TokKind::kIdent &&
+               (toks[stmt].text == "public" || toks[stmt].text == "private" ||
+                toks[stmt].text == "protected")) {
+      stmt = k + 1;
+    }
+  }
+}
+
+void ScanStructFields(std::vector<SourceFile>& files, Index* idx) {
+  for (SourceFile& f : files) {
+    const auto& toks = f.lex.tokens;
+    for (size_t i = 0; i + 1 < toks.size(); ++i) {
+      if (toks[i].kind != TokKind::kIdent ||
+          (toks[i].text != "struct" && toks[i].text != "class")) {
+        continue;
+      }
+      if (i > 0 && toks[i - 1].kind == TokKind::kIdent &&
+          toks[i - 1].text == "enum") {
+        continue;
+      }
+      // Name: A or A::B (an out-of-line nested definition records as B).
+      size_t j = i + 1;
+      if (toks[j].kind != TokKind::kIdent) continue;
+      std::string owner = toks[j++].text;
+      while (j + 1 < toks.size() && IsPunct(toks[j], "::") &&
+             toks[j + 1].kind == TokKind::kIdent) {
+        owner = toks[j + 1].text;
+        j += 2;
+      }
+      if (j < toks.size() && toks[j].kind == TokKind::kIdent &&
+          toks[j].text == "final") {
+        ++j;
+      }
+      if (j < toks.size() && IsPunct(toks[j], ":")) {  // base clause
+        while (j < toks.size() && !IsPunct(toks[j], "{") &&
+               !IsPunct(toks[j], ";")) {
+          ++j;
+        }
+      }
+      // Forward declarations and elaborated type specifiers have no body.
+      if (j < toks.size() && IsPunct(toks[j], "{")) {
+        ScanStructBody(toks, j, owner, idx);
+      }
     }
   }
 }
@@ -388,6 +497,7 @@ Index BuildIndex(std::vector<SourceFile>& files,
   Index idx;
   ScanStats(files, &idx);
   ScanKnobs(files, &idx);
+  ScanStructFields(files, &idx);
   ScanIncludes(files, &idx);
   ParseReadme(root / "README.md", &idx);
   ParseCmake(root / "CMakeLists.txt", &idx);

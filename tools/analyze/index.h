@@ -56,7 +56,7 @@ struct DynScopeSite {
 };
 
 /// An env-knob call site with a literal name: getenv/setenv, the strict
-/// bench EnvU64/EnvDouble, and the runtime/fault Overlay* helpers.
+/// bench EnvU64/EnvDouble, and the fault-plan OverlayEnvRate helper.
 struct KnobSite {
   size_t file = 0;
   size_t line = 0;
@@ -96,6 +96,9 @@ struct Index {
 
   std::vector<KnobSite> knobs;
   std::vector<IncludeEdge> includes;
+  /// "Struct::member" for every data member declared in a scanned struct or
+  /// class body (first declarator of each member declaration).
+  std::set<std::string> fields;
 
   std::vector<ReadmeKnob> readme;
   bool have_readme = false;

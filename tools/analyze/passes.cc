@@ -552,18 +552,15 @@ void PassKnobCoherence(std::vector<SourceFile>& files, const Index& idx,
 /// Overload robustness is a whole-path property: one unbounded queue between
 /// the door and the runtime turns every shed point upstream of it into
 /// theater. Every such declaration must either carry a
-/// "// ndp: bounded-by(<knob>)" annotation naming the env knob that caps it
-/// (cross-checked against the knob index, so the bound is verifiable) or a
-/// reasoned waiver for setup-time state.
+/// "// ndp: bounded-by(<Struct>::<field>)" annotation naming the config
+/// field that caps it (cross-checked against the members of every scanned
+/// struct, so the bound is verifiable) or a reasoned waiver for setup-time
+/// state.
 const std::regex kGrowableDecl(
     R"(std::(vector|deque|list|queue|priority_queue|map|multimap|set|multiset|unordered_map|unordered_set)\s*<)");
 
 void PassBoundedQueue(std::vector<SourceFile>& files, const Index& idx,
                       std::vector<Finding>* out) {
-  std::set<std::string> read_knobs;
-  for (const KnobSite& k : idx.knobs) {
-    if (k.is_read) read_knobs.insert(k.name);
-  }
   for (SourceFile& f : files) {
     if (f.rel.rfind("src/core/ingress", 0) != 0) continue;
     for (size_t line = 1; line <= f.lex.code.size(); ++line) {
@@ -586,15 +583,16 @@ void PassBoundedQueue(std::vector<SourceFile>& files, const Index& idx,
         Emit(f, line, "bounded-queue",
              "growable std::" + m[1].str() +
                  " on the ingress/admission path; every container here must "
-                 "be fixed-capacity — annotate the sizing knob with // ndp: "
-                 "bounded-by(<knob>) or waive setup-time state with a reason",
+                 "be fixed-capacity — annotate the sizing field with // ndp: "
+                 "bounded-by(<Struct>::<field>) or waive setup-time state "
+                 "with a reason",
              out);
-      } else if (read_knobs.count(bound->arg) == 0) {
+      } else if (idx.fields.count(bound->arg) == 0) {
         Emit(f, line, "bounded-queue",
              "bounded-by(" + bound->arg +
-                 ") names a knob no code reads (getenv/Env*/OverlayEnv*), so "
-                 "the claimed bound is unverifiable; name the real capacity "
-                 "knob",
+                 ") names no member declared in a scanned struct, so the "
+                 "claimed bound is unverifiable; name the real capacity "
+                 "field as <Struct>::<field>",
              out);
       }
     }

@@ -17,9 +17,9 @@
 //                       sites may not disagree on defaults
 //   bounded-queue       growable std:: containers on the serving ingress
 //                       path (src/core/ingress*) must carry a
-//                       "// ndp: bounded-by(<knob>)" annotation naming an
-//                       env knob some code actually reads, or a reasoned
-//                       waiver for setup-time state
+//                       "// ndp: bounded-by(<Struct>::<field>)" annotation
+//                       naming a member some scanned struct declares, or a
+//                       reasoned waiver for setup-time state
 //
 // Meta rules (unwaivable, run last):
 //   waiver-reason       a waiver must say why the line is exempt
