@@ -10,16 +10,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "accel/schedule.h"
 #include "bench/bench_util.h"
 #include "bench/reporter.h"
-#include "core/api.h"
-#include "core/dimm_array.h"
 #include "cpu/kernels.h"
 #include "db/operators.h"
 #include "dram/dram_system.h"
@@ -28,7 +24,6 @@
 #include "sim/ticking.h"
 #include "util/bitvector.h"
 #include "util/rng.h"
-#include "util/stats_registry.h"
 
 namespace ndp {
 namespace {
@@ -277,101 +272,6 @@ void AddScenario(bench::Reporter* report, const char* name, size_t num_tickers,
       speedup);
 }
 
-// ---------------------------------------------------------------------------
-// Parallel-in-time scaling: the partitioned DimmArray (per-channel wheels +
-// conservative epoch barriers) on a 4-channel parallel select, wall-clocked
-// at NDP_SIM_THREADS=1 vs =4. The schedule is identical by construction
-// (pdes_determinism_test pins that); this measures only the wall-clock win.
-// ---------------------------------------------------------------------------
-
-struct PdesMeasurement {
-  double wall_seconds = 0;
-  uint64_t matches = 0;
-  StatsSnapshot sim;  ///< the sim.* slice of the run's registry snapshot
-};
-
-/// One partitioned run; NDP_SIM_THREADS is read at DimmArray construction, so
-/// the caller sets it before calling.
-PdesMeasurement PdesPartitionedRun(const db::Column& col) {
-  jafar::DeviceConfig cfg = jafar::DeviceConfig::Derive(
-                                dram::DramTiming::DDR3_1600(),
-                                accel::DatapathResources{})
-                                .ValueOrDie();
-  core::DimmArray array(dram::DramTiming::DDR3_1600(), /*channels=*/4,
-                        /*ranks_per_channel=*/1, cfg, /*rows_per_bank=*/8192,
-                        /*partitioned=*/true);
-  array.AcquireAllOwnership();
-  array.LoadPartitioned(col);
-  auto t0 = std::chrono::steady_clock::now();
-  core::DimmArray::ParallelResult r =
-      array.RunParallelSelect(0, 499999).ValueOrDie();
-  auto t1 = std::chrono::steady_clock::now();
-  PdesMeasurement m;
-  m.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  if (m.wall_seconds <= 0) m.wall_seconds = 1e-9;
-  m.matches = r.matches;
-  StatsSnapshot full = array.stats().Snapshot();
-  for (const auto& [path, entry] : full.entries()) {
-    if (path.rfind("sim.", 0) == 0) m.sim.mutable_entries()[path] = entry;
-  }
-  return m;
-}
-
-/// Best-of-3 at a fixed thread count; restores the previous NDP_SIM_THREADS.
-PdesMeasurement MeasurePdes(const db::Column& col, const char* threads) {
-  const char* old = std::getenv("NDP_SIM_THREADS");
-  std::string saved = old == nullptr ? "" : old;
-  ::setenv("NDP_SIM_THREADS", threads, /*overwrite=*/1);
-  PdesMeasurement best;
-  for (int rep = 0; rep < 3; ++rep) {
-    PdesMeasurement m = PdesPartitionedRun(col);
-    if (best.wall_seconds == 0 || m.wall_seconds < best.wall_seconds) best = m;
-  }
-  if (old == nullptr) {
-    ::unsetenv("NDP_SIM_THREADS");
-  } else {
-    ::setenv("NDP_SIM_THREADS", saved.c_str(), 1);
-  }
-  return best;
-}
-
-void AddPdesScaling(bench::Reporter* report) {
-  std::printf(
-      "\nParallel-in-time scaling (partitioned wheels, 4-ch select)\n"
-      "----------------------------------------------------------\n");
-  const uint64_t rows = bench::EnvU64("BENCH_PDES_ROWS", 256 * 1024);
-  db::Column col = bench::UniformColumn(rows);
-  PdesMeasurement serial = MeasurePdes(col, "1");
-  PdesMeasurement parallel = MeasurePdes(col, "4");
-  double speedup = serial.wall_seconds / parallel.wall_seconds;
-  unsigned hw = std::thread::hardware_concurrency();
-  auto add = [&](const char* label, const PdesMeasurement& m) {
-    report->AddPoint(label)
-        .Metric("rows", static_cast<double>(rows))
-        .Metric("wall_seconds", m.wall_seconds)
-        .Metric("matches", static_cast<double>(m.matches))
-        .Counters("", m.sim);
-  };
-  add("pdes_threads_1", serial);
-  add("pdes_threads_4", parallel);
-  report->AddPoint("pdes_scaling")
-      .Metric("speedup_4_threads", speedup)
-      .Metric("hardware_concurrency", static_cast<double>(hw));
-  std::printf(
-      "pdes 4-ch select, %llu rows: 1 thread %.3fs, 4 threads %.3fs "
-      "(%.2fx, %u hw threads)\n",
-      static_cast<unsigned long long>(rows), serial.wall_seconds,
-      parallel.wall_seconds, speedup, hw);
-  if (speedup < 2.5 && hw >= 4) {
-    std::printf("  note: below the 2.5x target on >=4-core hardware\n");
-  } else if (hw < 4) {
-    std::printf(
-        "  note: %u hardware thread(s); 4 sim threads cannot speed up here — "
-        "see hardware_concurrency in BENCH_sim.json\n",
-        hw);
-  }
-}
-
 bool WriteBenchSimJson() {
   std::printf(
       "\nSim-kernel throughput (timing wheel vs. seed heap kernel)\n"
@@ -386,7 +286,6 @@ bool WriteBenchSimJson() {
   report.Config("sim_span_ps", static_cast<double>(span));
   AddScenario(&report, "solo_ticker", 1, span);
   AddScenario(&report, "multi_ticker", 8, span / 4);
-  AddPdesScaling(&report);
   return report.WriteJson();
 }
 

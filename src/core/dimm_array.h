@@ -40,11 +40,10 @@ class DimmArray {
  public:
   /// Builds `channels x ranks_per_channel` units over a fresh DRAM system.
   /// With `partitioned` set, the simulation splits into channels + 1 timing-
-  /// wheel partitions (one per channel plus a host partition) advanced by
-  /// conservative epoch barriers on NDP_SIM_THREADS workers; cross-partition
-  /// interactions cost one lookahead hop (one DDR3 bus cycle) each way. The
-  /// default single-wheel mode is bit-identical to the seed kernel and
-  /// serves as the ordering oracle.
+  /// wheel partitions (one per channel plus a host partition) advanced in
+  /// conservative epochs; cross-partition interactions cost one lookahead
+  /// hop (one DDR3 bus cycle) each way. The default single-wheel mode is
+  /// bit-identical to the seed kernel and serves as the ordering oracle.
   DimmArray(dram::DramTiming timing, uint32_t channels,
             uint32_t ranks_per_channel, jafar::DeviceConfig device_config,
             uint32_t rows_per_bank = 8192, bool partitioned = false);

@@ -97,8 +97,7 @@ ServingIngress::ServingIngress(NdpRuntime* runtime, DimmArray* array,
   }
   rings_.reserve(config_.rings);
   for (uint64_t r = 0; r < config_.rings; ++r) {
-    rings_.push_back(std::make_unique<sim::SpscQueue<uint32_t>>(
-        static_cast<size_t>(config_.ring_capacity)));
+    rings_.emplace_back(static_cast<size_t>(config_.ring_capacity));
   }
   buckets_.resize(tenants_.size());
   for (auto& b : buckets_) b.tokens = config_.retry_tokens;
@@ -175,7 +174,7 @@ bool ServingIngress::Enqueue(uint32_t ring, const ServingRequest& req,
   s.accepted_ps = now;
   s.cpu_matches = 0;
   s.retries = 0;
-  if (!rings_[ring]->TryPush(slot)) {
+  if (!rings_[ring].TryPush(slot)) {
     ServeCallback cb = std::move(s.done);
     s.done = nullptr;
     free_.push_back(slot);
@@ -223,7 +222,7 @@ void ServingIngress::Pump() {
   for (uint64_t i = 0; i < config_.rings; ++i) {
     uint32_t ring = static_cast<uint32_t>((next_ring_ + i) % config_.rings);
     uint32_t slot = 0;
-    for (uint64_t n = 0; n < config_.burst && rings_[ring]->Pop(&slot); ++n) {
+    for (uint64_t n = 0; n < config_.burst && rings_[ring].Pop(&slot); ++n) {
       ++drained;
       Admit(slot, &ndp_batch);
     }

@@ -1,6 +1,6 @@
 // Overload-robust serving ingress: the front door between a client fleet and
-// the NdpRuntime, modeled on a DPDK-style packet path (per-core SPSC rings
-// over a fixed mbuf pool, drained in bursts).
+// the NdpRuntime, modeled on a DPDK-style packet path (per-core rings over
+// a fixed mbuf pool, drained in bursts).
 //
 //   * Bounded everywhere: requests live in a fixed pre-allocated slot pool
 //     and travel through fixed-capacity rings. Slot exhaustion and a full
@@ -23,14 +23,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/dimm_array.h"
 #include "core/runtime.h"
 #include "db/column.h"
-#include "sim/spsc.h"
+#include "sim/ring.h"
 #include "util/stats_registry.h"
 
 namespace ndp::core {
@@ -38,7 +37,7 @@ namespace ndp::core {
 /// Ingress policy knobs.
 struct IngressConfig {
   // -- Bounded buffering ----------------------------------------------------
-  uint64_t rings = 4;            ///< per-core SPSC request rings
+  uint64_t rings = 4;            ///< per-core request rings
   uint64_t ring_capacity = 256;  ///< entries per ring (power of two)
   uint64_t slots = 1024;         ///< pre-allocated request slots (mbuf pool)
   uint64_t burst = 32;           ///< max requests drained per ring per pump
@@ -142,10 +141,10 @@ struct IngressCounters {
 /// \brief The serving front door: rings -> slot pool -> burst admission into
 /// the NdpRuntime, with the governor deciding who gets in and where.
 ///
-/// Single-threaded within the host partition of the simulation (every ring
-/// has one producer — the client fleet — and one consumer — the pump), so
-/// the SPSC contract holds by construction. Stats register in the array's
-/// registry; keep the ingress alive for as long as that registry is read.
+/// Runs on the host partition of the simulation: every ring has one
+/// producer (the client fleet) and one consumer (the pump). Stats register
+/// in the array's registry; keep the ingress alive for as long as that
+/// registry is read.
 class ServingIngress {
  public:
   ServingIngress(NdpRuntime* runtime, DimmArray* array, IngressConfig config,
@@ -229,7 +228,7 @@ class ServingIngress {
   std::vector<uint32_t> free_;   // ndp: bounded-by(IngressConfig::slots)
   /// Fixed ring set; each ring is capacity-bounded via TryPush.
   // ndp: bounded-by(IngressConfig::rings)
-  std::vector<std::unique_ptr<sim::SpscQueue<uint32_t>>> rings_;
+  std::vector<sim::Ring<uint32_t>> rings_;
   // Setup-time metadata, not on the per-request admission path.
   std::vector<Table> tables_;         // ndp-lint: bounded-queue-ok registered once at setup, before Start
   std::vector<TenantSpec> tenants_;   // ndp-lint: bounded-queue-ok fixed tenant set from construction

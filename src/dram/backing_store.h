@@ -1,21 +1,11 @@
 // Functional contents of physical memory, kept separate from the timing
 // model: the timing simulator decides *when* a burst completes, the backing
-// store says *what bytes* it carried. Sparse 4 KB pages so a simulated 2 GB /
-// 1 TB address space costs only what is actually touched.
-//
-// The page table is a lock-free two-level radix tree of atomic pointers so
-// that partitions of a PartitionSet (per-channel timing wheels on separate
-// threads) can touch disjoint rank regions concurrently: first-touch page
-// installation races resolve by compare-and-swap (the loser frees its page),
-// and every published page is fully zeroed before the release store, so
-// contents are deterministic no matter which thread installs it. Concurrent
-// accesses to the *same byte range* remain the caller's responsibility —
-// rank ownership partitions the address space across devices, and host-side
-// copies only ever target freshly allocated regions.
+// store says *what bytes* it carried. Sparse 4 KB pages in a two-level table
+// so a simulated 2 GB / 1 TB address space costs only what is actually
+// touched.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -32,22 +22,12 @@ class BackingStore {
 
   explicit BackingStore(uint64_t capacity_bytes)
       : capacity_(capacity_bytes), root_(NumLeaves(capacity_bytes)) {}
-  ~BackingStore() {
-    for (auto& slot : root_) {
-      Leaf* leaf = slot.load(std::memory_order_relaxed);
-      if (leaf == nullptr) continue;
-      for (auto& page : leaf->pages) {
-        delete[] page.load(std::memory_order_relaxed);
-      }
-      delete leaf;
-    }
-  }
   NDP_DISALLOW_COPY_AND_ASSIGN(BackingStore);
 
   uint64_t capacity() const { return capacity_; }
 
   void Write(uint64_t addr, const void* src, size_t n) {
-    NDP_CHECK_MSG(addr + n <= capacity_, "backing store write out of range");
+    NDP_CHECK_MSG(InRange(addr, n), "backing store write out of range");
     const uint8_t* p = static_cast<const uint8_t*>(src);
     while (n > 0) {
       uint64_t page = addr / kPageSize;
@@ -61,7 +41,7 @@ class BackingStore {
   }
 
   void Read(uint64_t addr, void* dst, size_t n) const {
-    NDP_CHECK_MSG(addr + n <= capacity_, "backing store read out of range");
+    NDP_CHECK_MSG(InRange(addr, n), "backing store read out of range");
     uint8_t* p = static_cast<uint8_t*>(dst);
     while (n > 0) {
       uint64_t page = addr / kPageSize;
@@ -86,17 +66,20 @@ class BackingStore {
   }
   void Write64(uint64_t addr, uint64_t v) { Write(addr, &v, 8); }
 
-  size_t resident_pages() const {
-    return resident_.load(std::memory_order_relaxed);
-  }
+  size_t resident_pages() const { return resident_; }
 
  private:
   static constexpr size_t kLeafBits = 12;  ///< 4096 pages (16 MB) per leaf
   static constexpr size_t kLeafSlots = size_t{1} << kLeafBits;
 
   struct Leaf {
-    std::atomic<uint8_t*> pages[kLeafSlots] = {};
+    std::unique_ptr<uint8_t[]> pages[kLeafSlots];
   };
+
+  /// [addr, addr + n) lies inside the store; written so that it cannot wrap.
+  bool InRange(uint64_t addr, size_t n) const {
+    return n <= capacity_ && addr <= capacity_ - n;
+  }
 
   static size_t NumLeaves(uint64_t capacity_bytes) {
     uint64_t pages = (capacity_bytes + kPageSize - 1) / kPageSize;
@@ -104,43 +87,25 @@ class BackingStore {
   }
 
   const uint8_t* PageIfPresent(uint64_t page) const {
-    const Leaf* leaf = root_[page >> kLeafBits].load(std::memory_order_acquire);
+    const Leaf* leaf = root_[page >> kLeafBits].get();
     if (leaf == nullptr) return nullptr;
-    return leaf->pages[page & (kLeafSlots - 1)].load(std::memory_order_acquire);
+    return leaf->pages[page & (kLeafSlots - 1)].get();
   }
 
   uint8_t* GetPage(uint64_t page) {
-    std::atomic<Leaf*>& rslot = root_[page >> kLeafBits];
-    Leaf* leaf = rslot.load(std::memory_order_acquire);
-    if (leaf == nullptr) {
-      Leaf* fresh = new Leaf();
-      if (rslot.compare_exchange_strong(leaf, fresh,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-        leaf = fresh;
-      } else {
-        delete fresh;  // another partition installed it first
-      }
-    }
-    std::atomic<uint8_t*>& pslot = leaf->pages[page & (kLeafSlots - 1)];
-    uint8_t* data = pslot.load(std::memory_order_acquire);
+    std::unique_ptr<Leaf>& leaf = root_[page >> kLeafBits];
+    if (leaf == nullptr) leaf = std::make_unique<Leaf>();
+    std::unique_ptr<uint8_t[]>& data = leaf->pages[page & (kLeafSlots - 1)];
     if (data == nullptr) {
-      uint8_t* fresh = new uint8_t[kPageSize]();
-      if (pslot.compare_exchange_strong(data, fresh,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-        data = fresh;
-        resident_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        delete[] fresh;
-      }
+      data = std::make_unique<uint8_t[]>(kPageSize);  // zero-filled
+      ++resident_;
     }
-    return data;
+    return data.get();
   }
 
   uint64_t capacity_;
-  std::vector<std::atomic<Leaf*>> root_;
-  std::atomic<size_t> resident_{0};
+  std::vector<std::unique_ptr<Leaf>> root_;
+  size_t resident_ = 0;
 };
 
 }  // namespace ndp::dram

@@ -21,7 +21,7 @@ class DramSystem {
   /// `stats` (optional) mounts per-controller counters at
   /// "<prefix>.ctrl<i>.*" in the given registry. `partitions` (optional)
   /// puts channel c's controller (and everything clocked by it) on partition
-  /// c's timing wheel instead of `eq` — the parallel-in-time mode; `eq`
+  /// c's timing wheel instead of `eq` — the partitioned mode; `eq`
   /// remains the host-side queue.
   DramSystem(sim::EventQueue* eq, DramTiming timing, DramOrganization org,
              InterleaveScheme scheme, ControllerConfig ctrl_config,

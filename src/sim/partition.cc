@@ -1,34 +1,16 @@
 #include "sim/partition.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <string>
-
-#include "util/macros.h"
+#include <utility>
 
 namespace ndp::sim {
 
-namespace {
-
-/// NDP_SIM_THREADS, strictly parsed; unset/empty -> 1 (serial). A malformed
-/// value dies loudly rather than silently running a different experiment.
-uint32_t ThreadsFromEnv() {
-  const char* raw = std::getenv("NDP_SIM_THREADS");
-  if (raw == nullptr || *raw == '\0') return 1;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long v = std::strtoul(raw, &end, 10);
-  NDP_CHECK_MSG(*end == '\0' && errno != ERANGE && v >= 1 && v <= 1024,
-                "NDP_SIM_THREADS must be an integer in [1, 1024]");
-  return static_cast<uint32_t>(v);
-}
-
-}  // namespace
-
 PartitionSet::PartitionSet(uint32_t num_partitions, Tick lookahead_ps,
                            Tick cycle_ps)
-    : lookahead_(lookahead_ps), cycle_ps_(cycle_ps) {
+    : edges_(static_cast<size_t>(num_partitions) * num_partitions),
+      lookahead_(lookahead_ps),
+      cycle_ps_(cycle_ps) {
   NDP_CHECK_MSG(num_partitions >= 1, "need at least one partition");
   NDP_CHECK_MSG(lookahead_ps >= 1,
                 "conservative epochs need a nonzero lookahead");
@@ -39,41 +21,14 @@ PartitionSet::PartitionSet(uint32_t num_partitions, Tick lookahead_ps,
     queues_.push_back(std::make_unique<EventQueue>());
     queues_.back()->set_partition_id(p);
   }
-  edges_.reserve(static_cast<size_t>(num_partitions) * num_partitions);
-  for (size_t i = 0; i < static_cast<size_t>(num_partitions) * num_partitions;
-       ++i) {
-    edges_.push_back(std::make_unique<SpscQueue<Message>>());
-  }
-  // More workers than partitions would only idle; the pool is persistent for
-  // the PartitionSet's lifetime (epochs are far too short to amortize a
-  // spawn per window).
-  num_threads_ = std::min(ThreadsFromEnv(), num_partitions);
-  if (num_threads_ > 1) {
-    threads_.reserve(num_threads_);
-    for (uint32_t w = 0; w < num_threads_; ++w) {
-      threads_.emplace_back([this, w] { WorkerMain(w); });
-    }
-  }
-}
-
-PartitionSet::~PartitionSet() {
-  if (!threads_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutdown_ = true;
-    }
-    work_cv_.notify_all();
-    for (auto& t : threads_) t.join();
-  }
 }
 
 void PartitionSet::Send(uint32_t src, uint32_t dst, Tick extra_delay_ps,
                         std::function<void()> fn) {
   NDP_CHECK(src < queues_.size() && dst < queues_.size());
-  Message m;
-  m.deliver_at = queues_[src]->Now() + lookahead_ + extra_delay_ps;
-  m.fn = std::move(fn);
-  edge(src, dst).Push(std::move(m));
+  edge(src, dst).push_back(
+      Message{queues_[src]->Now() + lookahead_ + extra_delay_ps,
+              std::move(fn)});
 }
 
 Tick PartitionSet::MinNextEventTime() {
@@ -89,8 +44,8 @@ void PartitionSet::DrainPorts() {
   for (uint32_t dst = 0; dst < k; ++dst) {
     EventQueue& q = *queues_[dst];
     for (uint32_t src = 0; src < k; ++src) {
-      Message m;
-      while (edge(src, dst).Pop(&m)) {
+      std::deque<Message>& port = edge(src, dst);
+      for (Message& m : port) {
         // The lookahead guarantees in-window sends land beyond the window:
         // tau + L >= e + L > t_end - 1 >= dst.Now(). Anything else is a
         // protocol violation, not a scheduling decision to paper over.
@@ -98,61 +53,22 @@ void PartitionSet::DrainPorts() {
                       "cross-partition message would arrive in the past");
         q.ScheduleAt(m.deliver_at, std::move(m.fn));
       }
+      port.clear();
     }
   }
-}
-
-void PartitionSet::RunPartitionEpoch(uint32_t p, Tick t_end) {
-  EventQueue& q = *queues_[p];
-  const Tick start = q.Now();
-  q.RunUntil(t_end - 1);
-  // Simulated time the partition sat idle at the window tail; a partition
-  // whose events end early (or that had none) stalls until the barrier.
-  const Tick last = q.last_executed_ps();
-  const Tick busy_until = last > start ? last : start;
-  stall_ps_[p] += (t_end - 1) - busy_until;
 }
 
 void PartitionSet::RunEpoch(Tick t_end) {
   ++epochs_;
-  if (threads_.empty()) {
-    for (uint32_t p = 0; p < num_partitions(); ++p) {
-      RunPartitionEpoch(p, t_end);
-    }
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    epoch_end_ = t_end;
-    workers_left_ = num_threads_;
-    ++generation_;
-  }
-  work_cv_.notify_all();
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return workers_left_ == 0; });
-}
-
-void PartitionSet::WorkerMain(uint32_t worker) {
-  uint64_t seen = 0;
-  for (;;) {
-    Tick t_end;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock,
-                    [&] { return shutdown_ || generation_ != seen; });
-      if (shutdown_) return;
-      seen = generation_;
-      t_end = epoch_end_;
-    }
-    for (uint32_t p = worker; p < num_partitions(); p += num_threads_) {
-      RunPartitionEpoch(p, t_end);
-    }
-    bool last;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      last = --workers_left_ == 0;
-    }
-    if (last) done_cv_.notify_one();
+  for (uint32_t p = 0; p < num_partitions(); ++p) {
+    EventQueue& q = *queues_[p];
+    const Tick start = q.Now();
+    q.RunUntil(t_end - 1);
+    // Simulated time the partition sat idle at the window tail; a partition
+    // whose events end early (or that had none) stalls until the barrier.
+    const Tick last = q.last_executed_ps();
+    const Tick busy_until = last > start ? last : start;
+    stall_ps_[p] += (t_end - 1) - busy_until;
   }
 }
 

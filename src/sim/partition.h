@@ -1,30 +1,26 @@
-// Parallel-in-time simulation core: a PartitionSet splits one simulated
-// system across K partitions, each owning its own two-level timing wheel
-// (EventQueue), and advances them together with conservative PDES epoch
-// barriers.
+// Partitioned simulation core: a PartitionSet splits one simulated system
+// across K partitions, each owning its own two-level timing wheel
+// (EventQueue), and advances them together in conservative epochs.
 //
 // Protocol (classic synchronous conservative windowing):
 //
 //   1. Drain every cross-partition port, delivering queued messages onto
 //      their destination wheels in a fixed order (dst-major, src-minor, FIFO
 //      per edge) — schedule sequence numbers, and therefore tie-breaking, are
-//      identical no matter how many threads ran the previous epoch.
+//      a pure function of what the partitions sent.
 //   2. Let e = min over partitions of the next pending event time. The epoch
 //      window is [*, e + L) where L is the lookahead: the minimum simulated
 //      latency of any cross-partition interaction (one host<->device hop).
-//   3. Every partition runs independently to the window end (RunUntil
-//      (e + L - 1)), on its own thread when NDP_SIM_THREADS > 1. A message
-//      sent at time tau inside the window arrives at tau + L >= e + L, i.e.
-//      strictly after the window — so no partition can receive an event in
-//      its own past, and intra-window execution needs no synchronization.
-//   4. Barrier; goto 1.
+//   3. Every partition runs to the window end (RunUntil(e + L - 1)), one
+//      after another in partition order. A message sent at time tau inside
+//      the window arrives at tau + L >= e + L, i.e. strictly after the
+//      window — so no partition can receive an event in its own past, and
+//      the partitions never observe each other mid-window.
+//   4. Goto 1.
 //
-// Determinism: partition-local execution is single-threaded and each wheel's
-// (time, seq) order is total; cross-partition effects exist only as port
-// messages whose delivery order is fixed by step 1. Thread count changes
-// which wall-clock core runs a partition, never what it computes — the
-// byte-identical-dump tests in tests/integration sweep NDP_SIM_THREADS to
-// pin this.
+// Determinism: each wheel's (time, seq) order is total, and cross-partition
+// effects exist only as port messages whose delivery order is fixed by
+// step 1.
 //
 // Why conservative (not optimistic): every component in this repo mutates
 // shared functional state (backing store bytes, stats cells) in place, so
@@ -33,31 +29,25 @@
 // nonzero lookahead, which is the one precondition conservative windows need.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "sim/spsc.h"
+#include "util/macros.h"
 #include "util/stats_registry.h"
 
 namespace ndp::sim {
 
-/// \brief K timing wheels + per-edge SPSC ports + the epoch scheduler.
+/// \brief K timing wheels + per-edge FIFO ports + the epoch scheduler.
 class PartitionSet {
  public:
   /// `lookahead_ps` is the minimum cross-partition latency (every Send is
   /// delayed by at least this much); `cycle_ps` converts the barrier-stall
   /// accounting from picoseconds to the reporting clock (DDR3 bus cycles).
-  /// Worker-thread count comes from NDP_SIM_THREADS (unset, empty, or <= 1
-  /// means serial execution on the caller's thread; the schedule is
-  /// identical either way).
   PartitionSet(uint32_t num_partitions, Tick lookahead_ps, Tick cycle_ps);
-  ~PartitionSet();
   NDP_DISALLOW_COPY_AND_ASSIGN(PartitionSet);
 
   uint32_t num_partitions() const {
@@ -65,8 +55,6 @@ class PartitionSet {
   }
   EventQueue& queue(uint32_t p) { return *queues_[p]; }
   Tick lookahead_ps() const { return lookahead_; }
-  /// Worker threads actually running epochs (1 = serial on the caller).
-  uint32_t num_threads() const { return num_threads_; }
   uint64_t epochs() const { return epochs_; }
 
   /// Global simulated time: the barrier front every partition has reached.
@@ -76,7 +64,7 @@ class PartitionSet {
   /// src.Now() + lookahead + extra_delay_ps. The only legal way to affect
   /// another partition from inside an epoch (ndp-lint: cross-partition-
   /// schedule enforces this for code outside src/sim). May also be called
-  /// between runs (at barrier time) from the coordinating thread.
+  /// between runs (at barrier time).
   void Send(uint32_t src, uint32_t dst, Tick extra_delay_ps,
             std::function<void()> fn);
 
@@ -112,41 +100,22 @@ class PartitionSet {
   Tick MinNextEventTime();
   /// Delivers all ported messages in (dst, src, FIFO) order.
   void DrainPorts();
-  /// One conservative window: every partition runs to `t_end` - 1, in
-  /// parallel when the pool is active, then the caller re-drains at the top
-  /// of the loop. Increments epochs_.
+  /// One conservative window: every partition runs to `t_end` - 1, then the
+  /// caller re-drains at the top of the loop. Increments epochs_.
   void RunEpoch(Tick t_end);
-  /// Partition-local slice of an epoch; runs on the owning worker.
-  void RunPartitionEpoch(uint32_t p, Tick t_end);
 
-  void WorkerMain(uint32_t worker);
-
-  SpscQueue<Message>& edge(uint32_t src, uint32_t dst) {
-    return *edges_[static_cast<size_t>(src) * queues_.size() + dst];
+  std::deque<Message>& edge(uint32_t src, uint32_t dst) {
+    return edges_[static_cast<size_t>(src) * queues_.size() + dst];
   }
 
   std::vector<std::unique_ptr<EventQueue>> queues_;
-  std::vector<std::unique_ptr<SpscQueue<Message>>> edges_;  ///< K x K, row=src
+  std::vector<std::deque<Message>> edges_;  ///< K x K, row=src
   Tick lookahead_;
   Tick cycle_ps_;
   uint64_t epochs_ = 0;
   /// Per-partition simulated time spent waiting at the window end with no
-  /// local work (exposed as barrier_stall_cycles). Each slot is written only
-  /// by the worker that owns the partition during an epoch.
+  /// local work (exposed as barrier_stall_cycles).
   std::vector<Tick> stall_ps_;
-
-  // Worker pool (empty when NDP_SIM_THREADS <= 1). Static partition
-  // assignment: worker w runs partitions {p : p % num_threads_ == w}, so the
-  // mapping is a pure function of the configuration, never of timing.
-  uint32_t num_threads_ = 1;
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  uint64_t generation_ = 0;   ///< bumped per epoch  // ndp: guarded-by(mu_)
-  Tick epoch_end_ = 0;        ///< epoch's t_end     // ndp: guarded-by(mu_)
-  uint32_t workers_left_ = 0; ///< barrier countdown // ndp: guarded-by(mu_)
-  bool shutdown_ = false;     // ndp: guarded-by(mu_)
 };
 
 }  // namespace ndp::sim

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace ndp::dram {
@@ -56,6 +57,15 @@ TEST(BackingStoreDeathTest, OutOfRangeAborts) {
   uint64_t v = 0;
   EXPECT_DEATH(mem.Write64(1020, v), "out of range");
   EXPECT_DEATH(mem.Read64(1020), "out of range");
+}
+
+TEST(BackingStoreDeathTest, RangeCheckDoesNotWrapNearTopOfAddressSpace) {
+  // addr + n wraps to 4 here; the check must still see the range as outside.
+  BackingStore mem(1024);
+  const uint64_t addr = UINT64_MAX - 3;
+  uint64_t v = 0;
+  EXPECT_DEATH(mem.Write(addr, &v, 8), "out of range");
+  EXPECT_DEATH(mem.Read(addr, &v, 8), "out of range");
 }
 
 }  // namespace

@@ -3,20 +3,15 @@
 //   * Oracle equivalence: a partitioned DimmArray (per-channel wheels +
 //     conservative epoch barriers) must produce the same functional answers
 //     (matches, bitmaps, aggregates) as the single-wheel oracle mode.
-//   * Thread-count invariance: with partitioning fixed, the full stats dump
-//     (including sim.part<k>.* counters and final simulated time) must be
-//     byte-identical for NDP_SIM_THREADS in {1, 2, 4, 8} — on the Figure 3
-//     pipeline, on an abl_runtime-style multi-query run under host traffic,
-//     and on a faulted run with recovery in the loop.
-//
-// Every run builds fresh systems after setting the env var: NDP_SIM_THREADS
-// is read once, at PartitionSet construction.
+//   * Run-to-run determinism: two runs on freshly built systems must give
+//     byte-identical full stats dumps (including sim.part<k>.* counters and
+//     final simulated time) — on the Figure 3 pipeline, on an
+//     abl_runtime-style multi-query run under host traffic, and on a faulted
+//     run with recovery in the loop.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/api.h"
@@ -27,30 +22,6 @@
 
 namespace ndp {
 namespace {
-
-const std::vector<const char*> kThreadCounts = {"1", "2", "4", "8"};
-
-/// RAII env override; restores the previous value (or unset state) on exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_, old_;
-  bool had_old_ = false;
-};
 
 db::Column RandomColumn(size_t n, uint64_t seed) {
   db::Column col = db::Column::Int64("v");
@@ -120,10 +91,9 @@ TEST(PdesEquivalenceTest, RuntimeJobsMatchSingleWheelOracle) {
   EXPECT_EQ(wheel_sum, pdes_sum);
 }
 
-// -- Thread-count invariance --------------------------------------------------
+// -- Run-to-run determinism ---------------------------------------------------
 
-/// Figure 3 pipeline (SystemModel, single global wheel): the thread knob must
-/// not perturb it at all.
+/// Figure 3 pipeline (SystemModel, single global wheel).
 std::string RunFig3Pipeline() {
   db::Column col = bench::UniformColumn(32 * 1024);
   core::SystemModel sys(core::PlatformConfig::Gem5());
@@ -166,28 +136,16 @@ std::string RunPartitionedRuntimeWorkload() {
 }
 
 TEST(PdesDeterminismTest, Fig3DumpIsByteIdenticalAcrossThreadCounts) {
-  std::vector<std::string> dumps;
-  for (const char* threads : kThreadCounts) {
-    ScopedEnv env("NDP_SIM_THREADS", threads);
-    dumps.push_back(RunFig3Pipeline());
-  }
-  for (size_t i = 1; i < dumps.size(); ++i) {
-    EXPECT_EQ(dumps[0], dumps[i]) << "NDP_SIM_THREADS=" << kThreadCounts[i];
-  }
+  std::string first = RunFig3Pipeline();
+  EXPECT_EQ(RunFig3Pipeline(), first);
 }
 
 TEST(PdesDeterminismTest, PartitionedRuntimeDumpIsByteIdentical) {
-  std::vector<std::string> dumps;
-  for (const char* threads : kThreadCounts) {
-    ScopedEnv env("NDP_SIM_THREADS", threads);
-    dumps.push_back(RunPartitionedRuntimeWorkload());
-  }
-  EXPECT_NE(dumps[0].find("sim.epochs"), std::string::npos);
-  EXPECT_NE(dumps[0].find("sim.part0.events"), std::string::npos);
-  EXPECT_NE(dumps[0].find("sim.part4.events"), std::string::npos);
-  for (size_t i = 1; i < dumps.size(); ++i) {
-    EXPECT_EQ(dumps[0], dumps[i]) << "NDP_SIM_THREADS=" << kThreadCounts[i];
-  }
+  std::string first = RunPartitionedRuntimeWorkload();
+  EXPECT_NE(first.find("sim.epochs"), std::string::npos);
+  EXPECT_NE(first.find("sim.part0.events"), std::string::npos);
+  EXPECT_NE(first.find("sim.part4.events"), std::string::npos);
+  EXPECT_EQ(RunPartitionedRuntimeWorkload(), first);
 }
 
 #ifdef NDP_FAULT_INJECT
@@ -220,15 +178,9 @@ std::string RunFaultedPartitionedWorkload() {
 }
 
 TEST(PdesDeterminismTest, FaultedPartitionedDumpIsByteIdentical) {
-  std::vector<std::string> dumps;
-  for (const char* threads : kThreadCounts) {
-    ScopedEnv env("NDP_SIM_THREADS", threads);
-    dumps.push_back(RunFaultedPartitionedWorkload());
-  }
-  EXPECT_NE(dumps[0].find("fault."), std::string::npos);
-  for (size_t i = 1; i < dumps.size(); ++i) {
-    EXPECT_EQ(dumps[0], dumps[i]) << "NDP_SIM_THREADS=" << kThreadCounts[i];
-  }
+  std::string first = RunFaultedPartitionedWorkload();
+  EXPECT_NE(first.find("fault."), std::string::npos);
+  EXPECT_EQ(RunFaultedPartitionedWorkload(), first);
 }
 
 #endif  // NDP_FAULT_INJECT

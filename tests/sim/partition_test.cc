@@ -1,80 +1,39 @@
 // PartitionSet unit tests: the conservative epoch protocol (lookahead
-// delivery, fixed drain order, no-past delivery), thread-count invariance of
-// the execution schedule, the SPSC port queues, and the per-partition stats
-// mounts. Every test that sweeps NDP_SIM_THREADS builds a fresh PartitionSet
-// per setting — the env var is read once, at construction.
+// delivery, fixed drain order, no-past delivery), a reproducible
+// cross-partition schedule, and the per-partition stats mounts; plus the
+// fixed-capacity ring the serving ingress sheds on.
 #include "sim/partition.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "sim/spsc.h"
+#include "sim/ring.h"
 #include "util/stats_registry.h"
 
 namespace ndp::sim {
 namespace {
 
-/// RAII env override; restores the previous value (or unset state) on exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_, old_;
-  bool had_old_ = false;
-};
-
-TEST(SpscQueueTest, FifoThroughRingWraparound) {
-  SpscQueue<int> q(/*capacity_pow2=*/4);
+TEST(RingTest, FifoThroughWraparound) {
+  Ring<int> q(/*capacity_pow2=*/4);
   int out = 0;
   for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < 3; ++i) q.Push(round * 10 + i);
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.TryPush(round * 10 + i));
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(q.Pop(&out));
       EXPECT_EQ(out, round * 10 + i);
     }
   }
   EXPECT_FALSE(q.Pop(&out));
-  EXPECT_TRUE(q.Empty());
 }
 
-TEST(SpscQueueTest, SpillPreservesFifoPastCapacity) {
-  SpscQueue<int> q(/*capacity_pow2=*/4);
-  // Push far beyond the ring: the tail spills, and once spilling starts all
-  // later pushes must spill too, or FIFO order would interleave.
-  for (int i = 0; i < 100; ++i) q.Push(i);
-  int out = 0;
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(q.Pop(&out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_TRUE(q.Empty());
-  // After a full drain, the ring path is active again.
-  q.Push(777);
-  ASSERT_TRUE(q.Pop(&out));
-  EXPECT_EQ(out, 777);
-}
-
-TEST(SpscQueueTest, TryPushShedsAtCapacityWithoutSpilling) {
-  SpscQueue<int> q(/*capacity_pow2=*/4);
+TEST(RingTest, TryPushRefusesAtCapacity) {
+  Ring<int> q(/*capacity_pow2=*/4);
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.TryPush(i));
-  // Full ring: TryPush refuses instead of growing the spill deque.
+  // Full ring: TryPush refuses instead of growing.
   EXPECT_FALSE(q.TryPush(99));
   EXPECT_FALSE(q.TryPush(100));
   int out = 0;
@@ -87,21 +46,7 @@ TEST(SpscQueueTest, TryPushShedsAtCapacityWithoutSpilling) {
     ASSERT_TRUE(q.Pop(&out));
     EXPECT_EQ(out, i);
   }
-  EXPECT_TRUE(q.Empty());
-}
-
-TEST(SpscQueueTest, TryPushRefusesWhileSpillInProgress) {
-  SpscQueue<int> q(/*capacity_pow2=*/4);
-  for (int i = 0; i < 6; ++i) q.Push(i);  // 2 past capacity -> spilling
-  // A spill is in progress: TryPush must refuse even after ring pops, or
-  // accepted entries would overtake the spilled tail and break FIFO.
-  int out = 0;
-  ASSERT_TRUE(q.Pop(&out));
-  EXPECT_FALSE(q.TryPush(99));
-  for (int i = 1; i < 6; ++i) ASSERT_TRUE(q.Pop(&out));
-  EXPECT_TRUE(q.Empty());
-  // Spill drained: the bounded path is live again.
-  EXPECT_TRUE(q.TryPush(7));
+  EXPECT_FALSE(q.Pop(&out));
 }
 
 TEST(PartitionSetTest, SendDeliversAfterLookahead) {
@@ -118,6 +63,19 @@ TEST(PartitionSetTest, SendDeliversAfterLookahead) {
   EXPECT_EQ(deliveries[0], 150u);  // send time + lookahead
   EXPECT_EQ(deliveries[1], 175u);  // + extra delay
   EXPECT_GE(set.epochs(), 1u);
+}
+
+TEST(PartitionSetTest, SameTimeDeliveriesRunInSourceOrder) {
+  PartitionSet set(3, /*lookahead_ps=*/100, /*cycle_ps=*/100);
+  std::vector<int> order;
+  // Pushed in reverse source order and due at the same time: the drain
+  // (source-minor per destination, FIFO per edge) breaks the tie, not the
+  // push order.
+  set.Send(2, 0, 0, [&] { order.push_back(2); });
+  set.Send(1, 0, 0, [&] { order.push_back(1); });
+  set.Send(1, 0, 0, [&] { order.push_back(11); });
+  set.RunUntil(1000);
+  EXPECT_EQ(order, (std::vector<int>{1, 11, 2}));
 }
 
 TEST(PartitionSetTest, RunUntilAdvancesEveryPartition) {
@@ -164,15 +122,12 @@ TEST(PartitionSetTest, StatsMountEpochsAndPerPartitionCounters) {
 
 /// Runs a deterministic cross-partition workload and returns its execution
 /// log: per-partition sequences (what ran where, at what time, in what
-/// order), concatenated in partition order after the run. Logging is
-/// partition-local — events append only to their own partition's vector — so
-/// the workload itself is epoch-parallel-safe.
+/// order), concatenated in partition order after the run.
 std::vector<std::string> RunPingPongWorkload() {
   PartitionSet set(4, /*lookahead_ps=*/1250, /*cycle_ps=*/1250);
   std::vector<std::vector<std::string>> plogs(4);
   // Fan-out tree keyed purely by hop id (children 2id+1 / 2id+2, pruned by
-  // id arithmetic): termination and shape are functions of the ids alone,
-  // never of cross-thread execution order.
+  // id arithmetic): termination and shape are functions of the ids alone.
   std::function<void(uint32_t, int64_t)> hop = [&](uint32_t at, int64_t id) {
     plogs[at].push_back("@" + std::to_string(set.queue(at).Now()) + "#" +
                         std::to_string(id));
@@ -198,23 +153,24 @@ std::vector<std::string> RunPingPongWorkload() {
   return log;
 }
 
-TEST(PartitionSetTest, ScheduleIsIdenticalAcrossThreadCounts) {
-  std::vector<std::vector<std::string>> logs;
-  for (const char* threads : {"1", "2", "3", "4"}) {
-    ScopedEnv env("NDP_SIM_THREADS", threads);
-    logs.push_back(RunPingPongWorkload());
+/// FNV-1a over the log lines, each terminated by a newline.
+uint64_t Digest(const std::vector<std::string>& log) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const std::string& line : log) {
+    for (char c : line + "\n") {
+      h = (h ^ static_cast<uint8_t>(c)) * 1099511628211ULL;
+    }
   }
-  for (size_t i = 1; i < logs.size(); ++i) {
-    EXPECT_EQ(logs[0], logs[i]) << "thread count " << i + 1
-                                << " diverged from serial";
-  }
-  EXPECT_GT(logs[0].size(), 100u);
+  return h;
 }
 
-TEST(PartitionSetTest, ThreadCountIsCappedAtPartitionCount) {
-  ScopedEnv env("NDP_SIM_THREADS", "64");
-  PartitionSet set(3, 10, 10);
-  EXPECT_EQ(set.num_threads(), 3u);
+TEST(PartitionSetTest, PingPongScheduleIsPinned) {
+  // The digest pins the whole schedule: where every hop ran, at what time,
+  // and in what order.
+  std::vector<std::string> log = RunPingPongWorkload();
+  ASSERT_EQ(log.size(), 130u);
+  EXPECT_EQ(log.front(), "p0@1#0");
+  EXPECT_EQ(Digest(log), 0x3f77314c73ccd578ULL);
 }
 
 }  // namespace

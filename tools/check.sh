@@ -25,13 +25,8 @@
 #   5. tsan build       — -DNDP_SANITIZE=thread: the fault + runtime +
 #                         devgen + serving + join + unit suites under TSan
 #                         (ParallelSweep shares columns across workers), then
-#                         the pdes + devgen + serving + join suites pinned at
-#                         NDP_SIM_THREADS=1 and =4 — the partition barrier
-#                         handshake and SPSC ports are exactly the code TSan
-#                         exists to audit, at both the degenerate and the
-#                         contended thread count (the devgen determinism
-#                         tests add the v2 result-bus drain traffic, the
-#                         serving digests pin the faulted ingress replay)
+#                         the pdes suite, whose persistent SweepPool worker
+#                         handshake is the threaded code TSan exists to audit
 #   6. clang-tidy       — only if clang-tidy is on PATH (the pinned CI image
 #                         ships gcc only)
 #
@@ -88,13 +83,8 @@ step "ctest (${PREFIX}-tsan: faults + runtime + devgen + serving + join + unit u
 ctest --test-dir "${PREFIX}-tsan" -j "${JOBS}" \
   -L 'unit|faults|runtime|devgen|serving|join' --output-on-failure
 
-step "ctest (${PREFIX}-tsan: pdes + devgen + serving + join under TSan, NDP_SIM_THREADS=1)"
-NDP_SIM_THREADS=1 ctest --test-dir "${PREFIX}-tsan" -j "${JOBS}" \
-  -L 'pdes|devgen|serving|join' --output-on-failure
-
-step "ctest (${PREFIX}-tsan: pdes + devgen + serving + join under TSan, NDP_SIM_THREADS=4)"
-NDP_SIM_THREADS=4 ctest --test-dir "${PREFIX}-tsan" -j "${JOBS}" \
-  -L 'pdes|devgen|serving|join' --output-on-failure
+step "ctest (${PREFIX}-tsan: pdes under TSan)"
+ctest --test-dir "${PREFIX}-tsan" -j "${JOBS}" -L pdes --output-on-failure
 
 if command -v clang-tidy >/dev/null 2>&1; then
   step "clang-tidy"
