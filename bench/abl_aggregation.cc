@@ -16,7 +16,8 @@ int main() {
 
   core::SystemModel sys(core::PlatformConfig::Gem5());
   uint64_t col_base = sys.PinColumn(col);
-  auto cpu = sys.RunCpuAggregate(col).ValueOrDie();
+  cpu::AggregateScanStream cpu_scan(col.size(), col_base);
+  auto cpu = sys.RunStream(&cpu_scan).ValueOrDie();
 
   // JAFAR aggregate (sum).
   uint64_t out_addr = sys.Allocate(64, 64);

@@ -25,9 +25,13 @@ int main() {
     db::QueryContext ctx;
     db::PositionList pos =
         db::ScanSelect(&ctx, sel_col, db::Pred::Between(0, hi));
-    auto cpu = sys.RunCpuProject(val_col, pos).ValueOrDie();
-
     uint64_t col_base = sys.PinColumn(val_col);
+    uint64_t pos_base = sys.Allocate(pos.size() * 4);
+    uint64_t gather_out = sys.Allocate(pos.size() * 8);
+    cpu::ProjectGatherStream gather(pos.data(), pos.size(), pos_base,
+                                    col_base, gather_out);
+    auto cpu = sys.RunStream(&gather).ValueOrDie();
+
     BitVector bm = db::PositionsToBitmap(pos, rows);
     uint64_t bitmap = sys.Allocate(bm.num_bytes() + 64, 4096);
     sys.dram().backing_store().Write(bitmap, bm.bytes(), bm.num_bytes());

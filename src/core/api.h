@@ -1,6 +1,6 @@
 // Umbrella header: the public API of the JAFAR-NDP library.
 //
-// Typical use (see examples/quickstart.cpp):
+// Typical use (see examples/quickstart.cc):
 //
 //   ndp::core::SystemModel sys(ndp::core::PlatformConfig::Gem5());
 //   ndp::db::Column col = ...;                       // your data

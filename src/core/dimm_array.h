@@ -44,6 +44,8 @@ class DimmArray {
   /// conservative epochs; cross-partition interactions cost one lookahead
   /// hop (one DDR3 bus cycle) each way. The default single-wheel mode is
   /// bit-identical to the seed kernel and serves as the ordering oracle.
+  /// `device_config` carries the datapath generation: derive it with
+  /// DeviceConfig::Derive for v1_rank_io, DeriveBank for v2_bank_level.
   DimmArray(dram::DramTiming timing, uint32_t channels,
             uint32_t ranks_per_channel, jafar::DeviceConfig device_config,
             uint32_t rows_per_bank = 8192, bool partitioned = false);

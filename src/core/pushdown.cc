@@ -64,67 +64,6 @@ double CostModel::JafarSelectPs(const PlatformConfig& p, uint64_t rows) {
   return read_ps + act_ps + writeback_ps + ownership_ps + invocation_ps;
 }
 
-double CostModel::CpuSemiJoinPs(const PlatformConfig& p, uint64_t build_rows,
-                                uint64_t probe_rows) {
-  double cycle_ps = static_cast<double>(p.core.clock.period_ps());
-  // Hash build and probe are pointer-chasing: ~12 (build) / ~10 (probe) µops
-  // per row plus one mostly-missing random access into the table; the demand
-  // miss is only partially overlapped (MLP ~4).
-  double miss_ps = static_cast<double>(p.dram_timing.trcd + p.dram_timing.cl +
-                                       p.dram_timing.tburst) *
-                   static_cast<double>(p.dram_timing.tck_ps) / 4.0;
-  double stream_ps = static_cast<double>(p.dram_timing.tccd) *
-                     static_cast<double>(p.dram_timing.tck_ps) / 8.0;
-  double per_build = 12.0 / p.core.issue_width * cycle_ps + miss_ps + stream_ps;
-  double per_probe = 10.0 / p.core.issue_width * cycle_ps + miss_ps + stream_ps;
-  return static_cast<double>(build_rows) * per_build +
-         static_cast<double>(probe_rows) * per_probe;
-}
-
-double CostModel::JafarProbePs(const PlatformConfig& p, uint64_t probe_rows,
-                               uint64_t filter_kb) {
-  double bus_ps = static_cast<double>(p.dram_timing.tck_ps);
-  double cycle_ps = static_cast<double>(p.core.clock.period_ps());
-  // The probe job streams the key column exactly like a select (same pacing,
-  // same ownership hand-off) — reuse that estimate as the base.
-  double base = JafarSelectPs(p, probe_rows);
-  // The Bloom image re-enters the probe SRAM at every ownership lease;
-  // charge one preload per 8-page lease (the runtime's default shape).
-  double filter_bursts = static_cast<double>(filter_kb) * 1024.0 / 64.0;
-  double leases =
-      std::max(1.0, static_cast<double>(probe_rows) * 8.0 / (8.0 * 4096.0));
-  double preload_ps = leases * filter_bursts * p.dram_timing.tccd * bus_ps;
-  // Host refinement of the candidate bitmap against the exact key set: ~8
-  // µops per surviving row at a Bloom-inflated candidate rate (~15%).
-  double refine_ps = static_cast<double>(probe_rows) * 0.15 * 8.0 /
-                     p.core.issue_width * cycle_ps;
-  return base + preload_ps + refine_ps;
-}
-
-double CostModel::CpuGroupByPs(const PlatformConfig& p, uint64_t rows) {
-  double cycle_ps = static_cast<double>(p.core.clock.period_ps());
-  // ~14 µops per row (hash, find-or-insert, accumulate) plus a random
-  // hash-table access that misses for the interesting table sizes.
-  double miss_ps = static_cast<double>(p.dram_timing.trcd + p.dram_timing.cl +
-                                       p.dram_timing.tburst) *
-                   static_cast<double>(p.dram_timing.tck_ps) / 4.0;
-  double stream_ps = 2.0 * static_cast<double>(p.dram_timing.tccd) *
-                     static_cast<double>(p.dram_timing.tck_ps) / 8.0;
-  double per_row = 14.0 / p.core.issue_width * cycle_ps + miss_ps + stream_ps;
-  return static_cast<double>(rows) * per_row;
-}
-
-double CostModel::JafarGroupByPs(const PlatformConfig& p, uint64_t rows) {
-  double bus_ps = static_cast<double>(p.dram_timing.tck_ps);
-  // Two column streams (keys + values) at the select pacing, plus a bucket
-  // SRAM drain (256 buckets x 2 words) per 8-page lease.
-  double base = JafarSelectPs(p, 2 * rows);
-  double leases =
-      std::max(1.0, static_cast<double>(rows) * 8.0 / (8.0 * 4096.0));
-  double drain_ps = leases * (256.0 * 2.0 / 8.0) * p.dram_timing.tccd * bus_ps;
-  return base + drain_ps;
-}
-
 PushdownDecision PushdownPlanner::Decide(uint64_t rows,
                                          double selectivity) const {
   PushdownDecision d;
@@ -173,86 +112,6 @@ Status PredToJafarRange(const db::Pred& pred, int64_t* lo, int64_t* hi) {
       return Status::Unimplemented("predicate not supported by JAFAR");
   }
   return Status::OK();
-}
-
-PushdownDecision PushdownPlanner::DecideSemiJoin(uint64_t build_rows,
-                                                 uint64_t probe_rows,
-                                                 uint64_t filter_kb) const {
-  PushdownDecision d;
-  const PlatformConfig& p = system_->config();
-  d.cpu_estimate_ps = CostModel::CpuSemiJoinPs(p, build_rows, probe_rows);
-  d.jafar_estimate_ps = CostModel::JafarProbePs(p, probe_rows, filter_kb);
-  if (probe_rows * 8 < 2 * 4096) {
-    d.use_jafar = false;
-    d.reason = "probe side smaller than two pages: filter preload dominates";
-    return d;
-  }
-  d.use_jafar = d.jafar_estimate_ps < d.cpu_estimate_ps;
-  d.reason = d.use_jafar ? "JAFAR estimate lower" : "CPU estimate lower";
-  return d;
-}
-
-PushdownDecision PushdownPlanner::DecideGroupBy(uint64_t rows) const {
-  PushdownDecision d;
-  const PlatformConfig& p = system_->config();
-  d.cpu_estimate_ps = CostModel::CpuGroupByPs(p, rows);
-  d.jafar_estimate_ps = CostModel::JafarGroupByPs(p, rows);
-  if (rows * 8 < 2 * 4096) {
-    d.use_jafar = false;
-    d.reason = "column smaller than two pages: invocation overhead dominates";
-    return d;
-  }
-  d.use_jafar = d.jafar_estimate_ps < d.cpu_estimate_ps;
-  d.reason = d.use_jafar ? "JAFAR estimate lower" : "CPU estimate lower";
-  return d;
-}
-
-void PushdownPlanner::InstallJoin(db::QueryContext* ctx,
-                                  db::NdpSemiJoinHook semi_join,
-                                  db::NdpGroupByHook group_by,
-                                  uint64_t filter_kb) {
-  if (semi_join) {
-    ctx->ndp_semi_join =
-        [this, semi_join, filter_kb](
-            const db::Column& build_col, const db::PositionList& build_pos,
-            const db::Column& probe_col,
-            const db::PositionList& probe_pos) -> Result<db::PositionList> {
-      PushdownDecision d =
-          DecideSemiJoin(build_pos.size(), probe_pos.size(), filter_kb);
-      if (!d.use_jafar) {
-        return Status::FailedPrecondition("planner: " + d.reason);
-      }
-      NDP_ASSIGN_OR_RETURN(
-          db::PositionList out,
-          semi_join(build_col, build_pos, probe_col, probe_pos));
-      NDP_RETURN_NOT_OK(ValidatePushdownResult(out, probe_col.size()));
-      return out;
-    };
-  }
-  if (group_by) {
-    ctx->ndp_group_by =
-        [this, group_by](const db::Column& key_col, const db::Column& val_col)
-        -> Result<std::map<int64_t, std::pair<int64_t, int64_t>>> {
-      PushdownDecision d = DecideGroupBy(key_col.size());
-      if (!d.use_jafar) {
-        return Status::FailedPrecondition("planner: " + d.reason);
-      }
-      NDP_ASSIGN_OR_RETURN(auto groups, group_by(key_col, val_col));
-      // Exactness hygiene: every input row lands in exactly one group, so
-      // the counts must sum to the column length — anything else means a
-      // partial device result leaked through recovery.
-      uint64_t counted = 0;
-      for (const auto& [key, sc] : groups) {
-        counted += static_cast<uint64_t>(sc.second);
-      }
-      if (counted != key_col.size()) {
-        return Status::Internal(
-            "pushdown result hygiene: group counts do not cover the column — "
-            "discarding partial device result");
-      }
-      return groups;
-    };
-  }
 }
 
 void PushdownPlanner::Install(db::QueryContext* ctx,

@@ -24,23 +24,6 @@ struct CostModel {
                             double selectivity);
   /// Estimated JAFAR select time in picoseconds (including ownership).
   static double JafarSelectPs(const PlatformConfig& p, uint64_t rows);
-
-  /// Estimated CPU hash semijoin time: hash-table build over the build side
-  /// plus a pointer-chasing probe per probe row (the table misses cache for
-  /// the row counts where pushdown is interesting).
-  static double CpuSemiJoinPs(const PlatformConfig& p, uint64_t build_rows,
-                              uint64_t probe_rows);
-  /// Estimated JAFAR Bloom-probe time over the probe key column: the select
-  /// streaming shape plus the per-lease filter-image preload into the probe
-  /// SRAM and the host-side refinement of the candidate bitmap.
-  static double JafarProbePs(const PlatformConfig& p, uint64_t probe_rows,
-                             uint64_t filter_kb);
-
-  /// Estimated CPU hash group-by time over `rows` key/value pairs.
-  static double CpuGroupByPs(const PlatformConfig& p, uint64_t rows);
-  /// Estimated JAFAR group-by time: streams two columns (keys + values)
-  /// through the device and drains the bucket SRAM each lease.
-  static double JafarGroupByPs(const PlatformConfig& p, uint64_t rows);
 };
 
 /// Outcome of a pushdown decision, for logging and tests.
@@ -70,24 +53,9 @@ class PushdownPlanner {
   /// Decision for a select of `rows` rows at estimated `selectivity`.
   PushdownDecision Decide(uint64_t rows, double selectivity) const;
 
-  /// Decision for a semijoin probe (build_rows hash-table entries, probe_rows
-  /// streamed keys) using the device Bloom-probe job.
-  PushdownDecision DecideSemiJoin(uint64_t build_rows, uint64_t probe_rows,
-                                  uint64_t filter_kb) const;
-  /// Decision for a full-column group-by of `rows` key/value pairs.
-  PushdownDecision DecideGroupBy(uint64_t rows) const;
-
   /// Installs an NDP hook into `ctx` that consults the cost model per call
   /// (selectivity estimate: `default_selectivity`).
   void Install(db::QueryContext* ctx, double default_selectivity = 0.5);
-
-  /// Wraps externally-built join hooks (e.g. NdpRuntime::MakeSemiJoinHook /
-  /// MakeGroupByHook) with the cost model and result-hygiene checks, then
-  /// installs them into `ctx`. A declined or failed call returns an error, so
-  /// the operator layer falls back to the CPU path. `filter_kb` is the Bloom
-  /// image size the semijoin hook will build (RuntimeConfig::join_filter_kb).
-  void InstallJoin(db::QueryContext* ctx, db::NdpSemiJoinHook semi_join,
-                   db::NdpGroupByHook group_by, uint64_t filter_kb = 16);
 
  private:
   SystemModel* system_;

@@ -103,12 +103,6 @@ struct RuntimeConfig {
   /// passed through to each lane's jafar::Driver unchanged.
   jafar::DriverConfig driver;
 
-  // -- Device generation ----------------------------------------------------
-  /// Datapath generation of the JAFAR units this runtime drives; callers
-  /// building the DimmArray must derive the matching DeviceConfig
-  /// (DeviceConfig::Derive for v1_rank_io, DeriveBank for v2_bank_level).
-  jafar::DeviceGeneration device_gen = jafar::DeviceGeneration::kV1RankIo;
-
   // -- Work stealing --------------------------------------------------------
   /// Victims are picked by the largest estimated time to drain (stealable
   /// rows x EWMA ps/row), so a slow lane buried under skewed partitions is

@@ -32,52 +32,24 @@ Result<NdpScheduler::SlicedResult> NdpScheduler::RunSlicedSelect(
   uint64_t bitmap = system_->Allocate((col.size() + 7) / 8 + 64, 4096);
   uint64_t rows_per_slice = RowsPerLease();
   sim::EventQueue& eq = system_->eq();
-  jafar::Driver& driver = system_->driver();
-  const dram::DramTiming& t = system_->config().dram_timing;
+  sim::Tick window_ps =
+      config_.host_window_bus_cycles * system_->config().dram_timing.tck_ps;
 
   SlicedResult result;
   sim::Tick start = eq.Now();
-  uint64_t row = 0;
-  while (row < col.size()) {
-    uint64_t rows = std::min<uint64_t>(rows_per_slice, col.size() - row);
-    bool owned = false;
-    driver.AcquireOwnership([&owned](sim::Tick) { owned = true; });
-    if (!eq.RunUntilTrue([&] { return owned; })) {
-      return Status::Internal("ownership acquire stalled");
-    }
-    ++result.ownership_transfers;
-
-    bool done = false;
-    jafar::Completion sr;
+  for (uint64_t row = 0; row < col.size(); row += rows_per_slice) {
     jafar::SelectJob job;
     job.col_base = col_base + row * 8;
-    job.num_rows = rows;
+    job.num_rows = std::min<uint64_t>(rows_per_slice, col.size() - row);
     job.range_low = lo;
     job.range_high = hi;
     job.out_base = bitmap + row / 8;
-    auto on_done = [&done, &sr](const jafar::Completion& c) {
-      sr = c;
-      done = true;
-    };
-    // Single-query lease scheduler predates the multi-query runtime; it owns
-    // the whole channel for the slice. ndp-lint: runtime-bypass-ok
-    NDP_RETURN_NOT_OK(driver.Submit(job, on_done));
-    if (!eq.RunUntilTrue([&] { return done; })) {
-      return Status::Internal("sliced select stalled");
-    }
-    result.matches += sr.matches;
+    NDP_ASSIGN_OR_RETURN(SystemModel::OwnedRun run, system_->RunOwned(job));
+    result.matches += run.completion.matches;
     ++result.slices;
-
-    bool released = false;
-    driver.ReleaseOwnership([&released](sim::Tick) { released = true; });
-    if (!eq.RunUntilTrue([&] { return released; })) {
-      return Status::Internal("ownership release stalled");
-    }
-    ++result.ownership_transfers;
-
+    result.ownership_transfers += 2;
     // Guaranteed host window: the controller drains its queued requests.
-    eq.RunUntil(eq.Now() + config_.host_window_bus_cycles * t.tck_ps);
-    row += rows;
+    eq.RunUntil(eq.Now() + window_ps);
   }
   result.duration_ps = eq.Now() - start;
   return result;

@@ -45,9 +45,10 @@ class NdpScheduler {
   /// minus the invocation overhead), rounded down to whole 4 KB pages.
   uint64_t RowsPerLease() const;
 
-  /// Runs `lo <= v <= hi` over `col` as leased slices. The host controller
-  /// serves its queues between slices, so co-running CPU work on the same
-  /// rank keeps progressing.
+  /// Runs `lo <= v <= hi` over `col` as leased slices, one
+  /// SystemModel::RunOwned each. The host controller serves its queues
+  /// between slices, so co-running CPU work on the same rank keeps
+  /// progressing. A failed slice ends the run with its status.
   Result<SlicedResult> RunSlicedSelect(const db::Column& col, int64_t lo,
                                        int64_t hi);
 

@@ -88,88 +88,20 @@ sim::Tick SystemModel::PumpUntil(const bool* done) {
 Result<SystemModel::CpuRunResult> SystemModel::RunCpuSelect(
     const db::Column& col, int64_t lo, int64_t hi, db::SelectMode mode,
     bool cold_caches) {
-  if (core_->busy()) return Status::DeviceBusy("core is running a kernel");
   uint64_t col_base = PinColumn(col);
   uint64_t out_base = Allocate(col.size() * 4);
-  if (cold_caches) hierarchy_->InvalidateAll();
-
   cpu::SelectScanStream stream(col.data(), col.size(), lo, hi, col_base,
                                out_base,
                                mode == db::SelectMode::kPredicated);
-  cpu::CoreStats core_before = core_->stats();
-  StatsSnapshot before = stats_.Snapshot();
-  bool done = false;
-  sim::Tick start = eq_.Now();
-  NDP_RETURN_NOT_OK(core_->Run(&stream, [&done](sim::Tick) { done = true; }));
-  sim::Tick end = PumpUntil(&done);
-
-  CpuRunResult r;
-  r.duration_ps = end - start;
-  r.stats = core_->stats().DeltaSince(core_before);
-  r.counters = stats_.Snapshot().DeltaSince(before);
+  NDP_ASSIGN_OR_RETURN(CpuRunResult r, RunStream(&stream, cold_caches));
   r.matches = stream.matches();
-  return r;
-}
-
-Result<SystemModel::CpuRunResult> SystemModel::RunCpuAggregate(
-    const db::Column& col, bool cold_caches) {
-  if (core_->busy()) return Status::DeviceBusy("core is running a kernel");
-  uint64_t col_base = PinColumn(col);
-  if (cold_caches) hierarchy_->InvalidateAll();
-  cpu::AggregateScanStream stream(col.size(), col_base);
-  cpu::CoreStats core_before = core_->stats();
-  StatsSnapshot before = stats_.Snapshot();
-  bool done = false;
-  sim::Tick start = eq_.Now();
-  NDP_RETURN_NOT_OK(core_->Run(&stream, [&done](sim::Tick) { done = true; }));
-  sim::Tick end = PumpUntil(&done);
-  CpuRunResult r;
-  r.duration_ps = end - start;
-  r.stats = core_->stats().DeltaSince(core_before);
-  r.counters = stats_.Snapshot().DeltaSince(before);
-  return r;
-}
-
-Result<SystemModel::CpuRunResult> SystemModel::RunCpuProject(
-    const db::Column& col, const db::PositionList& positions,
-    bool cold_caches) {
-  if (core_->busy()) return Status::DeviceBusy("core is running a kernel");
-  uint64_t col_base = PinColumn(col);
-  uint64_t pos_base = Allocate(positions.size() * 4);
-  uint64_t out_base = Allocate(positions.size() * 8);
-  if (cold_caches) hierarchy_->InvalidateAll();
-  cpu::ProjectGatherStream stream(positions.data(), positions.size(), pos_base,
-                                  col_base, out_base);
-  cpu::CoreStats core_before = core_->stats();
-  StatsSnapshot before = stats_.Snapshot();
-  bool done = false;
-  sim::Tick start = eq_.Now();
-  NDP_RETURN_NOT_OK(core_->Run(&stream, [&done](sim::Tick) { done = true; }));
-  sim::Tick end = PumpUntil(&done);
-  CpuRunResult r;
-  r.duration_ps = end - start;
-  r.stats = core_->stats().DeltaSince(core_before);
-  r.counters = stats_.Snapshot().DeltaSince(before);
-  r.matches = positions.size();
   return r;
 }
 
 Result<SystemModel::CpuRunResult> SystemModel::ReplayTrace(
     const std::vector<cpu::TraceEvent>& events, bool cold_caches) {
-  if (core_->busy()) return Status::DeviceBusy("core is running a kernel");
-  if (cold_caches) hierarchy_->InvalidateAll();
   cpu::ReplayStream stream(&events);
-  cpu::CoreStats core_before = core_->stats();
-  StatsSnapshot before = stats_.Snapshot();
-  bool done = false;
-  sim::Tick start = eq_.Now();
-  NDP_RETURN_NOT_OK(core_->Run(&stream, [&done](sim::Tick) { done = true; }));
-  sim::Tick end = PumpUntil(&done);
-  CpuRunResult r;
-  r.duration_ps = end - start;
-  r.stats = core_->stats().DeltaSince(core_before);
-  r.counters = stats_.Snapshot().DeltaSince(before);
-  return r;
+  return RunStream(&stream, cold_caches);
 }
 
 Result<SystemModel::CpuRunResult> SystemModel::RunStream(
@@ -189,59 +121,54 @@ Result<SystemModel::CpuRunResult> SystemModel::RunStream(
   return r;
 }
 
-Result<SystemModel::JafarRunResult> SystemModel::RunJafarSelect(
-    const db::Column& col, int64_t lo, int64_t hi) {
-  uint64_t col_base = PinColumn(col);
-  uint64_t bitmap_base = Allocate((col.size() + 7) / 8 + 64, 4096);
-  uint64_t flag_addr = Allocate(64, 64);
-
-  JafarRunResult r;
-  r.bitmap_addr = bitmap_base;
-  jafar::DeviceStats device_before = device_->stats();
-  StatsSnapshot before = stats_.Snapshot();
-  sim::Tick start = eq_.Now();
-
+Result<SystemModel::OwnedRun> SystemModel::RunOwned(
+    const jafar::JobDescriptor& job) {
+  OwnedRun run;
+  run.start = eq_.Now();
   // Acquire rank ownership through the memory controller (MR3/MPR, §2.2).
   bool owned = false;
   driver_->AcquireOwnership([&owned](sim::Tick) { owned = true; });
-  sim::Tick own_at = PumpUntil(&owned);
-  r.ownership_ps = own_at - start;
+  run.acquired = PumpUntil(&owned);
 
   bool done = false;
-  jafar::Completion select_result;
+  // Exclusive single-query path (fig3/fig4, fixed time-slicing): the caller
+  // wants the whole rank, not runtime multiplexing. ndp-lint: runtime-bypass-ok
+  Status submitted = driver_->Submit(job, [&](const jafar::Completion& c) {
+    run.completion = c;
+    done = true;
+  });
+  if (submitted.ok()) PumpUntil(&done);
+
+  // Release before reporting a failure: a failed job must not leave the host
+  // memory controller locked out.
+  bool released = false;
+  driver_->ReleaseOwnership([&released](sim::Tick) { released = true; });
+  run.released = PumpUntil(&released);
+  NDP_RETURN_NOT_OK(submitted);
+  NDP_RETURN_NOT_OK(run.completion.status);
+  return run;
+}
+
+Result<SystemModel::JafarRunResult> SystemModel::RunJafarSelect(
+    const db::Column& col, int64_t lo, int64_t hi) {
   jafar::SelectJob job;
-  job.col_base = col_base;
+  job.col_base = PinColumn(col);
   job.num_rows = col.size();
   job.range_low = lo;
   job.range_high = hi;
-  job.out_base = bitmap_base;
-  job.flag_addr = flag_addr;
-  // fig3/fig4 single-query measurement path: the experiment needs exclusive
-  // device access, not runtime multiplexing. ndp-lint: runtime-bypass-ok
-  NDP_RETURN_NOT_OK(driver_->Submit(
-      job, [&done, &select_result](const jafar::Completion& c) {
-        select_result = c;
-        done = true;
-      }));
-  PumpUntil(&done);
-  if (!select_result.status.ok()) {
-    // Release the rank before reporting: a failed select must not leave the
-    // host memory controller locked out.
-    bool relinquished = false;
-    driver_->ReleaseOwnership([&relinquished](sim::Tick) {
-      relinquished = true;
-    });
-    PumpUntil(&relinquished);
-    return select_result.status;
-  }
+  job.out_base = Allocate((col.size() + 7) / 8 + 64, 4096);
+  job.flag_addr = Allocate(64, 64);
 
-  bool released = false;
-  driver_->ReleaseOwnership([&released](sim::Tick) { released = true; });
-  sim::Tick end = PumpUntil(&released);
-  r.ownership_ps += end - select_result.completed_at;
+  jafar::DeviceStats device_before = device_->stats();
+  StatsSnapshot before = stats_.Snapshot();
+  NDP_ASSIGN_OR_RETURN(OwnedRun run, RunOwned(job));
 
-  r.duration_ps = end - start;
-  r.matches = select_result.matches;
+  JafarRunResult r;
+  r.duration_ps = run.released - run.start;
+  r.ownership_ps = (run.acquired - run.start) +
+                   (run.released - run.completion.completed_at);
+  r.matches = run.completion.matches;
+  r.bitmap_addr = job.out_base;
   // Per-run stats as deltas against the before-run snapshots.
   r.stats = device_->stats().DeltaSince(device_before);
   r.counters = stats_.Snapshot().DeltaSince(before);

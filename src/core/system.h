@@ -1,7 +1,8 @@
 // SystemModel: one fully-wired simulated machine — event queue, DRAM system,
 // cache hierarchy, out-of-order core, and a JAFAR unit with its driver — plus
-// timed entry points for the experiments: CPU selects (branching/predicated),
-// JAFAR selects (with MR3 ownership hand-off), and database-trace replay.
+// timed entry points for the experiments: µop streams on the core (CPU
+// selects, database-trace replay) and JAFAR jobs under the MR3 ownership
+// hand-off (selects).
 #pragma once
 
 #include <memory>
@@ -59,21 +60,13 @@ class SystemModel {
                                     int64_t hi, db::SelectMode mode,
                                     bool cold_caches = true);
 
-  /// Times a CPU aggregate (sum) scan over `col`.
-  Result<CpuRunResult> RunCpuAggregate(const db::Column& col,
-                                       bool cold_caches = true);
-
-  /// Times a CPU projection gather of `col` at `positions`.
-  Result<CpuRunResult> RunCpuProject(const db::Column& col,
-                                     const db::PositionList& positions,
-                                     bool cold_caches = true);
-
   /// Replays a recorded database trace through the core + memory system.
   Result<CpuRunResult> ReplayTrace(const std::vector<cpu::TraceEvent>& events,
                                    bool cold_caches = true);
 
-  /// Times an arbitrary µop stream on the core (building block for custom
-  /// kernels in benches and tests).
+  /// Times an arbitrary µop stream on the core. The one CPU timing protocol:
+  /// RunCpuSelect and ReplayTrace build their stream and call it, and so do
+  /// benches and tests with custom kernels.
   Result<CpuRunResult> RunStream(cpu::UopStream* stream,
                                  bool cold_caches = true);
 
@@ -87,11 +80,23 @@ class SystemModel {
     StatsSnapshot counters;
   };
 
-  /// Times a full JAFAR select: acquire rank ownership, run the paged
-  /// Figure-2 API over the pinned column, release ownership. The CPU
-  /// spin-waits (no contention), as in the Figure 3 experiment.
+  /// Times a full JAFAR select: RunOwned of the paged Figure-2 API over the
+  /// pinned column. The CPU spin-waits (no contention), as in the Figure 3
+  /// experiment.
   Result<JafarRunResult> RunJafarSelect(const db::Column& col, int64_t lo,
                                         int64_t hi);
+
+  struct OwnedRun {
+    sim::Tick start = 0;     ///< ownership requested
+    sim::Tick acquired = 0;  ///< the MRS took effect: JAFAR owns the rank
+    sim::Tick released = 0;  ///< the rank is back with the host
+    jafar::Completion completion;
+  };
+
+  /// One §2.2 ownership grant around one job: acquire the JAFAR rank through
+  /// MR3, run `job` through the driver, release the rank. The rank is
+  /// released on failure too, and a failed job returns its non-OK status.
+  Result<OwnedRun> RunOwned(const jafar::JobDescriptor& job);
 
   /// Builds an NDP pushdown hook for db::QueryContext::ndp_select that
   /// executes selects on this system's JAFAR unit. Only kBetween/kEq/kLe/kGe/

@@ -82,5 +82,25 @@ TEST(NdpSchedulerTest, HostWindowLetsCoRunningCpuProgress) {
   EXPECT_GT(sliced.slices, 2u);
 }
 
+#ifdef NDP_FAULT_INJECT
+
+TEST(NdpSchedulerTest, PermanentDeviceFailureIsReported) {
+  db::Column col = RandomColumn(65536, 9);
+  PlatformConfig config = PlatformConfig::Gem5();
+  config.fault_plan.hang_per_job = 1.0;  // every dispatch wedges
+  config.driver.retry.max_attempts = 2;
+  core::SystemModel sys(config);
+  NdpScheduler scheduler(&sys, SchedulerConfig{});
+  auto sliced = scheduler.RunSlicedSelect(col, 0, 499999);
+  // A slice whose retry budget runs out fails the whole select; it must not
+  // come back as OK with the failed slice's rows missing.
+  EXPECT_FALSE(sliced.ok());
+  EXPECT_GT(sys.driver().stats().permanent_failures, 0u);
+  // The failed slice still handed the rank back to the host.
+  EXPECT_EQ(sys.dram().channel(0).rank(0).owner(), dram::RankOwner::kHost);
+}
+
+#endif  // NDP_FAULT_INJECT
+
 }  // namespace
 }  // namespace ndp::core
