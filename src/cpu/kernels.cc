@@ -349,26 +349,23 @@ bool ReplayStream::Next(Uop* uop) {
       *uop = Uop{};  // independent single-cycle ALU op
       return true;
     }
+    if (access_pending_) {
+      access_pending_ = false;
+      const TraceEvent& ev = (*events_)[i_ - 1];
+      Uop u;
+      u.type = ev.kind == TraceEvent::Kind::kLoad ? UopType::kLoad
+                                                  : UopType::kStore;
+      u.addr = ev.value;
+      *uop = u;
+      return true;
+    }
     if (i_ >= events_->size()) return false;
     const TraceEvent& ev = (*events_)[i_++];
-    switch (ev.kind) {
-      case TraceEvent::Kind::kCompute:
-        compute_left_ = ev.value;
-        continue;
-      case TraceEvent::Kind::kLoad: {
-        Uop u;
-        u.type = UopType::kLoad;
-        u.addr = ev.value;
-        *uop = u;
-        return true;
-      }
-      case TraceEvent::Kind::kStore: {
-        Uop u;
-        u.type = UopType::kStore;
-        u.addr = ev.value;
-        *uop = u;
-        return true;
-      }
+    if (ev.kind == TraceEvent::Kind::kCompute) {
+      compute_left_ = ev.value;
+    } else {
+      compute_left_ = ev.compute;
+      access_pending_ = true;
     }
   }
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cpu/uop.h"
+#include "util/macros.h"
 
 namespace ndp::cpu {
 
@@ -199,11 +200,27 @@ class MergeSortStream : public UopStream {
   uint32_t step_ = 0;
 };
 
-/// One event of a recorded operator trace (see db::TraceRecorder).
+/// One event of a recorded operator trace (see db::TraceRecorder), packed
+/// into one 64-bit word. A kLoad/kStore carries its address in `value` and
+/// the ALU µops that run before it in `compute`; a standalone kCompute
+/// carries a µop count in `value` (used when a gap overflows `compute`).
 struct TraceEvent {
-  enum class Kind : uint8_t { kCompute, kLoad, kStore } kind;
-  uint64_t value = 0;  ///< µop count for kCompute, address for kLoad/kStore
+  enum class Kind : uint8_t { kCompute, kLoad, kStore };
+  static constexpr uint64_t kMaxValue = (uint64_t{1} << 46) - 1;
+  static constexpr uint64_t kMaxCompute = (uint64_t{1} << 16) - 1;
+
+  /// Aborts rather than truncate a field that does not fit.
+  constexpr TraceEvent(Kind k, uint64_t v, uint64_t c = 0)
+      : kind(k), value(v), compute(c) {
+    NDP_CHECK(v <= kMaxValue);
+    NDP_CHECK(c <= kMaxCompute);
+  }
+
+  Kind kind : 2;
+  uint64_t value : 46;    ///< µop count for kCompute, address otherwise
+  uint64_t compute : 16;  ///< µops before a kLoad/kStore; 0 for kCompute
 };
+static_assert(sizeof(TraceEvent) == 8);
 
 /// \brief Concatenates child streams back to back (e.g., per-block scans of a
 /// zone-map-pruned select). Does not own the children.
@@ -237,6 +254,7 @@ class ReplayStream : public UopStream {
   const std::vector<TraceEvent>* events_;
   size_t i_ = 0;
   uint64_t compute_left_ = 0;
+  bool access_pending_ = false;  ///< events_[i_ - 1] runs once its gap drains
 };
 
 }  // namespace ndp::cpu

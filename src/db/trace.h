@@ -4,6 +4,11 @@
 // out at synthetic physical addresses and produces the cpu::TraceEvent stream
 // that is replayed through the simulated Xeon-class memory system while the
 // paper's RC_busy / WC_busy counters are sampled.
+//
+// Record format: one 8-byte cpu::TraceEvent per sampled access, carrying its
+// 46-bit address and, in a 16-bit field, the compute gap that precedes it. A
+// gap too large for that field is written as one standalone kCompute event
+// before the access. Replay expands both forms to the same µop stream.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +72,7 @@ class TraceRecorder {
 
   void Load(uint64_t addr) {
     if (Sampled()) {
-      Emit(cpu::TraceEvent{cpu::TraceEvent::Kind::kLoad, addr});
+      Emit(cpu::TraceEvent::Kind::kLoad, addr);
     } else {
       pending_compute_ = 0;  // drop the skipped iteration's compute too
     }
@@ -75,7 +80,7 @@ class TraceRecorder {
 
   void Store(uint64_t addr) {
     if (Sampled()) {
-      Emit(cpu::TraceEvent{cpu::TraceEvent::Kind::kStore, addr});
+      Emit(cpu::TraceEvent::Kind::kStore, addr);
     } else {
       pending_compute_ = 0;
     }
@@ -92,11 +97,6 @@ class TraceRecorder {
 
   const std::vector<cpu::TraceEvent>& events() const { return events_; }
   uint64_t total_accesses() const { return total_accesses_; }
-  void Clear() {
-    events_.clear();
-    pending_compute_ = 0;
-    total_accesses_ = 0;
-  }
 
   uint32_t sample_period() const { return sample_period_; }
 
@@ -109,13 +109,16 @@ class TraceRecorder {
     return rng_.NextBounded(sample_period_) == 0;
   }
 
-  void Emit(cpu::TraceEvent ev) {
-    if (pending_compute_ > 0) {
-      events_.push_back(
-          cpu::TraceEvent{cpu::TraceEvent::Kind::kCompute, pending_compute_});
-      pending_compute_ = 0;
+  /// Folds the pending compute gap into the access; a gap wider than the
+  /// record's compute field goes out first as a standalone kCompute.
+  void Emit(cpu::TraceEvent::Kind kind, uint64_t addr) {
+    uint64_t gap = pending_compute_;
+    pending_compute_ = 0;
+    if (gap > cpu::TraceEvent::kMaxCompute) {
+      events_.emplace_back(cpu::TraceEvent::Kind::kCompute, gap);
+      gap = 0;
     }
-    events_.push_back(ev);
+    events_.emplace_back(kind, addr, gap);
   }
 
   uint32_t sample_period_;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "db/tpch.h"
+#include "db/tpch_queries.h"
+#include "db/trace.h"
 #include "util/rng.h"
 
 namespace ndp::core {
@@ -122,6 +125,37 @@ TEST(SystemModelTest, ReplayTraceDrivesMemorySystem) {
   EXPECT_GT(run.duration_ps, 0u);
   EXPECT_EQ(run.stats.loads, 2000u);
   EXPECT_GT(sys.dram().TotalCounters().reads_served, 100u);
+}
+
+TEST(SystemModelTest, FoldedTraceReplaysLikeItsExpansion) {
+  db::Catalog catalog;
+  db::tpch::TpchConfig cfg;
+  cfg.scale = 0.005;
+  db::tpch::Generate(cfg, &catalog);
+  db::TraceRecorder trace;
+  db::QueryContext ctx;
+  ctx.trace = &trace;
+  (void)db::tpch::RunQ6(&ctx, &catalog);
+
+  std::vector<cpu::TraceEvent> expanded;
+  for (const cpu::TraceEvent& ev : trace.events()) {
+    if (ev.compute > 0) {
+      expanded.emplace_back(cpu::TraceEvent::Kind::kCompute, ev.compute);
+    }
+    expanded.emplace_back(ev.kind, ev.value);
+  }
+  ASSERT_GT(expanded.size(), trace.events().size());
+
+  auto replay = [](const std::vector<cpu::TraceEvent>& events) {
+    SystemModel sys(PlatformConfig::Gem5());
+    auto run = sys.ReplayTrace(events).ValueOrDie();
+    return std::make_pair(run.duration_ps, sys.stats().Snapshot().ToText());
+  };
+  auto [folded_ps, folded_stats] = replay(trace.events());
+  auto [expanded_ps, expanded_stats] = replay(expanded);
+  EXPECT_GT(folded_ps, 0u);
+  EXPECT_EQ(folded_ps, expanded_ps);
+  EXPECT_EQ(folded_stats, expanded_stats);
 }
 
 TEST(SystemModelTest, PushdownHookMatchesCpuOperators) {

@@ -149,6 +149,43 @@ TEST(ReplayStreamTest, ExpandsComputeAndMemoryEvents) {
   EXPECT_EQ(uops[5].type, UopType::kAlu);
 }
 
+TEST(ReplayStreamTest, FoldedComputeReplaysLikeStandaloneCompute) {
+  using Kind = TraceEvent::Kind;
+  const std::vector<TraceEvent> folded = {
+      {Kind::kLoad, 0x1000, 3},
+      {Kind::kStore, 0x2000},
+      {Kind::kCompute, 70000},
+      {Kind::kLoad, 0x3000, TraceEvent::kMaxCompute},
+      {Kind::kCompute, 2},
+      {Kind::kStore, TraceEvent::kMaxValue, 1},
+  };
+  std::vector<TraceEvent> expanded;
+  for (const TraceEvent& ev : folded) {
+    if (ev.compute > 0) expanded.emplace_back(Kind::kCompute, ev.compute);
+    expanded.emplace_back(ev.kind, ev.value);
+  }
+  ASSERT_GT(expanded.size(), folded.size());
+  ReplayStream a(&folded), b(&expanded);
+  const std::vector<Uop> ua = Drain(&a), ub = Drain(&b);
+  ASSERT_EQ(ua.size(), 3 + 1 + 1 + 70000 + 65535 + 1 + 2 + 1 + 1u);
+  ASSERT_EQ(ua.size(), ub.size());
+  for (size_t i = 0; i < ua.size(); ++i) {
+    ASSERT_EQ(ua[i].type, ub[i].type) << i;
+    ASSERT_EQ(ua[i].addr, ub[i].addr) << i;
+    ASSERT_EQ(ua[i].pc, ub[i].pc) << i;
+    ASSERT_EQ(ua[i].taken, ub[i].taken) << i;
+    ASSERT_EQ(ua[i].latency, ub[i].latency) << i;
+    ASSERT_EQ(ua[i].dep_distance, ub[i].dep_distance) << i;
+  }
+  EXPECT_EQ(ua[3].type, UopType::kLoad);
+  EXPECT_EQ(ua.back().addr, TraceEvent::kMaxValue);
+}
+
+TEST(TraceEventDeathTest, OversizedComputeAbortsInsteadOfTruncating) {
+  EXPECT_DEATH(TraceEvent(TraceEvent::Kind::kLoad, 0, uint64_t{1} << 16),
+               "kMaxCompute");
+}
+
 TEST(ReplayStreamTest, EmptyTrace) {
   std::vector<TraceEvent> events;
   ReplayStream s(&events);
