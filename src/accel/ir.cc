@@ -97,16 +97,6 @@ LoopKernel MakeSelectKernel() {
   return k;
 }
 
-LoopKernel MakeSelectSinglePredicateKernel() {
-  LoopKernel k;
-  k.name = "jafar_select_single";
-  k.body.push_back({OpCode::kLoad, "load_word", {}, {}});
-  k.body.push_back({OpCode::kCmp, "cmp", {0}, {}});
-  k.body.push_back({OpCode::kBitOp, "bit_insert", {1}, {2}});
-  k.body.push_back({OpCode::kBitOp, "offset_inc", {}, {3}});
-  return k;
-}
-
 LoopKernel MakeAggregateKernel() {
   LoopKernel k;
   k.name = "jafar_aggregate_sum";

@@ -22,6 +22,7 @@ enum class OpCode : uint8_t {
   kMux,       ///< select (combinational)
 };
 
+// ndp-lint: test-only-ok names ops in test failure messages
 const char* OpCodeToString(OpCode code);
 
 /// Functional-unit resource classes the scheduler arbitrates.
@@ -80,18 +81,18 @@ struct DatapathResources {
 /// row-offset increment.
 LoopKernel MakeSelectKernel();
 
-/// Single-compare select (=, <, >, <=, >=): one ALU comparison per word.
-LoopKernel MakeSelectSinglePredicateKernel();
-
 /// §4 "Aggregations": sum/min/max via a loop-carried accumulator.
+// ndp-lint: test-only-ok the engine-rate derivation (ROADMAP) will schedule it
 LoopKernel MakeAggregateKernel();
 
 /// §4 "Projections": stream words, select those whose position bit is set,
 /// and emit them (load + bit-test + mux + store).
+// ndp-lint: test-only-ok the engine-rate derivation (ROADMAP) will schedule it
 LoopKernel MakeProjectKernel();
 
 /// §4 row-store variant: k predicates applied to k attributes of one tuple
 /// per iteration (k loads, k compares, AND-reduce, bit-insert).
+// ndp-lint: test-only-ok the engine-rate derivation (ROADMAP) will schedule it
 LoopKernel MakeRowStoreKernel(uint32_t num_predicates);
 
 /// Semijoin probe (JSPIM-style): per 64-bit join key, `hash_count`

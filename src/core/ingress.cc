@@ -62,21 +62,6 @@ const char* OverloadStateToString(OverloadState s) {
   return "unknown";
 }
 
-const char* ServeOutcomeToString(ServeOutcome o) {
-  switch (o) {
-    case ServeOutcome::kOk: return "ok";
-    case ServeOutcome::kOkCpuFallback: return "ok_cpu_fallback";
-    case ServeOutcome::kShedRingFull: return "shed_ring_full";
-    case ServeOutcome::kShedSlotsExhausted: return "shed_slots_exhausted";
-    case ServeOutcome::kShedLowPriority: return "shed_low_priority";
-    case ServeOutcome::kShedRetryBudget: return "shed_retry_budget";
-    case ServeOutcome::kExpiredAtAdmission: return "expired_at_admission";
-    case ServeOutcome::kDeadlineExceeded: return "deadline_exceeded";
-    case ServeOutcome::kFailed: return "failed";
-  }
-  return "unknown";
-}
-
 // -- ServingIngress -----------------------------------------------------------
 
 ServingIngress::ServingIngress(NdpRuntime* runtime, DimmArray* array,

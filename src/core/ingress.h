@@ -97,7 +97,6 @@ enum class ServeOutcome : uint8_t {
   kDeadlineExceeded,   ///< cancelled at a chunk boundary past the deadline
   kFailed,             ///< NDP job failed terminally (no retry possible)
 };
-const char* ServeOutcomeToString(ServeOutcome o);
 
 /// True for outcomes that count toward goodput (completed, on time).
 inline bool IsGoodput(ServeOutcome o) {

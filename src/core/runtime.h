@@ -153,7 +153,6 @@ class LeaseController {
   uint64_t HostWindowBusCycles(uint64_t lease_bus_cycles) const;
   bool ChannelIdle() const;
   bool OverBudget() const;
-  bool HasObservation() const { return has_observation_; }
 
   double ewma_busy_fraction() const { return ewma_busy_; }
   double ewma_idle_cycles() const { return ewma_idle_; }

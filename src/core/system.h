@@ -120,6 +120,7 @@ class SystemModel {
 
   /// gem5-style statistics dump: a sorted walk of the whole registry as
   /// "path value" lines (core, caches, memory controllers, JAFAR device).
+  // ndp-lint: test-only-ok the stats dump determinism tests byte-compare
   std::string DumpStats() const;
 
   /// The hierarchical registry every component mounts its counters into

@@ -46,6 +46,7 @@ class BranchPredictor {
   uint64_t correct() const { return correct_; }
   const BranchPredictorConfig& config() const { return config_; }
 
+  // ndp-lint: test-only-ok tests reset the table between training phases
   void Reset() {
     std::fill(table_.begin(), table_.end(), 1);
     history_ = 0;

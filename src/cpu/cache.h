@@ -53,6 +53,7 @@ class Cache : public MemSink {
   void InvalidateAll();
 
   /// True when no fills or writebacks are in flight.
+  // ndp-lint: test-only-ok tests assert no fill or writeback is in flight
   bool Quiescent() const { return mshr_.empty() && pending_writebacks_ == 0; }
 
   const CacheStats& stats() const { return stats_; }
@@ -60,6 +61,7 @@ class Cache : public MemSink {
   const CacheConfig& config() const { return config_; }
 
   /// Whether `addr`'s line is currently resident (test/inspection helper).
+  // ndp-lint: test-only-ok residency probe for cache tests
   bool Contains(uint64_t addr) const;
 
  private:

@@ -71,6 +71,7 @@ class Column {
   }
 
   /// Decodes a dictionary code back to its string.
+  // ndp-lint: test-only-ok tests decode dictionary codes
   const std::string& StringAt(size_t row) const {
     NDP_CHECK(type_ == ColumnType::kDictionary);
     int64_t code = data_[row];

@@ -44,6 +44,7 @@ class ForEncodedColumn {
                     int64_t* code_hi) const;
 
   /// CPU select over the encoded data (predicate evaluated on codes).
+  // ndp-lint: test-only-ok compression_test checks it against ScanSelect
   PositionList Select(QueryContext* ctx, const Pred& value_pred) const;
 
  private:

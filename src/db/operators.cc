@@ -320,30 +320,6 @@ std::map<int64_t, std::pair<int64_t, int64_t>> GroupSumFullColumn(
   return groups;
 }
 
-PositionList SortBy(QueryContext* ctx, const std::vector<int64_t>& keys,
-                    const PositionList& positions, bool descending) {
-  NDP_CHECK(keys.size() == positions.size());
-  std::vector<size_t> order(positions.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return descending ? keys[a] > keys[b] : keys[a] < keys[b];
-  });
-  PositionList out(positions.size());
-  uint64_t base =
-      ctx->trace ? ctx->trace->AllocRegion(positions.size() * 12, "sort") : 0;
-  for (size_t i = 0; i < order.size(); ++i) {
-    out[i] = positions[order[i]];
-    if (ctx->trace) {
-      // ~log2(n) compares per element amortized for the merge pattern.
-      ctx->trace->Compute(4);
-      ctx->trace->Load(base + order[i] * 12);
-      ctx->trace->Store(base + i * 12);
-    }
-  }
-  ctx->Record("sort", positions.size(), out.size());
-  return out;
-}
-
 std::vector<int64_t> MergeSortedRuns(
     QueryContext* ctx, const std::vector<std::vector<int64_t>>& runs) {
   // Heap-based k-way merge: (value, run, offset).
@@ -382,14 +358,6 @@ PositionList BitmapToPositions(const BitVector& bm) {
   PositionList out;
   out.reserve(bm.CountOnes());
   bm.AppendSetPositions(&out);
-  return out;
-}
-
-PositionList IntersectSorted(const PositionList& a, const PositionList& b) {
-  PositionList out;
-  out.reserve(std::min(a.size(), b.size()));
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
   return out;
 }
 

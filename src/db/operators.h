@@ -36,6 +36,7 @@ struct Pred {
   static Pred Lt(int64_t v) { return Pred{Op::kLt, v, 0}; }
   static Pred Gt(int64_t v) { return Pred{Op::kGt, v, 0}; }
   static Pred Le(int64_t v) { return Pred{Op::kLe, v, 0}; }
+  // ndp-lint: test-only-ok completes the Pred factory set tests use
   static Pred Ge(int64_t v) { return Pred{Op::kGe, v, 0}; }
 
   bool Eval(int64_t v) const {
@@ -108,7 +109,7 @@ struct QueryContext {
 
   void Record(std::string op, uint64_t in, uint64_t out) {
     if (stats_scope.active()) {
-      // ndp: stats-scope(scan_select|scan_select_batch|refine|gather|hash_join|aggregate|group_aggregate|sort|merge_runs|zonemap_select|for_select|plan_filter|plan_project|plan_hash_join|plan_sort)
+      // ndp: stats-scope(scan_select|scan_select_batch|refine|gather|hash_join|aggregate|group_aggregate|merge_runs|zonemap_select|for_select)
       StatsScope op_scope = stats_scope.Sub(op);
       *op_scope.registry()->OwnedCounter(op_scope.Path("calls")) += 1;
       *op_scope.registry()->OwnedCounter(op_scope.Path("rows_in")) += in;
@@ -184,10 +185,6 @@ std::map<int64_t, std::pair<int64_t, int64_t>> GroupSumFullColumn(
 
 // -- Sort -----------------------------------------------------------------------
 
-/// Returns `positions` stably sorted by keys[i] (keys aligned to positions).
-PositionList SortBy(QueryContext* ctx, const std::vector<int64_t>& keys,
-                    const PositionList& positions, bool descending = false);
-
 /// K-way merges sorted runs into one sorted vector — the host-side half of
 /// the §4 divide-and-conquer sorting story (the device emits block-sorted
 /// runs, the CPU merges them).
@@ -198,8 +195,5 @@ std::vector<int64_t> MergeSortedRuns(QueryContext* ctx,
 
 BitVector PositionsToBitmap(const PositionList& positions, size_t num_rows);
 PositionList BitmapToPositions(const BitVector& bm);
-
-/// Intersects two sorted position lists.
-PositionList IntersectSorted(const PositionList& a, const PositionList& b);
 
 }  // namespace ndp::db

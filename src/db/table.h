@@ -45,7 +45,6 @@ class Table {
   }
 
   size_t num_columns() const { return columns_.size(); }
-  const Column& ColumnAt(size_t i) const { return *columns_[i]; }
 
   size_t num_rows() const { return columns_.empty() ? 0 : columns_[0]->size(); }
 

@@ -86,15 +86,6 @@ class TraceRecorder {
     }
   }
 
-  /// Sequential read of `count` values of `width` bytes from `base`.
-  void SequentialLoads(uint64_t base, uint64_t count, uint32_t width,
-                       uint64_t compute_uops_per_value) {
-    for (uint64_t i = 0; i < count; ++i) {
-      Compute(compute_uops_per_value);
-      Load(base + i * width);
-    }
-  }
-
   const std::vector<cpu::TraceEvent>& events() const { return events_; }
   uint64_t total_accesses() const { return total_accesses_; }
 

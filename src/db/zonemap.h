@@ -40,6 +40,7 @@ class ZoneMap {
 
   /// Zone-map-accelerated select: scans only candidate blocks. Produces the
   /// same positions as ScanSelect; records per-block traffic when tracing.
+  // ndp-lint: test-only-ok fallback_test checks it against ScanSelect
   PositionList Select(QueryContext* ctx, const Column& col,
                       const Pred& pred) const;
 

@@ -20,6 +20,7 @@ struct DramLocation {
   uint32_t burst_col = 0;  ///< column position in burst (64 B) units
   uint32_t offset = 0;     ///< byte offset within the burst
 
+  // ndp-lint: test-only-ok address-mapping tests compare row buffers
   bool SameRowBuffer(const DramLocation& o) const {
     return channel == o.channel && rank == o.rank && bank == o.bank && row == o.row;
   }

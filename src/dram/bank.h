@@ -101,15 +101,6 @@ class Bank {
     pending_fill_ = false;
   }
 
-  /// Forces constraints so no command can issue before `t` (used by rank-level
-  /// rules such as tRRD/tFAW/tCCD/tWTR that cut across banks).
-  void BlockActivateUntil(sim::Tick t) { next_act_ = std::max(next_act_, t); }
-  void BlockColumnUntil(sim::Tick t) {
-    next_read_ = std::max(next_read_, t);
-    next_write_ = std::max(next_write_, t);
-  }
-  void BlockPrechargeUntil(sim::Tick t) { next_pre_ = std::max(next_pre_, t); }
-
   /// Row-activation count (performance counter: row misses cost tRCD+tRP).
   uint64_t activate_count() const { return activate_count_; }
 

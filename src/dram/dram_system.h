@@ -54,6 +54,7 @@ class DramSystem {
 #ifdef NDP_PROTOCOL_CHECK
   /// Sum of recorded protocol violations across every channel's checker
   /// (always zero while the checkers are in their default fail-fast mode).
+  // ndp-lint: test-only-ok protocol_clean_test sums the checkers
   uint64_t TotalProtocolViolations() const;
 #endif
 

@@ -121,6 +121,7 @@ class ProtocolChecker {
   uint64_t commands_observed() const { return commands_observed_; }
 
   /// All recorded violations, one per line (empty string when clean).
+  // ndp-lint: test-only-ok formats violations for test failure messages
   std::string Report() const;
 
  private:

@@ -28,6 +28,7 @@ enum class CompareOp : uint8_t {
   kBetween,  ///< range_low <= x <= range_high (inclusive, Figure 2)
 };
 
+// ndp-lint: test-only-ok names predicates in test failure messages
 const char* CompareOpToString(CompareOp op);
 
 /// Evaluates `op` on a value (host-side golden semantics, also used by the

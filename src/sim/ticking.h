@@ -43,6 +43,7 @@ class TickingComponent {
   const ClockDomain& clock() const { return clock_; }
 
   /// Local cycle index of the component's clock at current sim time.
+  // ndp-lint: test-only-ok ticking tests read the local cycle
   uint64_t CurrentCycle() const { return clock_.TickToCycle(eq_->Now()); }
 
  protected:

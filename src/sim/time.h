@@ -37,6 +37,7 @@ class ClockDomain {
   double frequency_ghz() const { return 1000.0 / static_cast<double>(period_ps_); }
 
   /// Global tick at which local cycle `cycle` begins.
+  // ndp-lint: test-only-ok clock-domain tests check the tick/cycle inverse
   Tick CycleToTick(uint64_t cycle) const { return cycle * period_ps_; }
 
   /// Local cycle containing global tick `t` (edge at t belongs to that cycle).

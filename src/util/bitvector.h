@@ -65,6 +65,7 @@ class BitVector {
   /// Merges `value` into word w under `mask`: only bits set in mask are
   /// written. This is the masked write-back JAFAR performs when column data is
   /// interleaved across DIMMs (paper §2.2, "Handling Data Interleaving").
+  // ndp-lint: test-only-ok bitvector tests pin the masked write-back
   void MergeWord(size_t w, uint64_t value, uint64_t mask) {
     NDP_DCHECK(w < words_.size());
     words_[w] = (words_[w] & ~mask) | (value & mask);

@@ -59,7 +59,6 @@ class Value {
   bool is_array() const { return kind_ == Kind::kArray; }
   bool is_object() const { return kind_ == Kind::kObject; }
 
-  bool AsBool() const { return bool_; }
   double AsNumber() const { return num_; }
   const std::string& AsString() const { return str_; }
 

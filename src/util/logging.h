@@ -10,7 +10,9 @@ namespace ndp {
 enum class LogLevel : uint8_t { kTrace = 0, kDebug, kInfo, kWarn, kError };
 
 /// Sets the global minimum level that will be emitted.
+// ndp-lint: test-only-ok tests raise and restore the threshold
 void SetLogLevel(LogLevel level);
+// ndp-lint: test-only-ok tests raise and restore the threshold
 LogLevel GetLogLevel();
 
 /// printf-style log call; a newline is appended.

@@ -31,6 +31,7 @@ class RunningStats {
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
 
+  // ndp-lint: test-only-ok tests reuse one accumulator
   void Reset() { *this = RunningStats(); }
 
  private:

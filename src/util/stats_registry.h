@@ -45,6 +45,7 @@ class StatsSnapshot {
   };
   using Map = std::map<std::string, Entry>;
 
+  // ndp-lint: test-only-ok tests probe snapshot paths
   bool Has(const std::string& path) const { return entries_.count(path) > 0; }
   /// Value at `path`, or `fallback` when absent.
   double Value(const std::string& path, double fallback = 0.0) const {
@@ -101,6 +102,7 @@ class StatsRegistry {
   /// taken by a non-owned stat.
   uint64_t* OwnedCounter(const std::string& path);
 
+  // ndp-lint: test-only-ok stats_coverage_test pins the registered paths
   bool Contains(const std::string& path) const { return stats_.count(path) > 0; }
   size_t size() const { return stats_.size(); }
 
@@ -116,6 +118,7 @@ class StatsRegistry {
   /// "path value" lines in sorted path order (the DumpStats() body).
   std::string DumpText() const { return Snapshot().ToText(); }
   /// Flat JSON object {path: value}.
+  // ndp-lint: test-only-ok determinism tests compare the registry as JSON
   json::Value DumpJson() const { return Snapshot().ToJson(); }
 
  private:

@@ -8,7 +8,6 @@ namespace {
 TEST(LoopKernelTest, LibraryKernelsValidate) {
   std::string err;
   EXPECT_TRUE(MakeSelectKernel().Validate(&err)) << err;
-  EXPECT_TRUE(MakeSelectSinglePredicateKernel().Validate(&err)) << err;
   EXPECT_TRUE(MakeAggregateKernel().Validate(&err)) << err;
   EXPECT_TRUE(MakeProjectKernel().Validate(&err)) << err;
   for (uint32_t p : {1u, 2u, 3u, 4u, 7u}) {

@@ -29,11 +29,11 @@ TEST(ScheduleTest, SingleAluHalvesRangeFilterThroughput) {
 TEST(ScheduleTest, SinglePredicateKernelNeedsOnlyOneAlu) {
   // Equality/inequality predicates use one comparison per word, so a single
   // ALU already sustains one word per cycle — the second ALU exists for range
-  // filters (§2.2, Figure 1(b)).
+  // filters (§2.2, Figure 1(b)). The one-predicate row-store kernel is that
+  // datapath: load, compare, bit-insert, offset increment.
   DatapathResources res;
   res.alus = 1;
-  auto r = ScheduleKernel(MakeSelectSinglePredicateKernel(), res, kIters)
-               .ValueOrDie();
+  auto r = ScheduleKernel(MakeRowStoreKernel(1), res, kIters).ValueOrDie();
   EXPECT_NEAR(r.steady_state_ii, 1.0, 0.05);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "jafar/device.h"
 #include "util/rng.h"
 
@@ -25,9 +27,38 @@ TEST(ForEncodingTest, RoundTripsValues) {
 }
 
 TEST(ForEncodingTest, RejectsWideRanges) {
-  Column col = MakeColumn({0, int64_t{1} << 40});
-  EXPECT_EQ(ForEncodedColumn::Encode(col).status().code(),
-            StatusCode::kOutOfRange);
+  // The last range overflows int64 (hi - lo); it must not wrap into a small
+  // one.
+  for (const auto& values : {std::vector<int64_t>{0, int64_t{1} << 40},
+                             std::vector<int64_t>{
+                                 std::numeric_limits<int64_t>::min(),
+                                 std::numeric_limits<int64_t>::max()}}) {
+    EXPECT_EQ(ForEncodedColumn::Encode(MakeColumn(values)).status().code(),
+              StatusCode::kOutOfRange);
+  }
+}
+
+TEST(ForEncodingTest, ExtremePredicateBoundsSaturate) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  // Positive base: bounds near INT64_MIN would underflow when rebased.
+  Column pos = MakeColumn({5000000, 5000100, 5000050});
+  auto pos_enc = ForEncodedColumn::Encode(pos).ValueOrDie();
+  Pred empty = pos_enc.RewritePredicate(Pred::Lt(kMin + 1));
+  EXPECT_EQ(empty.op, Pred::Op::kBetween);
+  EXPECT_EQ(empty.lo, 1);
+  EXPECT_EQ(empty.hi, 0);
+  // Negative base: bounds near INT64_MAX would overflow when rebased.
+  Column neg = MakeColumn({-5000000, -4999900, -4999950});
+  auto neg_enc = ForEncodedColumn::Encode(neg).ValueOrDie();
+  QueryContext ctx;
+  for (const Pred& pred : {Pred::Lt(kMin + 1), Pred::Ne(kMin), Pred::Ne(kMax),
+                           Pred::Ge(kMax), Pred::Between(kMin, kMax)}) {
+    EXPECT_EQ(pos_enc.Select(&ctx, pred), ScanSelect(&ctx, pos, pred))
+        << "op " << static_cast<int>(pred.op) << " lo " << pred.lo;
+    EXPECT_EQ(neg_enc.Select(&ctx, pred), ScanSelect(&ctx, neg, pred))
+        << "op " << static_cast<int>(pred.op) << " lo " << pred.lo;
+  }
 }
 
 TEST(ForEncodingTest, EmptyColumn) {

@@ -158,25 +158,11 @@ TEST(GroupAggregateTest, MultipleSpecs) {
   EXPECT_EQ(groups[2], (std::vector<int64_t>{60, 2, 40}));
 }
 
-TEST(SortByTest, StableAndDirectional) {
-  QueryContext ctx;
-  std::vector<int64_t> keys = {5, 1, 5, 3};
-  PositionList pos = {10, 11, 12, 13};
-  EXPECT_EQ(SortBy(&ctx, keys, pos), (PositionList{11, 13, 10, 12}));
-  EXPECT_EQ(SortBy(&ctx, keys, pos, /*descending=*/true),
-            (PositionList{10, 12, 13, 11}));
-}
-
 TEST(BitmapConversionTest, RoundTrip) {
   PositionList pos = {0, 5, 63, 64, 100};
   BitVector bm = PositionsToBitmap(pos, 128);
   EXPECT_EQ(bm.CountOnes(), 5u);
   EXPECT_EQ(BitmapToPositions(bm), pos);
-}
-
-TEST(IntersectSortedTest, Basic) {
-  EXPECT_EQ(IntersectSorted({1, 3, 5, 7}, {3, 4, 5, 8}), (PositionList{3, 5}));
-  EXPECT_EQ(IntersectSorted({}, {1}), PositionList{});
 }
 
 TEST(TraceRecorderTest, RecordsOperatorTraffic) {

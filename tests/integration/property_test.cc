@@ -4,6 +4,8 @@
 // caches never lose or duplicate completions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/api.h"
 #include "util/rng.h"
 
@@ -220,7 +222,8 @@ TEST_P(OperatorAlgebraProperty, SelectDecomposesOverConjunction) {
   // Selectivity monotonicity: widening the range never loses positions.
   auto wider = db::ScanSelect(&ctx, col, db::Pred::Between(a, 99));
   EXPECT_GE(wider.size(), direct.size());
-  EXPECT_EQ(db::IntersectSorted(direct, wider), direct);
+  EXPECT_TRUE(
+      std::includes(wider.begin(), wider.end(), direct.begin(), direct.end()));
   // Bitmap round trip.
   EXPECT_EQ(db::BitmapToPositions(db::PositionsToBitmap(direct, col.size())),
             direct);

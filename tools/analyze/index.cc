@@ -1,5 +1,7 @@
 #include "index.h"
 
+#include <algorithm>
+#include <cctype>
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -355,6 +357,176 @@ void ScanStructFields(std::vector<SourceFile>& files, Index* idx) {
   }
 }
 
+// -- function declarations and references (test-only) ------------------------
+
+/// Tokens outside preprocessor directives (a '\'-continued #define included):
+/// the declaration scan reads C++ statements only.
+std::vector<const Tok*> StatementTokens(const SourceFile& f) {
+  std::vector<bool> directive(f.raw.size(), false);
+  for (size_t li = 0; li < f.raw.size(); ++li) {
+    const std::string& code = f.lex.code[li];
+    const size_t a = code.find_first_not_of(" \t");
+    const bool continued =
+        li > 0 && directive[li - 1] && f.raw[li - 1].ends_with('\\');
+    directive[li] = continued || (a != std::string::npos && code[a] == '#');
+  }
+  std::vector<const Tok*> out;
+  for (const Tok& t : f.lex.tokens) {
+    if (!directive[t.line - 1]) out.push_back(&t);
+  }
+  return out;
+}
+
+/// Updates template-argument depth for one punctuator.
+void TrackAngle(const Tok& t, int* angle) {
+  if (t.kind != TokKind::kPunct) return;
+  if (t.text == "<") ++*angle;
+  if (t.text == ">" && *angle > 0) --*angle;
+  if (t.text == ">>") *angle = std::max(0, *angle - 2);
+}
+
+/// The function name a namespace- or class-scope statement [begin, end)
+/// declares, or nullptr: the identifier before the first top-level '(' when
+/// no '=' precedes it. Constructors (name == owner or qualifier),
+/// destructors, operators, macros, static_asserts and function-pointer
+/// declarators (`void (*fn)(int)`) declare no function.
+const Tok* Declarator(const std::vector<const Tok*>& toks, size_t begin,
+                      size_t end, const std::string& owner) {
+  static const std::set<std::string> kNotAFunction = {
+      "static_assert", "void",  "bool",   "char",  "int",    "long",
+      "short",         "float", "double", "signed", "unsigned", "auto"};
+  int angle = 0;
+  for (size_t k = begin; k < end; ++k) {
+    const Tok& t = *toks[k];
+    if (t.kind == TokKind::kIdent && t.text == "operator") return nullptr;
+    TrackAngle(t, &angle);
+    if (angle > 0 || t.kind != TokKind::kPunct) continue;
+    if (t.text == "=") return nullptr;
+    if (t.text != "(") continue;
+    if (k == begin || toks[k - 1]->kind != TokKind::kIdent) return nullptr;
+    const Tok* name = toks[k - 1];
+    if (kNotAFunction.count(name->text) > 0 || name->text == owner) {
+      return nullptr;
+    }
+    if (std::none_of(name->text.begin(), name->text.end(), [](char c) {
+          return std::islower(static_cast<unsigned char>(c));
+        })) {
+      return nullptr;  // MACRO(...)
+    }
+    if (k >= 2 + begin) {
+      const Tok& before = *toks[k - 2];
+      if (IsPunct(before, "~")) return nullptr;
+      if (IsPunct(before, "::") && k >= 3 + begin &&
+          toks[k - 3]->text == name->text) {
+        return nullptr;  // out-of-line constructor Foo::Foo(
+      }
+    }
+    return name;
+  }
+  return nullptr;
+}
+
+/// What a '{' at namespace or class scope opens: a namespace (declarations
+/// continue inside), a class body (declarations of `*owner`), or anything
+/// else — function body, initializer, enum — whose contents declare nothing.
+enum class Brace { kNamespace, kClass, kBody };
+
+Brace Classify(const std::vector<const Tok*>& toks, size_t begin, size_t end,
+               std::string* owner) {
+  int angle = 0;
+  for (size_t k = begin; k < end; ++k) {
+    const Tok& t = *toks[k];
+    TrackAngle(t, &angle);
+    if (angle > 0) continue;
+    if (IsPunct(t, "(") || IsPunct(t, "=")) return Brace::kBody;
+    if (t.kind != TokKind::kIdent) continue;
+    if (t.text == "namespace") return Brace::kNamespace;
+    if (t.text == "enum") return Brace::kBody;
+    if (t.text == "struct" || t.text == "class" || t.text == "union") {
+      if (k + 1 < end && toks[k + 1]->kind == TokKind::kIdent) {
+        *owner = toks[k + 1]->text;
+      }
+      return Brace::kClass;
+    }
+  }
+  return Brace::kBody;
+}
+
+/// The declarator tokens of every function declared or defined at namespace
+/// or class scope of `f`. Function bodies and initializers are skipped.
+std::vector<const Tok*> DeclaredFunctions(const SourceFile& f) {
+  const std::vector<const Tok*> toks = StatementTokens(f);
+  struct Scope {
+    bool declares;
+    std::string owner;
+  };
+  std::vector<Scope> scopes = {{true, ""}};
+  std::vector<const Tok*> out;
+  size_t stmt = 0;
+  auto declare = [&](size_t end) {
+    if (const Tok* name = Declarator(toks, stmt, end, scopes.back().owner)) {
+      out.push_back(name);
+    }
+  };
+  for (size_t i = 0; i < toks.size(); ++i) {
+    const Tok& t = *toks[i];
+    if (t.kind != TokKind::kPunct) continue;
+    if (!scopes.back().declares) {
+      if (t.text == "{") scopes.push_back({false, ""});
+      if (t.text == "}" && scopes.size() > 1) {
+        scopes.pop_back();
+        stmt = i + 1;
+      }
+      continue;
+    }
+    if (t.text == ";") {
+      declare(i);
+      stmt = i + 1;
+    } else if (t.text == "{") {
+      std::string owner = scopes.back().owner;
+      const Brace kind = Classify(toks, stmt, i, &owner);
+      if (kind == Brace::kBody) declare(i);
+      scopes.push_back({kind != Brace::kBody, owner});
+      stmt = i + 1;
+    } else if (t.text == "}") {
+      if (scopes.size() > 1) scopes.pop_back();
+      stmt = i + 1;
+    } else if (t.text == ":" && i == stmt + 1 &&
+               (toks[stmt]->text == "public" ||
+                toks[stmt]->text == "private" ||
+                toks[stmt]->text == "protected")) {
+      stmt = i + 1;
+    }
+  }
+  return out;
+}
+
+void ScanFunctions(const std::vector<SourceFile>& files,
+                   const std::vector<SourceFile>& corpus, Index* idx) {
+  std::set<const Tok*> declarators;
+  for (size_t fi = 0; fi < files.size(); ++fi) {
+    const SourceFile& f = files[fi];
+    if (f.top != "src") continue;
+    for (const Tok* name : DeclaredFunctions(f)) {
+      declarators.insert(name);
+      if (f.is_header) {
+        idx->header_functions.push_back(
+            FunctionDecl{fi, name->line, name->text});
+      }
+    }
+  }
+  auto reach = [&](const SourceFile& f) {
+    if (f.top == "tests") return;
+    for (const Tok& t : f.lex.tokens) {
+      if (t.kind == TokKind::kIdent && declarators.count(&t) == 0) {
+        idx->reached.insert(t.text);
+      }
+    }
+  };
+  for (const SourceFile& f : files) reach(f);
+  for (const SourceFile& f : corpus) reach(f);
+}
+
 void ScanIncludes(std::vector<SourceFile>& files, Index* idx) {
   static const std::regex kInclude(R"re(^\s*#\s*include\s*"([^"]+)")re");
   for (size_t fi = 0; fi < files.size(); ++fi) {
@@ -493,11 +665,13 @@ std::vector<std::pair<std::string, bool>> Pieces(const PathFrag& frag) {
 }
 
 Index BuildIndex(std::vector<SourceFile>& files,
+                 const std::vector<SourceFile>& corpus,
                  const std::filesystem::path& root) {
   Index idx;
   ScanStats(files, &idx);
   ScanKnobs(files, &idx);
   ScanStructFields(files, &idx);
+  ScanFunctions(files, corpus, &idx);
   ScanIncludes(files, &idx);
   ParseReadme(root / "README.md", &idx);
   ParseCmake(root / "CMakeLists.txt", &idx);

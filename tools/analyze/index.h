@@ -5,6 +5,10 @@
 // CMakeLists option()s, tools/check.sh). The index is data only — the
 // judgments live in passes.cc.
 //
+// Call corpus. The files under examples/ and perfbench/ are never rule-
+// checked, but they are programs that reach src/: their identifiers count as
+// references for the test-only pass, exactly like src/ and bench/ ones.
+//
 // Stats universe. Registration calls are token-scanned; a string literal
 // whose next token is '+' is a *dynamic* name and contributes its complete
 // interior dot-segments plus a trailing prefix (Sub("ctrl" + c) yields scope
@@ -73,6 +77,14 @@ struct IncludeEdge {
   std::string target;  ///< the quoted path as written
 };
 
+/// A function declared at namespace or class scope of a src/ header
+/// (constructors, destructors and operators excluded).
+struct FunctionDecl {
+  size_t file = 0;
+  size_t line = 0;
+  std::string name;
+};
+
 /// One knob row of the README table (multi-knob cells are split).
 struct ReadmeKnob {
   std::string name;
@@ -100,6 +112,12 @@ struct Index {
   /// class body (first declarator of each member declaration).
   std::set<std::string> fields;
 
+  std::vector<FunctionDecl> header_functions;
+  /// Every identifier that occurs outside tests/ (src/, bench/ and the call
+  /// corpus) other than as the declarator of a src/ function declaration or
+  /// definition: the names some non-test program reaches.
+  std::set<std::string> reached;
+
   std::vector<ReadmeKnob> readme;
   bool have_readme = false;
   std::string readme_rel;  ///< for finding anchors, e.g. "README.md"
@@ -108,7 +126,10 @@ struct Index {
   bool have_cmake = false;
 };
 
+/// `corpus` holds the examples/ and perfbench/ files: read for references
+/// only, never rule-checked.
 Index BuildIndex(std::vector<SourceFile>& files,
+                 const std::vector<SourceFile>& corpus,
                  const std::filesystem::path& root);
 
 /// Dot-split of one fragment: (piece, complete) pairs with empty pieces

@@ -5,8 +5,10 @@
 //
 //   * the eleven seed rules run per file over lexed (comment/string-clean)
 //     lines — see rules_file.cc;
-//   * four whole-program passes (stats coherence, guarded-by, layer DAG,
-//     knob coherence) run over the cross-TU index — see passes.cc;
+//   * the whole-program passes (stats coherence, guarded-by, layer DAG,
+//     knob coherence, bounded queues, test-only) run over the cross-TU
+//     index — see passes.cc. examples/ and perfbench/ are read as a call
+//     corpus for test-only but never rule-checked;
 //   * two meta rules make the waiver ledger itself honest: every waiver
 //     needs a reason, and a waiver that suppresses nothing is a finding.
 //
@@ -41,6 +43,36 @@ bool SkippedPath(const std::string& rel) {
   return rel.rfind("tests/lint/fixtures", 0) == 0;
 }
 
+/// Appends every .h/.cc under root/dir. Returns false if the directory is
+/// missing.
+bool ListSources(const fs::path& root, const char* dir,
+                 std::vector<fs::path>* out) {
+  const fs::path sub = root / dir;
+  if (!fs::exists(sub)) return false;
+  for (const auto& entry : fs::recursive_directory_iterator(sub)) {
+    if (!entry.is_regular_file()) continue;
+    const fs::path ext = entry.path().extension();
+    if (ext == ".h" || ext == ".cc") out->push_back(entry.path());
+  }
+  return true;
+}
+
+/// Loads `paths` into `out`, dropping the rule fixtures (SkippedPath). Returns
+/// false on an unreadable file.
+bool LoadAll(const fs::path& root, const std::vector<fs::path>& paths,
+             std::vector<SourceFile>* out) {
+  for (const fs::path& path : paths) {
+    SourceFile f;
+    if (!LoadSourceFile(root, path, &f)) {
+      std::fprintf(stderr, "ndp_analyze: cannot read %s\n",
+                   path.string().c_str());
+      return false;
+    }
+    if (!SkippedPath(f.rel)) out->push_back(std::move(f));
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -69,36 +101,28 @@ int main(int argc, char** argv) {
 
   std::vector<fs::path> paths;
   for (const char* dir : {"src", "bench", "tests"}) {
-    const fs::path sub = root / dir;
-    if (!fs::exists(sub)) {
+    if (!ListSources(root, dir, &paths)) {
       std::fprintf(stderr, "ndp_analyze: missing directory %s\n",
-                   sub.string().c_str());
+                   (root / dir).string().c_str());
       return 2;
-    }
-    for (const auto& entry : fs::recursive_directory_iterator(sub)) {
-      if (!entry.is_regular_file()) continue;
-      const fs::path ext = entry.path().extension();
-      if (ext == ".h" || ext == ".cc") paths.push_back(entry.path());
     }
   }
   std::sort(paths.begin(), paths.end());
+  std::vector<fs::path> corpus_paths;
+  for (const char* dir : {"examples", "perfbench"}) {
+    ListSources(root, dir, &corpus_paths);  // optional
+  }
+  std::sort(corpus_paths.begin(), corpus_paths.end());
 
   std::vector<SourceFile> files;
-  files.reserve(paths.size());
-  for (const fs::path& path : paths) {
-    SourceFile f;
-    if (!LoadSourceFile(root, path, &f)) {
-      std::fprintf(stderr, "ndp_analyze: cannot read %s\n",
-                   path.string().c_str());
-      return 2;
-    }
-    if (SkippedPath(f.rel)) continue;
-    files.push_back(std::move(f));
+  std::vector<SourceFile> corpus;
+  if (!LoadAll(root, paths, &files) || !LoadAll(root, corpus_paths, &corpus)) {
+    return 2;
   }
 
   std::vector<Finding> findings;
   for (SourceFile& f : files) RunFileRules(f, &findings);
-  const Index idx = BuildIndex(files, root);
+  const Index idx = BuildIndex(files, corpus, root);
   RunPasses(files, idx, &findings);
   RunMetaPasses(files, &findings);
 

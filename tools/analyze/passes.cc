@@ -599,6 +599,28 @@ void PassBoundedQueue(std::vector<SourceFile>& files, const Index& idx,
   }
 }
 
+// -- test-only ----------------------------------------------------------------
+
+/// A src/ header function that only tests reach is code the simulator,
+/// benches and examples never run: delete it, or waive a hook that exists so
+/// tests can observe state. References are by name, so an overloaded or
+/// shadowed name is reached if any of its uses is. lower_snake_case names
+/// are the style's trivial accessors (`activate_count()`): reading a field
+/// back is observation, not dead behaviour, so they are exempt.
+void PassTestOnly(std::vector<SourceFile>& files, const Index& idx,
+                  std::vector<Finding>* out) {
+  for (const FunctionDecl& fn : idx.header_functions) {
+    if (std::islower(static_cast<unsigned char>(fn.name[0]))) continue;
+    if (idx.reached.count(fn.name) > 0) continue;
+    Emit(files[fn.file], fn.line, "test-only",
+         "function '" + fn.name +
+             "' is reached only from tests/ (or from nowhere): no src/, "
+             "bench/, examples/ or perfbench/ code names it; delete it or "
+             "waive a test-observability hook with a reason",
+         out);
+  }
+}
+
 }  // namespace
 
 void RunPasses(std::vector<SourceFile>& files, const Index& idx,
@@ -608,6 +630,7 @@ void RunPasses(std::vector<SourceFile>& files, const Index& idx,
   PassLayerDag(files, idx, out);
   PassKnobCoherence(files, idx, out);
   PassBoundedQueue(files, idx, out);
+  PassTestOnly(files, idx, out);
 }
 
 void RunMetaPasses(std::vector<SourceFile>& files, std::vector<Finding>* out) {

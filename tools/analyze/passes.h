@@ -20,6 +20,12 @@
 //                       "// ndp: bounded-by(<Struct>::<field>)" annotation
 //                       naming a member some scanned struct declares, or a
 //                       reasoned waiver for setup-time state
+//   test-only           a function declared in a src/ header must be named by
+//                       some file outside tests/ (src/, bench/, or the
+//                       examples/ + perfbench/ call corpus) other than at its
+//                       own declaration and definition; otherwise delete it
+//                       or waive a test-observability hook with a reason
+//                       (lower_snake_case accessors are exempt)
 //
 // Meta rules (unwaivable, run last):
 //   waiver-reason       a waiver must say why the line is exempt
