@@ -139,8 +139,7 @@ struct NdpRuntime::Job {
   uint64_t total_rows = 0;
   uint64_t rows_completed = 0;
   uint64_t matches = 0;
-  int64_t agg_value = 0;
-  bool agg_first = true;
+  int64_t agg_value = 0;  ///< kAggregate: seeded with the kind's identity
   uint64_t leases = 0;
   // -- Probe state (kProbe only) ---------------------------------------------
   /// Host-built Bloom image over the build keys; the source of every
@@ -428,6 +427,7 @@ Result<NdpRuntime::JobId> NdpRuntime::Submit(const PlacedColumn& col,
   job->lo = lo;
   job->hi = hi;
   job->agg = agg;
+  if (kind == JobKind::kAggregate) job->agg_value = jafar::AggIdentity(agg);
   job->total_rows = col.total_rows;
   if (KindHasBitmap(kind)) job->bitmap.Resize(col.total_rows);
   if (kind == JobKind::kProbe) {
@@ -771,21 +771,7 @@ void NdpRuntime::OnLeaseDone(Lane& lane, const Status& status,
     } else {
       int64_t partial = static_cast<int64_t>(
           array_->dram().backing_store().Read64(lane.agg_scratch));
-      switch (job.agg) {
-        case jafar::AggKind::kSum:
-        case jafar::AggKind::kCount:
-          job.agg_value += partial;
-          break;
-        case jafar::AggKind::kMin:
-          job.agg_value =
-              job.agg_first ? partial : std::min(job.agg_value, partial);
-          break;
-        case jafar::AggKind::kMax:
-          job.agg_value =
-              job.agg_first ? partial : std::max(job.agg_value, partial);
-          break;
-      }
-      job.agg_first = false;
+      job.agg_value = jafar::AggMerge(job.agg, job.agg_value, partial);
     }
     c.rows_done += lane.cur_lease_rows;
     job.rows_completed += lane.cur_lease_rows;
@@ -1021,18 +1007,7 @@ void NdpRuntime::MergeGroup(Job& job, int64_t key, int64_t agg,
                             int64_t count) {
   auto [it, fresh] = job.groups.try_emplace(key, agg, count);
   if (fresh) return;
-  switch (job.agg) {
-    case jafar::AggKind::kSum:
-    case jafar::AggKind::kCount:
-      it->second.first += agg;
-      break;
-    case jafar::AggKind::kMin:
-      it->second.first = std::min(it->second.first, agg);
-      break;
-    case jafar::AggKind::kMax:
-      it->second.first = std::max(it->second.first, agg);
-      break;
-  }
+  it->second.first = jafar::AggMerge(job.agg, it->second.first, agg);
   it->second.second += count;
 }
 

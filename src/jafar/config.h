@@ -19,8 +19,8 @@ namespace ndp::jafar {
 /// \brief Static configuration of one JAFAR unit (one per DIMM/rank).
 struct DeviceConfig {
   /// Which datapath generation this unit instantiates (see generation.h).
-  /// The shell is identical across generations; the DatapathModel factory
-  /// dispatches on this exactly once, at device construction.
+  /// The shell is identical across generations; the Device constructor
+  /// dispatches on this exactly once, creating the v2 scan sequencer or not.
   DeviceGeneration generation = DeviceGeneration::kV1RankIo;
 
   /// JAFAR generates its own clock at twice the data bus clock (§2.2).

@@ -6,7 +6,7 @@
 #include "fault/ecc.h"
 #include "fault/injector.h"
 #include "jafar/checksum.h"
-#include "jafar/datapath.h"
+#include "jafar/bank_scan.h"
 #include "util/logging.h"
 #include "util/macros.h"
 
@@ -44,8 +44,10 @@ Device::Device(dram::DramSystem* dram, uint32_t channel_index,
   stats.Counter("energy_fj", &stats_.energy_fj);
   stats.Counter("polite_backoffs", &stats_.polite_backoffs);
   stats.Counter("refresh_backoffs", &stats_.refresh_backoffs);
-  datapath_ = MakeDatapathModel(config_.generation, this);
-  datapath_->Attach(stats);
+  // ndp-lint: generation-dispatch-ok the one v1/v2 dispatch site
+  if (config_.generation == DeviceGeneration::kV2BankLevel) {
+    bank_scan_ = std::make_unique<BankScan>(this, stats);
+  }
 }
 
 Device::~Device() = default;
@@ -59,8 +61,17 @@ int64_t Device::ReadValue(uint64_t addr) const {
   return v;
 }
 
-Status Device::CheckRange(uint64_t base, uint64_t len) const {
+Status Device::CheckRange(uint64_t base, uint64_t count,
+                          uint64_t elem_bytes) const {
+  uint64_t len;
+  if (__builtin_mul_overflow(count, elem_bytes, &len)) {
+    return Status::InvalidArgument("job byte length overflows 64 bits");
+  }
   if (len == 0) return Status::InvalidArgument("empty range");
+  const uint64_t capacity = dram_->mapper().organization().TotalBytes();
+  if (base < capacity && len > capacity - base) {
+    return Status::InvalidArgument("job range runs past installed capacity");
+  }
   auto first = dram_->mapper().Decode(base);
   NDP_RETURN_NOT_OK(first.status());
   auto last = dram_->mapper().Decode(base + len - 1);
@@ -103,7 +114,7 @@ void Device::ScheduleAfterGuarded(sim::Tick delta, std::function<void()> fn) {
 }
 
 void Device::EndJob() {
-  datapath_->OnJobTeardown();
+  if (bank_scan_) bank_scan_->Teardown();
   if (active_is<ProbeJob>()) {
     // The job may end mid filter-load; close the shadow window (idempotent).
     channel().NoteProbeFilterLoadDone(rank_index_);
@@ -142,8 +153,17 @@ bool Device::MaybeInjectHang() {
   return false;
 }
 
+bool Device::DrawStallAtBurst() {
+#ifdef NDP_FAULT_INJECT
+  return injector_ != nullptr && injector_->DrawStallAtBurst();
+#else
+  return false;
+#endif
+}
+
 bool Device::HandleReadFault(uint64_t burst_addr) {
 #ifdef NDP_FAULT_INJECT
+  if (injector_ == nullptr) return true;
   fault::ReadFault rf = injector_->DrawReadBurst();
   if (rf == fault::ReadFault::kNone) return true;
   // Model the flip on the burst's first 64-bit word through the SECDED
@@ -289,11 +309,9 @@ void Device::ReadBurst(uint64_t addr, std::function<void(sim::Tick)> next) {
           [this, addr, next](sim::Tick done) {
             ++stats_.bursts_read;
             stats_.data_wait_ps += BusCycles(timing().cl);
-#ifdef NDP_FAULT_INJECT
-            if (injector_ != nullptr && !HandleReadFault(addr)) {
+            if (!HandleReadFault(addr)) {
               return;  // uncorrectable ECC: FailJob already ran
             }
-#endif
             next(done);
           },
           /*on_stale=*/[self] { (*self)(); });
@@ -352,12 +370,13 @@ Status Device::Start(const JobDescriptor& job,
 }
 
 // ---------------------------------------------------------------------------
-// Select / row-store / probe: the scan kinds. Their sequencer lives in the
-// generation's DatapathModel; the shell keeps admission and writeback.
+// Select / row-store / probe: the scan kinds. v1 runs ScanStep below; v2 runs
+// Device::BankScan (bank_scan.cc). Both evaluate rows with EvalScanRows and
+// share the bitmap writeback.
 
 Status Device::Validate(const SelectJob& job) const {
-  NDP_RETURN_NOT_OK(CheckRange(job.col_base, job.num_rows * config_.elem_bytes));
-  NDP_RETURN_NOT_OK(CheckRange(job.out_base, (job.num_rows + 7) / 8));
+  NDP_RETURN_NOT_OK(CheckRange(job.col_base, job.num_rows, config_.elem_bytes));
+  NDP_RETURN_NOT_OK(CheckRange(job.out_base, (job.num_rows + 7) / 8, 1));
   if (job.col_base % kBurstBytes != 0 || job.out_base % kBurstBytes != 0) {
     return Status::InvalidArgument("col_base/out_base must be 64 B aligned");
   }
@@ -376,9 +395,8 @@ Status Device::Validate(const RowStoreJob& job) const {
       return Status::InvalidArgument("predicate attribute outside tuple");
     }
   }
-  NDP_RETURN_NOT_OK(
-      CheckRange(job.tuple_base, job.num_tuples * job.tuple_bytes));
-  NDP_RETURN_NOT_OK(CheckRange(job.out_base, (job.num_tuples + 7) / 8));
+  NDP_RETURN_NOT_OK(CheckRange(job.tuple_base, job.num_tuples, job.tuple_bytes));
+  NDP_RETURN_NOT_OK(CheckRange(job.out_base, (job.num_tuples + 7) / 8, 1));
   if (job.tuple_base % kBurstBytes != 0 || job.out_base % kBurstBytes != 0) {
     return Status::InvalidArgument("tuple_base/out_base must be 64 B aligned");
   }
@@ -402,9 +420,9 @@ Status Device::Validate(const ProbeJob& job) const {
   if (config_.probe_words_per_cycle <= 0.0) {
     return Status::Unimplemented("datapath has no scheduled probe kernel");
   }
-  NDP_RETURN_NOT_OK(CheckRange(job.col_base, job.num_rows * 8));
-  NDP_RETURN_NOT_OK(CheckRange(job.out_base, (job.num_rows + 7) / 8));
-  NDP_RETURN_NOT_OK(CheckRange(job.filter_base, job.filter_words * 8));
+  NDP_RETURN_NOT_OK(CheckRange(job.col_base, job.num_rows, 8));
+  NDP_RETURN_NOT_OK(CheckRange(job.out_base, (job.num_rows + 7) / 8, 1));
+  NDP_RETURN_NOT_OK(CheckRange(job.filter_base, job.filter_words, 8));
   if (job.col_base % kBurstBytes != 0 || job.out_base % kBurstBytes != 0 ||
       job.filter_base % kBurstBytes != 0) {
     return Status::InvalidArgument(
@@ -413,13 +431,35 @@ Status Device::Validate(const ProbeJob& job) const {
   return Status::OK();
 }
 
-void Device::Begin(const SelectJob&) { datapath_->BeginScan(); }
+void Device::Begin(const SelectJob&) { BeginScan(); }
 
-void Device::Begin(const RowStoreJob&) { datapath_->BeginScan(); }
+void Device::Begin(const RowStoreJob&) { BeginScan(); }
 
-// BeginProbe (datapath base, generation-neutral) streams the Bloom image into
-// the probe SRAM before handing over to the generation's scan loop.
-void Device::Begin(const ProbeJob&) { datapath_->BeginProbe(); }
+void Device::Begin(const ProbeJob& job) {
+  // Filter preload, shared by both generations: announce the load window to
+  // the shadow checker, stream the Bloom image out of DRAM with ordinary
+  // reads (the timing), latch it into the probe SRAM (the function), close
+  // the window, and only then start the scan sequencer.
+  channel().NoteProbeFilterLoadStart(rank_index_, eq_->Now());
+  probe_sram_.assign(job.filter_words, 0);
+  uint64_t bursts = (job.filter_words * 8 + kBurstBytes - 1) / kBurstBytes;
+  ReadBurstChain(job.filter_base, bursts, [this](sim::Tick) {
+    const ProbeJob& j = active_job<ProbeJob>();
+    for (uint64_t w = 0; w < j.filter_words; ++w) {
+      probe_sram_[w] = dram_->backing_store().Read64(j.filter_base + w * 8);
+    }
+    channel().NoteProbeFilterLoadDone(rank_index_);
+    BeginScan();
+  });
+}
+
+void Device::BeginScan() {
+  if (bank_scan_) {
+    bank_scan_->Begin();
+  } else {
+    ScanStep();
+  }
+}
 
 bool Device::EvalProbeKey(int64_t key) const {
   const ProbeJob& job = active_job<ProbeJob>();
@@ -431,9 +471,95 @@ bool Device::EvalProbeKey(int64_t key) const {
   return true;
 }
 
-// The scan sequencer itself (the former SelectStep loop) lives in the
-// generation's DatapathModel: datapath_v1.cc keeps the rank-IO loop
-// unchanged, datapath_v2.cc replaces it with bank-parallel waves.
+uint64_t Device::ScanBase() const {
+  if (active_is<RowStoreJob>()) return active_job<RowStoreJob>().tuple_base;
+  if (active_is<ProbeJob>()) return active_job<ProbeJob>().col_base;
+  return active_job<SelectJob>().col_base;
+}
+
+uint32_t Device::ScanStride() const {
+  return active_is<RowStoreJob>() ? active_job<RowStoreJob>().tuple_bytes
+                                  : config_.elem_bytes;
+}
+
+bool Device::EvalScanRow(uint64_t r) const {
+  const uint64_t addr = ScanBase() + r * ScanStride();
+  if (active_is<RowStoreJob>()) {
+    for (const RowPredicate& p : active_job<RowStoreJob>().predicates) {
+      int64_t v = static_cast<int64_t>(
+          dram_->backing_store().Read64(addr + p.attr_offset_bytes));
+      if (!EvalCompare(p.op, v, p.range_low, p.range_high)) return false;
+    }
+    return true;
+  }
+  if (active_is<ProbeJob>()) return EvalProbeKey(ReadValue(addr));
+  const SelectJob& sel = active_job<SelectJob>();
+  return EvalCompare(sel.op, ReadValue(addr), sel.range_low, sel.range_high);
+}
+
+void Device::EvalScanRows(uint64_t last) {
+  uint64_t r = cursor_rows_;
+  uint64_t matches = 0;
+  for (; r < last && pending_bit_count_ < config_.output_buffer_bits; ++r) {
+    bool pass = EvalScanRow(r);
+    pending_bits_.SetTo(pending_bit_count_++, pass);
+    matches += pass;
+  }
+  CountMatches(matches);
+  stats_.rows_processed += r - cursor_rows_;
+  cursor_rows_ = r;
+}
+
+void Device::ScanStep() {
+  const uint64_t total_rows = JobRows(*job_);
+  if (cursor_rows_ >= total_rows) {
+    // Final (possibly partial) bitmap flush, then done.
+    FlushBitmap([this] { FinishJob(); });
+    return;
+  }
+  const uint64_t base = ScanBase();
+  const uint32_t row_bytes = ScanStride();
+  // The burst containing the next unprocessed row, and the rows whose data
+  // completes within it.
+  uint64_t burst_addr = base + cursor_rows_ * row_bytes;
+  burst_addr -= burst_addr % kBurstBytes;
+  const uint64_t last = std::min<uint64_t>(
+      total_rows, (burst_addr + kBurstBytes - base + row_bytes - 1) / row_bytes);
+  ReadBurst(burst_addr, [this, last](sim::Tick data_done) {
+    if (DrawStallAtBurst()) {
+      // Sequencer stall mid-scan: the partial bitmap may already be in DRAM,
+      // but this burst's rows are never accumulated. The device stays busy
+      // with no pending events until the driver watchdog aborts it.
+      return;
+    }
+    // Scans start 64 B aligned and the buffer holds a multiple of 512 rows,
+    // so every buffer boundary falls on a burst boundary: the buffer never
+    // fills mid-burst here.
+    EvalScanRows(last);
+    // Datapath timing: one word per II from the IO buffer. Probe jobs run
+    // the hash-lane kernel's (slower) schedule instead of the comparator's.
+    const uint32_t words = kBurstBytes / 8;
+    const bool probe = active_is<ProbeJob>();
+    ChargeEngine(data_done,
+                 probe ? config_.ProbeBurstProcessingPs(words)
+                       : config_.BurstProcessingPs(words),
+                 (probe ? config_.probe_energy_per_word_fj
+                        : config_.energy_per_word_fj) *
+                     words);
+    if (pending_bit_count_ >= config_.output_buffer_bits) {
+      FlushBitmap([this] { ContinueWhenEngineReady(&Device::ScanStep); });
+    } else {
+      ContinueWhenEngineReady(&Device::ScanStep);
+    }
+  });
+}
+
+void Device::ChargeEngine(sim::Tick data_done, sim::Tick proc,
+                          double energy_fj) {
+  engine_ready_at_ = std::max(data_done, engine_ready_at_) + proc;
+  stats_.engine_busy_ps += proc;
+  stats_.energy_fj += energy_fj;
+}
 
 void Device::ContinueWhenEngineReady(void (Device::*step)()) {
   // Throttle command issue so a slow datapath (words_per_cycle < 1) does not
@@ -546,8 +672,8 @@ Status Device::Validate(const SortJob& job) const {
   if (config_.elem_bytes != 8) {
     return Status::Unimplemented("sort engine operates on 64-bit words");
   }
-  NDP_RETURN_NOT_OK(CheckRange(job.col_base, job.num_rows * 8));
-  NDP_RETURN_NOT_OK(CheckRange(job.out_base, job.num_rows * 8));
+  NDP_RETURN_NOT_OK(CheckRange(job.col_base, job.num_rows, 8));
+  NDP_RETURN_NOT_OK(CheckRange(job.out_base, job.num_rows, 8));
   if (job.col_base % kBurstBytes != 0 || job.out_base % kBurstBytes != 0) {
     return Status::InvalidArgument("sort addresses must be 64 B aligned");
   }
@@ -596,13 +722,9 @@ void Device::SortStep() {
 
     uint64_t sort_cycles =
         config_.SortBlockCycles(static_cast<uint32_t>(block_rows));
-    sim::Tick start = std::max(last_data, engine_ready_at_);
-    sim::Tick proc = sort_cycles * config_.clock.period_ps();
-    engine_ready_at_ = start + proc;
-    stats_.engine_busy_ps += proc;
+    ChargeEngine(last_data, sort_cycles * config_.clock.period_ps(),
+                 config_.energy_per_word_fj * static_cast<double>(block_rows));
     stats_.rows_processed += block_rows;
-    stats_.energy_fj +=
-        config_.energy_per_word_fj * static_cast<double>(block_rows);
 
     cursor_rows_ += block_rows;
     // 3. Write the sorted run back once the network finishes, then continue
@@ -619,27 +741,14 @@ void Device::SortStep() {
 // ---------------------------------------------------------------------------
 // Aggregate
 
-namespace {
-/// The fold identity of `kind`: what an accumulator holds before any row.
-int64_t AggIdentity(AggKind kind) {
-  switch (kind) {
-    case AggKind::kSum:
-    case AggKind::kCount: return 0;
-    case AggKind::kMin: return INT64_MAX;
-    case AggKind::kMax: return INT64_MIN;
-  }
-  return 0;
-}
-}  // namespace
-
 Status Device::Validate(const AggregateJob& job) const {
   if (config_.elem_bytes != 8) {
     return Status::Unimplemented("aggregate engine operates on 64-bit words");
   }
-  NDP_RETURN_NOT_OK(CheckRange(job.col_base, job.num_rows * config_.elem_bytes));
-  NDP_RETURN_NOT_OK(CheckRange(job.out_addr, 8));
+  NDP_RETURN_NOT_OK(CheckRange(job.col_base, job.num_rows, config_.elem_bytes));
+  NDP_RETURN_NOT_OK(CheckRange(job.out_addr, 1, 8));
   if (job.bitmap_base != 0) {
-    NDP_RETURN_NOT_OK(CheckRange(job.bitmap_base, (job.num_rows + 7) / 8));
+    NDP_RETURN_NOT_OK(CheckRange(job.bitmap_base, (job.num_rows + 7) / 8, 1));
   }
   if (job.col_base % kBurstBytes != 0) {
     return Status::InvalidArgument("col_base must be 64 B aligned");
@@ -680,22 +789,15 @@ void Device::AggregateStep() {
         }
         int64_t v = static_cast<int64_t>(
             dram_->backing_store().Read64(jb.col_base + r * config_.elem_bytes));
-        switch (jb.kind) {
-          case AggKind::kSum: agg_acc_ += v; break;
-          case AggKind::kCount: agg_acc_ += 1; break;
-          case AggKind::kMin: agg_acc_ = std::min(agg_acc_, v); break;
-          case AggKind::kMax: agg_acc_ = std::max(agg_acc_, v); break;
-        }
+        agg_acc_ =
+            AggMerge(jb.kind, agg_acc_, jb.kind == AggKind::kCount ? 1 : v);
         CountMatches(1);
       }
       stats_.rows_processed += rows_here;
       cursor_rows_ += rows_here;
       uint32_t words = kBurstBytes / 8;
-      sim::Tick start = std::max(data_done, engine_ready_at_);
-      sim::Tick proc = config_.BurstProcessingPs(words);
-      engine_ready_at_ = start + proc;
-      stats_.engine_busy_ps += proc;
-      stats_.energy_fj += config_.energy_per_word_fj * words;
+      ChargeEngine(data_done, config_.BurstProcessingPs(words),
+                   config_.energy_per_word_fj * words);
       ContinueWhenEngineReady(&Device::AggregateStep);
     });
   };
@@ -715,12 +817,11 @@ Status Device::Validate(const GroupByJob& job) const {
   if (config_.elem_bytes != 8) {
     return Status::Unimplemented("group-by engine operates on 64-bit words");
   }
-  NDP_RETURN_NOT_OK(CheckRange(job.key_base, job.num_rows * 8));
-  NDP_RETURN_NOT_OK(CheckRange(job.val_base, job.num_rows * 8));
-  NDP_RETURN_NOT_OK(
-      CheckRange(job.out_base, config_.groupby_buckets * 16));
+  NDP_RETURN_NOT_OK(CheckRange(job.key_base, job.num_rows, 8));
+  NDP_RETURN_NOT_OK(CheckRange(job.val_base, job.num_rows, 8));
+  NDP_RETURN_NOT_OK(CheckRange(job.out_base, config_.groupby_buckets, 16));
   if (job.bitmap_base != 0) {
-    NDP_RETURN_NOT_OK(CheckRange(job.bitmap_base, (job.num_rows + 7) / 8));
+    NDP_RETURN_NOT_OK(CheckRange(job.bitmap_base, (job.num_rows + 7) / 8, 1));
     if (job.bitmap_base % kBurstBytes != 0) {
       return Status::InvalidArgument("bitmap_base must be 64 B aligned");
     }
@@ -802,16 +903,8 @@ void Device::ProcessGroupByChunk(uint64_t chunk_rows, sim::Tick data_done) {
     }
     int64_t v = static_cast<int64_t>(
         dram_->backing_store().Read64(j.val_base + r * 8));
-    switch (j.kind) {
-      case AggKind::kSum: groupby_agg_[bucket] += v; break;
-      case AggKind::kCount: groupby_agg_[bucket] += 1; break;
-      case AggKind::kMin:
-        groupby_agg_[bucket] = std::min(groupby_agg_[bucket], v);
-        break;
-      case AggKind::kMax:
-        groupby_agg_[bucket] = std::max(groupby_agg_[bucket], v);
-        break;
-    }
+    groupby_agg_[bucket] = AggMerge(j.kind, groupby_agg_[bucket],
+                                    j.kind == AggKind::kCount ? 1 : v);
     ++groupby_count_[bucket];
     CountMatches(1);
   }
@@ -820,11 +913,8 @@ void Device::ProcessGroupByChunk(uint64_t chunk_rows, sim::Tick data_done) {
   // Engine: one key/value pair per cycle (hash + accumulate); chunk
   // processing overlaps the next chunk's reads via the usual throttle.
   uint32_t words = static_cast<uint32_t>(2 * rows_here);
-  sim::Tick start = std::max(data_done, engine_ready_at_);
-  sim::Tick proc = config_.BurstProcessingPs(words);
-  engine_ready_at_ = start + proc;
-  stats_.engine_busy_ps += proc;
-  stats_.energy_fj += config_.energy_per_word_fj * words;
+  ChargeEngine(data_done, config_.BurstProcessingPs(words),
+               config_.energy_per_word_fj * words);
   ContinueWhenEngineReady(&Device::GroupByStep);
 }
 
@@ -835,8 +925,8 @@ Status Device::Validate(const ProjectJob& job) const {
   if (config_.elem_bytes != 8) {
     return Status::Unimplemented("project engine operates on 64-bit words");
   }
-  NDP_RETURN_NOT_OK(CheckRange(job.col_base, job.num_rows * config_.elem_bytes));
-  NDP_RETURN_NOT_OK(CheckRange(job.bitmap_base, (job.num_rows + 7) / 8));
+  NDP_RETURN_NOT_OK(CheckRange(job.col_base, job.num_rows, config_.elem_bytes));
+  NDP_RETURN_NOT_OK(CheckRange(job.bitmap_base, (job.num_rows + 7) / 8, 1));
   if (job.col_base % kBurstBytes != 0 || job.out_base % kBurstBytes != 0 ||
       job.bitmap_base % kBurstBytes != 0) {
     return Status::InvalidArgument("project addresses must be 64 B aligned");
@@ -878,11 +968,8 @@ void Device::ProjectStep() {
       stats_.rows_processed += rows_here;
       cursor_rows_ += rows_here;
       uint32_t words = kBurstBytes / 8;
-      sim::Tick start = std::max(data_done, engine_ready_at_);
-      sim::Tick proc = config_.BurstProcessingPs(words);
-      engine_ready_at_ = start + proc;
-      stats_.engine_busy_ps += proc;
-      stats_.energy_fj += config_.energy_per_word_fj * words;
+      ChargeEngine(data_done, config_.BurstProcessingPs(words),
+                   config_.energy_per_word_fj * words);
       // Buffer qualifying values up to the device's output buffer capacity
       // before dumping them back (§4: "when the internal buffers are full,
       // JAFAR will dump the contents back to a pre-allocated location") —

@@ -25,8 +25,6 @@ class FaultInjector;
 
 namespace ndp::jafar {
 
-class DatapathModel;
-
 /// Per-job and lifetime counters of one device.
 struct DeviceStats {
   uint64_t jobs_completed = 0;
@@ -81,7 +79,7 @@ class Device {
   /// the scope's prefix.
   Device(dram::DramSystem* dram, uint32_t channel_index, uint32_t rank_index,
          DeviceConfig config, const StatsScope& stats = {});
-  ~Device();  // out of line: DatapathModel is incomplete here
+  ~Device();  // out of line: BankScan is incomplete here
   NDP_DISALLOW_COPY_AND_ASSIGN(Device);
 
   /// Starts one job of any kind; one job at a time. `on_done` receives the
@@ -90,7 +88,8 @@ class Device {
   /// Fails with DeviceBusy if a job is running, FailedPrecondition if
   /// ownership is required but not held, and InvalidArgument/Unimplemented
   /// if the job does not fit this device (addresses outside its rank,
-  /// misalignment, a datapath without the kind's engine).
+  /// misalignment or a byte length that overflows, a datapath without the
+  /// kind's engine).
   Status Start(const JobDescriptor& job,
                std::function<void(const Completion&)> on_done);
 
@@ -127,16 +126,14 @@ class Device {
   void AbortJob();
 
  private:
-  // The generation-specific half lives behind DatapathModel (datapath.h),
-  // which is this class's ONLY friend: concrete generations reach the shell
-  // exclusively through DatapathModel's protected forwarders.
-  friend class DatapathModel;
+  /// The v2 (bank-level) scan sequencer (jafar/bank_scan.h). A nested class,
+  /// so it drives the shell's private sequencer and job state directly.
+  class BankScan;
 
-  struct Step;  // one pending command in the sequencer
-
-  /// Validates that [base, base+len) lies within this device's rank and
-  /// returns OK, with decoded sanity checks.
-  Status CheckRange(uint64_t base, uint64_t len) const;
+  /// Validates that `count` elements of `elem_bytes` each, starting at
+  /// `base`, lie within this device's rank. A byte length that overflows 64
+  /// bits or runs past the installed capacity is InvalidArgument.
+  Status CheckRange(uint64_t base, uint64_t count, uint64_t elem_bytes) const;
 
   /// Reads one column value (64-bit word, or sign-extended 32-bit half when
   /// elem_bytes == 4) from the functional backing store.
@@ -201,10 +198,27 @@ class Device {
   /// backing store); calls `next(data_done_tick)`.
   void WriteBurst(uint64_t addr, std::function<void(sim::Tick)> next);
 
-  // -- Select/row-store machinery. The scan sequencer itself lives in the
-  //    generation's DatapathModel; the shell keeps the writeback and
-  //    completion paths every generation shares. ----------------------------
+  // -- Scan kinds (select, row-store, probe). v1 streams rank reads through
+  //    ScanStep; v2 hands the scan to bank_scan_. Writeback and completion
+  //    are shared. ----------------------------------------------------------
 
+  /// Starts the scan sequencer of this device's generation.
+  void BeginScan();
+  /// One v1 step: read the burst holding the next row, evaluate the rows
+  /// whose data completes in it, charge the engine, continue.
+  void ScanStep();
+  /// First byte, and bytes per row, of the running scan job's input.
+  uint64_t ScanBase() const;
+  uint32_t ScanStride() const;
+  /// The running scan job's predicate (or Bloom probe) on row `r`.
+  bool EvalScanRow(uint64_t r) const;
+  /// Evaluates rows from the cursor up to `last` into the output buffer,
+  /// stopping early once the buffer is full, and advances the cursor.
+  void EvalScanRows(uint64_t last);
+
+  /// Charges `proc` of engine time starting once both the data
+  /// (`data_done`) and the engine are ready, plus `energy_fj`.
+  void ChargeEngine(sim::Tick data_done, sim::Tick proc, double energy_fj);
   void ContinueWhenEngineReady(void (Device::*step)());
   void FlushBitmap(std::function<void()> next);
   void WriteBurstChain(uint64_t addr, uint64_t bursts,
@@ -216,7 +230,7 @@ class Device {
   void FailJob(Status st);
 
   /// The teardown every job end shares (finish, failure, abort): releases
-  /// generation-held DRAM state, closes a probe's filter-load window,
+  /// v2's armed bank filters, closes a probe's filter-load window,
   /// strands in-flight events, settles the busy-time stamp, frees the unit.
   void EndJob();
 
@@ -239,10 +253,14 @@ class Device {
   /// AbortJob (driver watchdog) can free the device.
   bool MaybeInjectHang();
 
+  /// Draws a sequencer stall after a scan burst. True: the burst's rows are
+  /// never accumulated and only AbortJob can free the device.
+  bool DrawStallAtBurst();
+
   /// Applies one drawn read-path fault to the burst at `burst_addr` through
   /// the SECDED model. Correctable: corrected in-flight, scrub counter bumps,
   /// returns true (job continues). Uncorrectable: fails the job, returns
-  /// false.
+  /// false. No-op (true) without an injector.
   bool HandleReadFault(uint64_t burst_addr);
 
   /// True when every hash lane's bit for `key` is set in the probe SRAM
@@ -263,7 +281,7 @@ class Device {
   uint32_t rank_index_;
   DeviceConfig config_;
   sim::EventQueue* eq_;
-  std::unique_ptr<DatapathModel> datapath_;  ///< generation-specific sequencer
+  std::unique_ptr<BankScan> bank_scan_;  ///< set iff generation is v2
 
   bool busy_ = false;
   std::function<void(const Completion&)> on_done_;
@@ -278,7 +296,7 @@ class Device {
   std::optional<JobDescriptor> job_;
   std::vector<int64_t> groupby_agg_;
   std::vector<int64_t> groupby_count_;
-  std::vector<uint64_t> probe_sram_;  ///< Bloom image latched by BeginProbe
+  std::vector<uint64_t> probe_sram_;  ///< Bloom image latched by Begin(ProbeJob)
 
   uint64_t cursor_rows_ = 0;       ///< rows processed so far
   sim::Tick engine_ready_at_ = 0;  ///< datapath pipeline availability

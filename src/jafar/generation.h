@@ -3,7 +3,7 @@
 // between generations is the datapath — where the comparators sit and which
 // DRAM command flow feeds them. The generation is a first-class config knob
 // (NDP_DEVICE_GEN) that flows from PlatformConfig/RuntimeConfig down to the
-// DatapathModel factory and up to the pushdown cost model.
+// Device constructor and up to the pushdown cost model.
 #pragma once
 
 #include <cstdint>

@@ -55,6 +55,30 @@ struct SelectJob {
 /// Aggregation kinds (§4 "Aggregations").
 enum class AggKind : uint8_t { kSum, kMin, kMax, kCount };
 
+/// The fold identity of `kind`: what an accumulator holds before any row.
+inline int64_t AggIdentity(AggKind kind) {
+  switch (kind) {
+    case AggKind::kSum:
+    case AggKind::kCount: return 0;
+    case AggKind::kMin: return INT64_MAX;
+    case AggKind::kMax: return INT64_MIN;
+  }
+  return 0;
+}
+
+/// Folds `v` into the accumulator `acc` of `kind`. `v` is one row's
+/// contribution (a count row contributes 1) or another partial of the same
+/// kind: sums and counts add, min and max keep the extreme.
+inline int64_t AggMerge(AggKind kind, int64_t acc, int64_t v) {
+  switch (kind) {
+    case AggKind::kSum:
+    case AggKind::kCount: return acc + v;
+    case AggKind::kMin: return v < acc ? v : acc;
+    case AggKind::kMax: return v > acc ? v : acc;
+  }
+  return acc;
+}
+
 /// \brief Aggregate a column into a single 64-bit result written to out_addr.
 struct AggregateJob {
   uint64_t col_base = 0;

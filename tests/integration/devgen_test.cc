@@ -1,9 +1,12 @@
-// Device-generation tests (NDP_DEVICE_GEN, DatapathModel v1/v2).
+// Device-generation tests (NDP_DEVICE_GEN; v1 Device::ScanStep, v2
+// Device::BankScan).
 //
 //   * Equivalence: the v2 bank-level datapath must be functionally identical
 //     to the v1 rank-IO datapath — same match count and byte-identical result
 //     bitmap — and both must agree with a scalar CPU oracle. Timing may (and
-//     should) differ; answers may not.
+//     should) differ; answers may not. Beyond the 64-bit select, a bare
+//     Device of each generation runs a row-store, a packed 32-bit select and
+//     a Bloom probe job, with each generation's duration pinned.
 //   * Strict config parsing: NDP_DEVICE_GEN accepts exactly the published
 //     generation names; a typo is an error listing them, never a silent
 //     fallback.
@@ -20,14 +23,18 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/api.h"
 #include "core/dimm_array.h"
 #include "dram/command.h"
+#include "dram/dram_system.h"
 #include "dram/protocol_checker.h"
 #include "dram/timing.h"
+#include "jafar/device.h"
 #include "jafar/generation.h"
 #include "util/rng.h"
 
@@ -130,6 +137,190 @@ TEST(DevGenEquivalenceTest, SystemModelAgreesWithCpuForBothGenerations) {
         << jafar::DeviceGenerationToString(gen);
     EXPECT_EQ(jaf.matches, Oracle(col, 0, 420'000));
   }
+}
+
+// -- Bare-device equivalence: row-store, packed 32-bit and probe jobs --------
+
+/// One Device of `gen` on a single-channel, two-rank DIMM with refresh off,
+/// owning rank 0.
+class BareDevice {
+ public:
+  BareDevice(jafar::DeviceGeneration gen, uint32_t elem_bytes) {
+    const dram::DramTiming timing = dram::DramTiming::DDR3_1600();
+    dram::DramOrganization org;
+    org.ranks_per_channel = 2;
+    org.rows_per_bank = 1024;
+    dram::ControllerConfig mc;
+    mc.refresh_enabled = false;
+    dram_ = std::make_unique<dram::DramSystem>(
+        &eq_, timing, org, dram::InterleaveScheme::kContiguous, mc);
+    jafar::DeviceConfig cfg =
+        gen == jafar::DeviceGeneration::kV2BankLevel
+            ? jafar::DeviceConfig::DeriveBank(timing, org,
+                                              accel::DatapathResources{})
+                  .ValueOrDie()
+            : jafar::DeviceConfig::Derive(timing, accel::DatapathResources{})
+                  .ValueOrDie();
+    cfg.elem_bytes = elem_bytes;
+    device_ = std::make_unique<jafar::Device>(dram_.get(), 0, 0, cfg);
+    bool granted = false;
+    dram_->controller(0).TransferOwnership(
+        0, dram::RankOwner::kAccelerator, [&](sim::Tick) { granted = true; });
+    EXPECT_TRUE(eq_.RunUntilTrue([&] { return granted; }));
+  }
+
+  dram::BackingStore& store() { return dram_->backing_store(); }
+
+  /// Runs `job` to completion; returns its matches, its duration and the
+  /// `rows`-bit bitmap it wrote at `out_base`.
+  struct Outcome {
+    uint64_t matches = 0;
+    sim::Tick duration_ps = 0;
+    std::vector<uint64_t> bitmap;
+  };
+  Outcome Run(const jafar::JobDescriptor& job, uint64_t out_base,
+              uint64_t rows) {
+    Outcome out;
+    bool done = false;
+    const sim::Tick start = eq_.Now();
+    Status st = device_->Start(job, [&](const jafar::Completion& c) {
+      EXPECT_TRUE(c.status.ok()) << c.status.ToString();
+      done = true;
+      out.matches = c.matches;
+      out.duration_ps = c.completed_at - start;
+    });
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_TRUE(eq_.RunUntilTrue([&] { return done; }));
+    for (uint64_t w = 0; w < (rows + 63) / 64; ++w) {
+      uint64_t word = store().Read64(out_base + w * 8);
+      if ((w + 1) * 64 > rows) word &= (uint64_t{1} << (rows % 64)) - 1;
+      out.bitmap.push_back(word);
+    }
+    return out;
+  }
+
+ private:
+  sim::EventQueue eq_;
+  std::unique_ptr<dram::DramSystem> dram_;
+  std::unique_ptr<jafar::Device> device_;
+};
+
+constexpr uint64_t kBareIn = 0;
+constexpr uint64_t kBareOut = 8 << 20;
+constexpr uint64_t kBareFilter = 12 << 20;
+
+/// Loads the same data into a bare device of each generation, runs `job` on
+/// both, and checks matches against `oracle`, the two bitmaps against each
+/// other, and each generation's duration against its pinned value.
+void ExpectGenerationsAgree(uint32_t elem_bytes,
+                            const std::function<void(dram::BackingStore&)>& load,
+                            const jafar::JobDescriptor& job, uint64_t oracle,
+                            sim::Tick v1_ps, sim::Tick v2_ps) {
+  const uint64_t rows = jafar::JobRows(job);
+  BareDevice v1dev(jafar::DeviceGeneration::kV1RankIo, elem_bytes);
+  BareDevice v2dev(jafar::DeviceGeneration::kV2BankLevel, elem_bytes);
+  load(v1dev.store());
+  load(v2dev.store());
+  BareDevice::Outcome v1 = v1dev.Run(job, kBareOut, rows);
+  BareDevice::Outcome v2 = v2dev.Run(job, kBareOut, rows);
+  EXPECT_EQ(v1.matches, oracle);
+  EXPECT_EQ(v2.matches, oracle);
+  EXPECT_EQ(v1.bitmap, v2.bitmap);
+  // Pinned so a sequencing change in either generation shows up here.
+  EXPECT_EQ(v1.duration_ps, v1_ps);
+  EXPECT_EQ(v2.duration_ps, v2_ps);
+}
+
+TEST(DevGenBareDeviceTest, RowStoreTwoPredicatesAgree) {
+  constexpr uint64_t kTuples = 20'000;
+  constexpr uint32_t kTupleBytes = 24;
+  Rng rng(53);
+  std::vector<int64_t> tuples(kTuples * 3);
+  for (int64_t& v : tuples) v = rng.NextInRange(0, 999);
+  uint64_t oracle = 0;
+  for (uint64_t t = 0; t < kTuples; ++t) {
+    oracle += tuples[t * 3] >= 200 && tuples[t * 3] <= 700 &&
+              tuples[t * 3 + 2] < 400;
+  }
+  jafar::RowStoreJob job;
+  job.tuple_base = kBareIn;
+  job.num_tuples = kTuples;
+  job.tuple_bytes = kTupleBytes;
+  job.predicates = {
+      {0, jafar::CompareOp::kBetween, 200, 700},
+      {16, jafar::CompareOp::kLt, 400, 0},
+  };
+  job.out_base = kBareOut;
+  ExpectGenerationsAgree(
+      8,
+      [&](dram::BackingStore& s) {
+        s.Write(kBareIn, tuples.data(), tuples.size() * 8);
+      },
+      job, oracle, /*v1_ps=*/39412500, /*v2_ps=*/11833750);
+}
+
+TEST(DevGenBareDeviceTest, Packed32BitSelectAgrees) {
+  constexpr uint64_t kRows = 16'384;
+  Rng rng(59);
+  std::vector<int32_t> values(kRows);
+  for (int32_t& v : values) {
+    v = static_cast<int32_t>(rng.NextInRange(-100'000, 100'000));
+  }
+  uint64_t oracle = 0;
+  for (int32_t v : values) oracle += v >= -20'000 && v <= 45'000;
+  jafar::SelectJob job;
+  job.col_base = kBareIn;
+  job.num_rows = kRows;
+  job.range_low = -20'000;
+  job.range_high = 45'000;
+  job.out_base = kBareOut;
+  ExpectGenerationsAgree(
+      4,
+      [&](dram::BackingStore& s) {
+        s.Write(kBareIn, values.data(), values.size() * 4);
+      },
+      job, oracle, /*v1_ps=*/5471250, /*v2_ps=*/1661250);
+}
+
+TEST(DevGenBareDeviceTest, TwoHashProbeAgrees) {
+  constexpr uint64_t kRows = 8'192;
+  constexpr uint64_t kFilterWords = 256;
+  constexpr uint32_t kHashes = 2;
+  Rng rng(61);
+  std::vector<uint64_t> filter(kFilterWords, 0);
+  for (int i = 0; i < 300; ++i) {
+    uint64_t key = static_cast<uint64_t>(rng.NextInRange(0, 99'999));
+    for (uint32_t h = 0; h < kHashes; ++h) {
+      uint64_t bit = jafar::BloomBitIndex(key, h, kFilterWords);
+      filter[bit / 64] |= uint64_t{1} << (bit % 64);
+    }
+  }
+  std::vector<int64_t> keys(kRows);
+  uint64_t oracle = 0;
+  for (int64_t& k : keys) {
+    k = rng.NextInRange(0, 99'999);
+    bool pass = true;
+    for (uint32_t h = 0; h < kHashes; ++h) {
+      uint64_t bit =
+          jafar::BloomBitIndex(static_cast<uint64_t>(k), h, kFilterWords);
+      pass = pass && ((filter[bit / 64] >> (bit % 64)) & 1);
+    }
+    oracle += pass;
+  }
+  jafar::ProbeJob job;
+  job.col_base = kBareIn;
+  job.num_rows = kRows;
+  job.out_base = kBareOut;
+  job.filter_base = kBareFilter;
+  job.filter_words = kFilterWords;
+  job.hash_count = kHashes;
+  ExpectGenerationsAgree(
+      8,
+      [&](dram::BackingStore& s) {
+        s.Write(kBareIn, keys.data(), keys.size() * 8);
+        s.Write(kBareFilter, filter.data(), filter.size() * 8);
+      },
+      job, oracle, /*v1_ps=*/10676250, /*v2_ps=*/1751250);
 }
 
 // -- Strict NDP_DEVICE_GEN parsing --------------------------------------------

@@ -313,6 +313,53 @@ TEST_F(DeviceTest, UnalignedBaseRejected) {
             StatusCode::kInvalidArgument);
 }
 
+// 2^61 + 8 rows of 8 bytes is 2^64 + 64 bytes, which wraps to a 64-byte
+// range that would pass the rank check if the product were not checked.
+constexpr uint64_t kWrappingRows = (uint64_t{1} << 61) + 8;
+
+TEST_F(DeviceTest, AggregateWithWrappingByteLengthRejected) {
+  AggregateJob job;
+  job.col_base = kCol;
+  job.num_rows = kWrappingRows;
+  job.out_addr = kOut;
+  EXPECT_EQ(device_->Start(job, nullptr).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(device_->busy());
+}
+
+TEST_F(DeviceTest, SortWithWrappingByteLengthRejected) {
+  SortJob job;
+  job.col_base = kCol;
+  job.num_rows = kWrappingRows;
+  job.out_base = kOut;
+  EXPECT_EQ(device_->Start(job, nullptr).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(device_->busy());
+}
+
+TEST_F(DeviceTest, GroupByWithWrappingByteLengthRejected) {
+  GroupByJob job;
+  job.key_base = kCol;
+  job.val_base = kCol + 4096;
+  job.num_rows = kWrappingRows;
+  job.out_base = kOut;
+  EXPECT_EQ(device_->Start(job, nullptr).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(device_->busy());
+}
+
+TEST_F(DeviceTest, RangeWhoseEndWrapsPastZeroRejected) {
+  // (2^61 - 7) * 8 = 2^64 - 56 does not overflow, but 64 + that - 1 wraps
+  // to address 7: both ends decode into this rank.
+  AggregateJob job;
+  job.col_base = 64;
+  job.num_rows = (uint64_t{1} << 61) - 7;
+  job.out_addr = kOut;
+  EXPECT_EQ(device_->Start(job, nullptr).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(device_->busy());
+}
+
 TEST_F(DeviceTest, PartialFinalBufferIsFlushed) {
   // 100 rows: far less than the 512-bit output buffer; the final partial
   // flush must still land in memory.

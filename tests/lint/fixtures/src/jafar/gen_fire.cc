@@ -1,4 +1,4 @@
-// ndp-analyze fixture: generation branch outside the datapath factory —
+// ndp-analyze fixture: generation branch outside the Device constructor —
 // generation-dispatch fires.
 namespace ndp::fixture {
 bool GenFire(DeviceGeneration gen) {

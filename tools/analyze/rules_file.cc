@@ -281,10 +281,10 @@ void CheckCrossPartitionSchedule(SourceFile& f, std::vector<Finding>* out) {
 // -- generation-dispatch ------------------------------------------------------
 
 void CheckGenerationDispatch(SourceFile& f, std::vector<Finding>* out) {
-  // The JAFAR shell is generation-neutral: the DatapathModel factory
-  // (datapath.cc) is the ONE sanctioned place that branches on
-  // DeviceGeneration. generation.{h,cc} — the enum's own to-string/parse —
-  // is exempt by construction.
+  // The JAFAR shell is generation-neutral: the Device constructor, which
+  // creates the v2 BankScan sequencer or not, is the ONE sanctioned place
+  // that branches on DeviceGeneration. generation.{h,cc} — the enum's own
+  // to-string/parse — is exempt by construction.
   if (f.rel.rfind("src/jafar/", 0) != 0 ||
       f.rel == "src/jafar/generation.h" ||
       f.rel == "src/jafar/generation.cc") {
@@ -296,9 +296,9 @@ void CheckGenerationDispatch(SourceFile& f, std::vector<Finding>* out) {
   for (size_t i = 0; i < f.lex.code.size(); ++i) {
     if (std::regex_search(f.lex.code[i], kDispatch)) {
       Emit(f, i + 1, "generation-dispatch",
-           "generation branch outside the DatapathModel factory; put "
-           "generation-specific behavior behind DatapathModel (datapath.h) "
-           "so the shell stays generation-neutral",
+           "generation branch outside the Device constructor; ask "
+           "bank_scan_ (set there iff the device is v2) instead of the "
+           "generation so the shell keeps one dispatch site",
            out);
     }
   }
