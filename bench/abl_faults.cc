@@ -39,11 +39,6 @@ int main() {
   const uint64_t rows = bench::EnvU64("ABL_ROWS", 256u * 1024);
   bench::PrintHeader("Ablation — fault rate vs. select throughput (" +
                      std::to_string(rows) + " rows)");
-#ifndef NDP_FAULT_INJECT
-  std::printf(
-      "note: built without NDP_FAULT_INJECT — all sweep points run "
-      "fault-free.\n");
-#endif
   db::Column col = bench::UniformColumn(rows);
   uint64_t oracle = 0;
   for (size_t i = 0; i < col.size(); ++i) {

@@ -56,8 +56,8 @@ int main() {
                               cfgs[i / channel_counts.size()],
                               /*rows_per_bank=*/8192);
         array.AcquireAllOwnership();
-        array.LoadPartitioned(col);
-        auto result = array.RunParallelSelect(0, 499999).ValueOrDie();
+        core::PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
+        auto result = array.RunParallelSelect(placed, 0, 499999).ValueOrDie();
         NDP_CHECK(result.matches == oracle);
         NDP_CHECK(result.bitmap.CountOnes() == oracle);
         r.devices = array.num_devices();

@@ -109,7 +109,6 @@ PointResult RunPoint(const db::Column& col,
 
   core::DimmArray array(dram::DramTiming::DDR3_1600(), 4, 1, DeviceConfig());
   core::RuntimeConfig rcfg;
-#ifdef NDP_FAULT_INJECT
   fault::FaultPlan plan;
   plan.hang_per_job = faulted ? 1.0 : 0.0;
   StatsScope fault_scope(array.mutable_stats(), "fault");
@@ -122,7 +121,6 @@ PointResult RunPoint(const db::Column& col,
     rcfg.driver.watchdog_base_ps = 5'000'000;
     array.device(0).set_fault_injector(&injector);
   }
-#endif
   core::NdpRuntime runtime(&array, rcfg);
   core::PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
 
@@ -209,10 +207,8 @@ int main() {
   std::vector<GridPoint> grid;
   for (double load : loads) grid.push_back({load, true, false});
   for (double load : loads) grid.push_back({load, false, false});
-#ifdef NDP_FAULT_INJECT
   const size_t fault_idx = grid.size();
   grid.push_back({0.05, true, true});
-#endif
 
   std::vector<PointResult> results = bench::ParallelSweep<PointResult>(
       grid.size(), [&](size_t i) {
@@ -302,12 +298,10 @@ int main() {
     NDP_CHECK_MSG(off_cliffs,
                   "governor-off control failed to cliff past saturation — "
                   "the contrast claim is vacuous");
-#ifdef NDP_FAULT_INJECT
     const PointResult& f = results[fault_idx];
     NDP_CHECK_MSG(f.goodput_qps > 0,
                   "faulted point served nothing: retry budget spun instead "
                   "of shedding");
-#endif
   } else {
     std::printf("(small SERVING_ROWS/WINDOW: bounds reported, not enforced)\n");
   }

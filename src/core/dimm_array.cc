@@ -40,7 +40,9 @@ DimmArray::DimmArray(dram::DramTiming timing, uint32_t channels,
   if (partitions_) {
     partitions_->RegisterStats(StatsScope(&stats_, "sim"));
   }
-  ResetAllocators();
+  for (uint32_t d = 0; d < devices_.size(); ++d) {
+    alloc_next_.push_back(RankBase(d));
+  }
 }
 
 void DimmArray::PostToDevice(uint32_t device, std::function<void()> fn) {
@@ -83,11 +85,6 @@ uint64_t DimmArray::RankBase(uint32_t device) const {
               dram_->organization().ranks_per_channel +
           dev.rank_index()) *
          dram_->organization().BytesPerRank();
-}
-
-void DimmArray::ResetAllocators() {
-  alloc_next_.resize(devices_.size());
-  for (uint32_t d = 0; d < devices_.size(); ++d) alloc_next_[d] = RankBase(d);
 }
 
 Result<uint64_t> DimmArray::AllocOnDevice(uint32_t device, uint64_t bytes,
@@ -184,35 +181,34 @@ Result<PlacedColumn> DimmArray::PlaceColumn(const db::Column& col,
   return placed;
 }
 
-std::vector<uint64_t> DimmArray::LoadPartitioned(const db::Column& col) {
-  ResetAllocators();
-  parts_.clear();
-  total_rows_ = col.size();
-  Result<PlacedColumn> placed = PlaceColumn(col);
-  NDP_CHECK(placed.ok());  // a fresh rank always fits one column
-  std::vector<uint64_t> counts;
-  for (const DevicePlacement& part : placed.ValueOrDie().parts) {
-    counts.push_back(part.rows);
-    if (part.rows > 0) parts_.push_back(part);
+void DimmArray::ReadBitmap(uint64_t out_base, uint64_t first_row,
+                           uint64_t rows, BitVector* bitmap) const {
+  NDP_CHECK(first_row % 64 == 0);
+  for (uint64_t w = 0; w * 64 < rows; ++w) {
+    uint64_t value = dram_->backing_store().Read64(out_base + w * 8);
+    uint64_t valid = rows - w * 64;
+    if (valid < 64) value &= (uint64_t{1} << valid) - 1;
+    bitmap->SetWord(first_row / 64 + w, value);
   }
-  return counts;
 }
 
-Result<DimmArray::ParallelResult> DimmArray::RunParallelSelect(int64_t lo,
-                                                               int64_t hi) {
-  if (parts_.empty()) {
-    return Status::FailedPrecondition("LoadPartitioned was not called");
-  }
+Result<DimmArray::ParallelResult> DimmArray::RunParallelSelect(
+    const PlacedColumn& col, int64_t lo, int64_t hi) {
   StatsSnapshot before = stats_.Snapshot();
   sim::Tick start = eq().Now();
   // Per-device completion slots, written host-side only (the device's done
   // callback hops back through the port): summing/maxing them at barriers is
   // order-independent, so the result is identical at every thread count.
-  std::vector<uint8_t> dev_done(parts_.size(), 0);
-  std::vector<sim::Tick> dev_end(parts_.size(), start);
-  std::vector<uint64_t> dev_matches(parts_.size(), 0);
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    const DevicePlacement& part = parts_[i];
+  // Empty slices start done.
+  std::vector<uint8_t> dev_done(col.parts.size(), 0);
+  std::vector<sim::Tick> dev_end(col.parts.size(), start);
+  std::vector<uint64_t> dev_matches(col.parts.size(), 0);
+  for (size_t i = 0; i < col.parts.size(); ++i) {
+    const DevicePlacement& part = col.parts[i];
+    if (part.rows == 0) {
+      dev_done[i] = 1;
+      continue;
+    }
     jafar::SelectJob job;
     job.col_base = part.col_base;
     job.num_rows = part.rows;
@@ -249,18 +245,10 @@ Result<DimmArray::ParallelResult> DimmArray::RunParallelSelect(int64_t lo,
   ParallelResult result;
   result.duration_ps = makespan_end - start;
   result.counters = stats_.Snapshot().DeltaSince(before);
-  result.bitmap.Resize(total_rows_);
-  for (const DevicePlacement& part : parts_) {
-    NDP_CHECK(part.first_row % 64 == 0);
-    uint64_t words = (part.rows + 63) / 64;
-    for (uint64_t w = 0; w < words; ++w) {
-      uint64_t value = dram_->backing_store().Read64(part.out_base + w * 8);
-      // Mask tail bits beyond the partition's rows.
-      if ((w + 1) * 64 > part.rows) {
-        uint64_t valid = part.rows - w * 64;
-        value &= (valid >= 64) ? ~uint64_t{0} : ((uint64_t{1} << valid) - 1);
-      }
-      result.bitmap.SetWord(part.first_row / 64 + w, value);
+  result.bitmap.Resize(col.total_rows);
+  for (const DevicePlacement& part : col.parts) {
+    if (part.rows > 0) {
+      ReadBitmap(part.out_base, part.first_row, part.rows, &result.bitmap);
     }
   }
   for (uint64_t n : dev_matches) result.matches += n;

@@ -108,20 +108,18 @@ class DimmArray {
   /// slices, bitmaps, and steal scratch). ResourceExhausted when full.
   Result<uint64_t> AllocOnDevice(uint32_t device, uint64_t bytes,
                                  uint64_t align = 4096);
-  /// Releases every device's bump allocator back to its rank base.
-  void ResetAllocators();
 
-  /// Lays `col` out across the device ranks per SplitRows and copies the
-  /// slice data into the backing store. Does not touch the partitions used
-  /// by RunParallelSelect; the runtime places many columns side by side.
+  /// Lays `col` out across the device ranks per SplitRows (device i gets the
+  /// i-th contiguous slice) and copies the slice data into the backing
+  /// store. The runtime places many columns side by side.
   Result<PlacedColumn> PlaceColumn(const db::Column& col,
                                    const std::vector<double>& weights = {});
 
-  /// Range-partitions `col` across the devices (device i gets the i-th
-  /// contiguous slice) and copies the slices into their ranks. Returns the
-  /// per-device partition row counts (size num_devices(), zeros allowed).
-  /// Resets the allocators first: the legacy exclusive-use entry point.
-  std::vector<uint64_t> LoadPartitioned(const db::Column& col);
+  /// Copies the device bitmap of rows [first_row, first_row + rows), stored
+  /// from `out_base`, into `bitmap`'s words. `first_row` must be 64-aligned;
+  /// bits past `rows` in the last word read as zero.
+  void ReadBitmap(uint64_t out_base, uint64_t first_row, uint64_t rows,
+                  BitVector* bitmap) const;
 
   struct ParallelResult {
     sim::Tick duration_ps = 0;   ///< makespan across devices
@@ -131,9 +129,10 @@ class DimmArray {
     StatsSnapshot counters;
   };
 
-  /// Runs `lo <= v <= hi` on every partition in parallel and merges the
-  /// bitmaps. LoadPartitioned must have been called.
-  Result<ParallelResult> RunParallelSelect(int64_t lo, int64_t hi);
+  /// Runs `lo <= v <= hi` on every device slice of `col` in parallel and
+  /// merges the bitmaps. Exclusive use: nothing else may run on the array.
+  Result<ParallelResult> RunParallelSelect(const PlacedColumn& col, int64_t lo,
+                                           int64_t hi);
 
   /// Registry over all controllers and devices (paths under "array.").
   const StatsRegistry& stats() const { return stats_; }
@@ -151,9 +150,7 @@ class DimmArray {
   std::unique_ptr<dram::DramSystem> dram_;
   jafar::DeviceConfig device_config_;
   std::vector<std::unique_ptr<jafar::Device>> devices_;
-  std::vector<uint64_t> alloc_next_;   ///< per-device bump-allocator cursor
-  std::vector<DevicePlacement> parts_;  ///< LoadPartitioned state
-  uint64_t total_rows_ = 0;
+  std::vector<uint64_t> alloc_next_;  ///< per-device bump-allocator cursor
 
   uint64_t RankBase(uint32_t device) const;
 };

@@ -281,13 +281,6 @@ void ServingIngress::SubmitNdpBurst(const std::vector<uint32_t>& slot_ids) {
   NDP_CHECK_MSG(ids.ok(), ids.status().message().c_str());
 }
 
-void ServingIngress::SubmitNdpOne(uint32_t slot) {
-  Slot& s = pool_[slot];
-  Result<NdpRuntime::JobId> id = runtime_->SubmitSelectWith(
-      *tables_[s.req.table].placed, s.req.lo, s.req.hi, OptionsFor(slot));
-  NDP_CHECK_MSG(id.ok(), id.status().message().c_str());
-}
-
 void ServingIngress::SubmitCpu(uint32_t slot) {
   Slot& s = pool_[slot];
   const Table& t = tables_[s.req.table];
@@ -345,7 +338,7 @@ void ServingIngress::OnNdpDone(uint32_t slot, const JobResult& r) {
     return;
   }
   ++ndp_inflight_;
-  SubmitNdpOne(slot);
+  SubmitNdpBurst({slot});
 }
 
 bool ServingIngress::TakeRetryToken(uint32_t tenant) {

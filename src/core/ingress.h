@@ -7,7 +7,7 @@
 //     ring are the first, cheapest shed points — a traffic spike hits a hard
 //     boundary at the door instead of growing a queue somewhere deep.
 //   * Deadline propagation: every request carries an absolute deadline that
-//     follows it through admission, the runtime's chunk queues, and retire;
+//     follows it through admission, the runtime's chunk queues, and job end;
 //     expired work is cancelled at the next chunk boundary and is never
 //     silently completed late.
 //   * Retry budgets: a per-tenant token bucket caps the retry amplification
@@ -204,8 +204,9 @@ class ServingIngress {
   /// Routing decision for one drained slot: NDP burst, CPU fallback, or an
   /// immediate terminal outcome (expired / shed).
   void Admit(uint32_t slot, std::vector<uint32_t>* ndp_batch);
+  /// The one NDP admission path: a pump's drained burst, or a retry (a
+  /// burst of one).
   void SubmitNdpBurst(const std::vector<uint32_t>& slot_ids);
-  void SubmitNdpOne(uint32_t slot);
   void SubmitCpu(uint32_t slot);
   void OnNdpDone(uint32_t slot, const JobResult& r);
   SubmitOptions OptionsFor(uint32_t slot);

@@ -44,7 +44,6 @@ struct PlatformConfig {
   /// Fault-injection campaign (src/fault). Defaults to inactive (all-zero
   /// rates); benches and tests set it programmatically, and SystemModel
   /// overlays the NDP_FAULT_* environment on top (see FaultPlan::FromEnv).
-  /// Only honoured when built with NDP_FAULT_INJECT.
   fault::FaultPlan fault_plan;
 
   /// Table 1, left column: one 1 GHz out-of-order core, 64 kB L1 + 128 kB L2,

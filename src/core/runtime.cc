@@ -133,7 +133,6 @@ struct NdpRuntime::Job {
   JobId id = 0;
   JobKind kind = JobKind::kSelect;
   JobPriority priority = JobPriority::kBatch;
-  jafar::CompareOp op = jafar::CompareOp::kBetween;
   int64_t lo = 0, hi = 0;
   jafar::AggKind agg = jafar::AggKind::kSum;
   uint64_t total_rows = 0;
@@ -158,17 +157,16 @@ struct NdpRuntime::Job {
   /// dispatch and again before completion, so an expired job is never
   /// silently completed late.
   sim::Tick deadline_ps = 0;
-  /// Chunks created for this job and not yet retired/destroyed. Completion
-  /// triggers when the LAST chunk retires — `rows_completed == total_rows`
-  /// alone is not enough, because interleaved lease completions can make it
-  /// true while a sibling chunk has not merged its bitmap words yet.
+  /// Chunks made by NewChunk and not yet ended by EndChunk. The job
+  /// completes when its LAST chunk ends: a copy in flight (a steal or a
+  /// re-homed tail) holds rows no lane has counted yet.
   uint64_t chunks_live = 0;
   bool failed = false;
   sim::Tick submitted_ps = 0;
-  /// Per-job result bitmap, merged incrementally as chunks retire. Merging
-  /// cannot wait until completion: out regions come from the placement and
-  /// are shared across jobs, so a later job's chunk on the same lane reuses
-  /// (and overwrites) them as soon as this job's chunk has retired there.
+  /// Per-job result bitmap, folded from the device out region as each lease
+  /// ends. The fold cannot wait: out regions come from the placement and are
+  /// shared by every job over the column, so the next lease on the lane —
+  /// another job's, or one that preempts this chunk — overwrites them.
   BitVector bitmap;
   JobCallback on_done;
 };
@@ -189,8 +187,7 @@ struct NdpRuntime::Chunk {
 struct NdpRuntime::Lane {
   enum class State : uint8_t { kIdle, kDeferred, kLeasing, kWaiting, kDead };
 
-  uint32_t index = 0;
-  uint32_t device = 0;
+  uint32_t device = 0;  ///< also the lane's index in lanes_
   uint32_t channel = 0;
   std::unique_ptr<jafar::Driver> driver;
   std::deque<std::unique_ptr<Chunk>> queue;  ///< (priority, seq) order
@@ -262,7 +259,6 @@ NdpRuntime::NdpRuntime(DimmArray* array, RuntimeConfig config)
   }
   for (uint32_t d = 0; d < array_->num_devices(); ++d) {
     auto lane = std::make_unique<Lane>();
-    lane->index = d;
     lane->device = d;
     jafar::Device& dev = array_->device(d);
     lane->channel = dev.channel_index();
@@ -318,15 +314,8 @@ Result<NdpRuntime::JobId> NdpRuntime::SubmitSelect(const PlacedColumn& col,
   SubmitOptions opts;
   opts.priority = priority;
   opts.on_done = std::move(on_done);
-  return Submit(col, JobKind::kSelect, jafar::CompareOp::kBetween, lo, hi,
-                jafar::AggKind::kSum, std::move(opts), /*poke_lanes=*/true);
-}
-
-Result<NdpRuntime::JobId> NdpRuntime::SubmitSelectWith(const PlacedColumn& col,
-                                                       int64_t lo, int64_t hi,
-                                                       SubmitOptions opts) {
-  return Submit(col, JobKind::kSelect, jafar::CompareOp::kBetween, lo, hi,
-                jafar::AggKind::kSum, std::move(opts), /*poke_lanes=*/true);
+  return Submit(col, JobKind::kSelect, lo, hi, jafar::AggKind::kSum,
+                std::move(opts), /*poke_lanes=*/true);
 }
 
 Result<std::vector<NdpRuntime::JobId>> NdpRuntime::SubmitSelectBurst(
@@ -336,8 +325,8 @@ Result<std::vector<NdpRuntime::JobId>> NdpRuntime::SubmitSelectBurst(
   for (BurstSelect& b : burst) {
     NDP_CHECK(b.col != nullptr);
     NDP_ASSIGN_OR_RETURN(
-        JobId id, Submit(*b.col, JobKind::kSelect, jafar::CompareOp::kBetween,
-                         b.lo, b.hi, jafar::AggKind::kSum, std::move(b.opts),
+        JobId id, Submit(*b.col, JobKind::kSelect, b.lo, b.hi,
+                         jafar::AggKind::kSum, std::move(b.opts),
                          /*poke_lanes=*/false));
     ids.push_back(id);
   }
@@ -354,8 +343,8 @@ Result<NdpRuntime::JobId> NdpRuntime::SubmitAggregate(const PlacedColumn& col,
   SubmitOptions opts;
   opts.priority = priority;
   opts.on_done = std::move(on_done);
-  return Submit(col, JobKind::kAggregate, jafar::CompareOp::kBetween, 0, 0,
-                kind, std::move(opts), /*poke_lanes=*/true);
+  return Submit(col, JobKind::kAggregate, 0, 0, kind, std::move(opts),
+                /*poke_lanes=*/true);
 }
 
 Result<NdpRuntime::JobId> NdpRuntime::SubmitProbe(
@@ -376,9 +365,9 @@ Result<NdpRuntime::JobId> NdpRuntime::SubmitProbe(
   SubmitOptions opts;
   opts.priority = priority;
   opts.on_done = std::move(on_done);
-  return Submit(col, JobKind::kProbe, jafar::CompareOp::kBetween, 0, 0,
-                jafar::AggKind::kSum, std::move(opts), /*poke_lanes=*/true,
-                /*vals=*/nullptr, std::move(filter_image));
+  return Submit(col, JobKind::kProbe, 0, 0, jafar::AggKind::kSum,
+                std::move(opts), /*poke_lanes=*/true, /*vals=*/nullptr,
+                std::move(filter_image));
 }
 
 Result<NdpRuntime::JobId> NdpRuntime::SubmitGroupBy(const PlacedColumn& keys,
@@ -401,14 +390,13 @@ Result<NdpRuntime::JobId> NdpRuntime::SubmitGroupBy(const PlacedColumn& keys,
   SubmitOptions opts;
   opts.priority = priority;
   opts.on_done = std::move(on_done);
-  return Submit(keys, JobKind::kGroupBy, jafar::CompareOp::kBetween, 0, 0,
-                kind, std::move(opts), /*poke_lanes=*/true, &vals);
+  return Submit(keys, JobKind::kGroupBy, 0, 0, kind, std::move(opts),
+                /*poke_lanes=*/true, &vals);
 }
 
 Result<NdpRuntime::JobId> NdpRuntime::Submit(const PlacedColumn& col,
-                                             JobKind kind, jafar::CompareOp op,
-                                             int64_t lo, int64_t hi,
-                                             jafar::AggKind agg,
+                                             JobKind kind, int64_t lo,
+                                             int64_t hi, jafar::AggKind agg,
                                              SubmitOptions opts,
                                              bool poke_lanes,
                                              const PlacedColumn* vals,
@@ -423,7 +411,6 @@ Result<NdpRuntime::JobId> NdpRuntime::Submit(const PlacedColumn& col,
   job->id = next_job_id_++;
   job->kind = kind;
   job->priority = opts.priority;
-  job->op = op;
   job->lo = lo;
   job->hi = hi;
   job->agg = agg;
@@ -447,34 +434,19 @@ Result<NdpRuntime::JobId> NdpRuntime::Submit(const PlacedColumn& col,
     const DevicePlacement& part = col.parts[pi];
     if (part.rows == 0) continue;
     uint64_t val_base = vals != nullptr ? vals->parts[pi].col_base : 0;
-    auto chunk = std::make_unique<Chunk>();
-    chunk->job = j;
-    chunk->seq = next_chunk_seq_++;
-    chunk->priority = j->priority;
-    chunk->col_base = part.col_base;
-    chunk->out_base = part.out_base;
-    chunk->val_base = val_base;
-    chunk->first_row = part.first_row;
-    chunk->rows = part.rows;
     Lane& lane = *lanes_[part.device];
     if (lane.state == Lane::State::kDead) {
       // The placement's home device already failed: route to the least
       // loaded healthy lane through the reassignment copy path.
-      Lane* target = LeastLoadedLiveLane();
-      NDP_CHECK(target != nullptr);
-      if (!TransplantRows(*target, *j, j->priority, part.col_base, val_base,
-                          part.first_row, part.rows)) {
-        FailJob(*j, Status::ResourceExhausted(
-                        "runtime: no space to reroute placement"));
-        return j->id;
-      }
-      ++counters_.chunks_reassigned;
+      Reassign(*j, j->priority, part.col_base, val_base, part.first_row,
+               part.rows, Status::Internal("runtime: all device lanes failed"));
+      if (j->failed) return j->id;
       continue;
     }
-    ++j->chunks_live;
     // Insert without poking: waking lanes mid-loop would let early-poked idle
     // lanes steal from the first part before their own parts even arrive.
-    InsertChunk(lane, std::move(chunk));
+    InsertChunk(lane, NewChunk(*j, j->priority, part.col_base, part.out_base,
+                               val_base, part.first_row, part.rows));
   }
   // Wake everyone only once the whole submission is in place; chunk-less
   // lanes immediately volunteer as steal targets for it. Burst admission
@@ -531,8 +503,8 @@ void NdpRuntime::MaybeDispatch(Lane& lane) {
   if (lane.has_window &&
       eq_.Now() - lane.window_start_ps >=
           BusCyclesToPs(config_.host_window_min_bus_cycles)) {
-    uint32_t li = lane.index;
-    ObserveWindowThen(lane, [this, li] { DispatchNow(*lanes_[li]); });
+    const uint32_t d = lane.device;
+    ObserveWindowThen(lane, [this, d] { DispatchNow(*lanes_[d]); });
     return;
   }
   DispatchNow(lane);
@@ -547,8 +519,8 @@ void NdpRuntime::DispatchNow(Lane& lane) {
   while (!lane.queue.empty()) {
     Job* front_job = lane.queue.front()->job;
     if (front_job->failed) {
-      --front_job->chunks_live;
       lane.queue.pop_front();
+      EndChunk(*front_job);
       continue;
     }
     if (CancelIfExpired(*front_job)) continue;  // FailJob purged the queues
@@ -567,14 +539,14 @@ void NdpRuntime::DispatchNow(Lane& lane) {
     ++lane.defers;
     ++counters_.admission_defers;
     lane.state = Lane::State::kDeferred;
-    uint32_t li = lane.index;
+    const uint32_t d = lane.device;
     eq_.ScheduleAfter(BusCyclesToPs(kAdmissionDeferBusCycles),
-                      [this, li] {
-                        Lane& l = *lanes_[li];
+                      [this, d] {
+                        Lane& l = *lanes_[d];
                         if (l.state != Lane::State::kDeferred) return;
                         l.state = Lane::State::kIdle;
                         ObserveWindowThen(
-                            l, [this, li] { MaybeDispatch(*lanes_[li]); });
+                            l, [this, d] { MaybeDispatch(*lanes_[d]); });
                       });
     return;
   }
@@ -597,15 +569,13 @@ void NdpRuntime::StartLease(Lane& lane) {
   lane.gb_host_seam = false;
   ++counters_.leases;
   ++lane.active->job->leases;
-  uint32_t li = lane.index;
-  uint32_t dev = lane.device;
+  const uint32_t d = lane.device;
   // The driver lives on the device's channel partition: the acquire request
   // travels out through the port and its grant travels back, one lookahead
   // hop each way (both immediate in single-wheel mode).
-  array_->PostToDevice(dev, [this, li, dev] {
-    lanes_[li]->driver->AcquireOwnership([this, li, dev](sim::Tick) {
-      array_->PostToHost(dev,
-                         [this, li] { OnOwnershipAcquired(*lanes_[li]); });
+  array_->PostToDevice(d, [this, d] {
+    lanes_[d]->driver->AcquireOwnership([this, d](sim::Tick) {
+      array_->PostToHost(d, [this, d] { OnOwnershipAcquired(*lanes_[d]); });
     });
   });
 }
@@ -623,7 +593,6 @@ void NdpRuntime::OnOwnershipAcquired(Lane& lane) {
       jafar::SelectJob sel;
       sel.col_base = col_addr;
       sel.num_rows = lane.cur_lease_rows;
-      sel.op = c.job->op;
       sel.range_low = c.job->lo;
       sel.range_high = c.job->hi;
       sel.out_base = out_addr;
@@ -725,15 +694,14 @@ void NdpRuntime::OnOwnershipAcquired(Lane& lane) {
       break;
     }
   }
-  const uint32_t li = lane.index;
-  const uint32_t dev = lane.device;
-  array_->PostToDevice(dev, [this, li, dev, job] {
-    Status st = lanes_[li]->driver->Submit(
-        job, [this, li, dev](const jafar::Completion& done) {
+  const uint32_t d = lane.device;
+  array_->PostToDevice(d, [this, d, job] {
+    Status st = lanes_[d]->driver->Submit(
+        job, [this, d](const jafar::Completion& done) {
           Status s = done.status;
           uint64_t n = done.matches;
           array_->PostToHost(
-              dev, [this, li, s, n] { OnLeaseDone(*lanes_[li], s, n); });
+              d, [this, d, s, n] { OnLeaseDone(*lanes_[d], s, n); });
         });
     // The lane runs one lease at a time, so the driver is never busy here;
     // a refusal is a wiring bug, not a device fault.
@@ -752,6 +720,12 @@ void NdpRuntime::OnLeaseDone(Lane& lane, const Status& status,
   if (!job.failed) {
     if (KindHasBitmap(job.kind)) {
       job.matches += lease_matches;
+      // Fold the lease's bits now: the next lease on this lane may be
+      // another job's over the same placement, which overwrites the region.
+      // Leases start on whole pages, so the fold starts on a bitmap word.
+      array_->ReadBitmap(c.out_base + c.rows_done / 8,
+                         c.first_row + c.rows_done, lane.cur_lease_rows,
+                         &job.bitmap);
     } else if (job.kind == JobKind::kGroupBy) {
       if (!lane.gb_host_seam) {
         // Fold the device's bucket dump: count == 0 marks an untouched
@@ -791,12 +765,10 @@ void NdpRuntime::OnLeaseDone(Lane& lane, const Status& status,
     ++lane.rate_leases;
     UpdateHeavyHitters();
   }
-  uint32_t li = lane.index;
-  uint32_t dev = lane.device;
-  array_->PostToDevice(dev, [this, li, dev] {
-    lanes_[li]->driver->ReleaseOwnership([this, li, dev](sim::Tick) {
-      array_->PostToHost(dev,
-                         [this, li] { OnOwnershipReleased(*lanes_[li]); });
+  const uint32_t d = lane.device;
+  array_->PostToDevice(d, [this, d] {
+    lanes_[d]->driver->ReleaseOwnership([this, d](sim::Tick) {
+      array_->PostToHost(d, [this, d] { OnOwnershipReleased(*lanes_[d]); });
     });
   });
 }
@@ -805,7 +777,7 @@ void NdpRuntime::OnOwnershipReleased(Lane& lane) {
   BeginWindow(lane);
   Chunk& c = *lane.active;
   if (c.job->failed || c.rows_done == c.rows) {
-    RetireChunk(lane);
+    EndChunk(*c.job);
   } else {
     // Partially processed chunk goes back to the front of the queue (it has
     // the lowest seq of its priority class by construction).
@@ -815,24 +787,24 @@ void NdpRuntime::OnOwnershipReleased(Lane& lane) {
   LeaseController& lc = *controllers_[lane.channel];
   uint64_t window = lc.HostWindowBusCycles(lane.cur_lease_cycles);
   lane.state = Lane::State::kWaiting;
-  uint32_t li = lane.index;
+  const uint32_t d = lane.device;
   eq_.ScheduleAfter(BusCyclesToPs(window),
-                    [this, li] { OnWindowEnd(*lanes_[li]); });
+                    [this, d] { OnWindowEnd(*lanes_[d]); });
 }
 
 void NdpRuntime::OnWindowEnd(Lane& lane) {
   if (lane.state != Lane::State::kWaiting) return;  // lane died meanwhile
   lane.state = Lane::State::kIdle;
-  uint32_t li = lane.index;
-  ObserveWindowThen(lane, [this, li] { MaybeDispatch(*lanes_[li]); });
+  const uint32_t d = lane.device;
+  ObserveWindowThen(lane, [this, d] { MaybeDispatch(*lanes_[d]); });
 }
 
 void NdpRuntime::BeginWindow(Lane& lane) {
   lane.has_window = true;
   lane.sampling_inflight = true;
-  uint32_t li = lane.index;
-  SampleChannel(lane, [this, li](double busy, double reqs) {
-    Lane& l = *lanes_[li];
+  const uint32_t d = lane.device;
+  SampleChannel(lane, [this, d](double busy, double reqs) {
+    Lane& l = *lanes_[d];
     l.sampling_inflight = false;
     l.window_start_ps = eq_.Now();
     l.busy_base = busy;
@@ -865,9 +837,9 @@ void NdpRuntime::ObserveWindowThen(Lane& lane, std::function<void()> k) {
     return;
   }
   lane.sampling_inflight = true;
-  uint32_t li = lane.index;
-  SampleChannel(lane, [this, li, k = std::move(k)](double busy, double reqs) {
-    Lane& l = *lanes_[li];
+  const uint32_t d = lane.device;
+  SampleChannel(lane, [this, d, k = std::move(k)](double busy, double reqs) {
+    Lane& l = *lanes_[d];
     l.sampling_inflight = false;
     sim::Tick now = eq_.Now();
     uint64_t window_cycles =
@@ -890,24 +862,23 @@ void NdpRuntime::ObserveWindowThen(Lane& lane, std::function<void()> k) {
 
 // -- Completion ---------------------------------------------------------------
 
-void NdpRuntime::RetireChunk(Lane& lane) { RetireChunkImpl(*lane.active); }
+std::unique_ptr<NdpRuntime::Chunk> NdpRuntime::NewChunk(
+    Job& job, JobPriority priority, uint64_t col_base, uint64_t out_base,
+    uint64_t val_base, uint64_t first_row, uint64_t rows) {
+  ++job.chunks_live;
+  return std::make_unique<Chunk>(&job, next_chunk_seq_++, priority, col_base,
+                                 out_base, val_base, first_row, rows);
+}
 
-void NdpRuntime::RetireChunkImpl(Chunk& c) {
-  Job& job = *c.job;
-  --job.chunks_live;
-  if (job.failed) return;
-  if (KindHasBitmap(job.kind) && c.rows_done > 0) {
-    MergeBitmapRange(job, c.first_row, c.rows_done, c.out_base);
-  }
-  if (job.chunks_live == 0) {
-    // Only now is every chunk's bitmap merged; a rows_completed check alone
-    // would double-complete under interleaved final leases.
-    NDP_CHECK(job.rows_completed == job.total_rows);
-    // Never silently complete late: a job whose last lease landed past the
-    // deadline reports DeadlineExceeded, not a stale success.
-    if (CancelIfExpired(job)) return;
-    CompleteJob(job);
-  }
+void NdpRuntime::EndChunk(Job& job) {
+  NDP_CHECK(job.chunks_live > 0);
+  if (--job.chunks_live > 0 || job.failed) return;
+  // The last chunk ended: every row was counted and folded exactly once.
+  NDP_CHECK(job.rows_completed == job.total_rows);
+  // Never silently complete late: a job whose last lease landed past the
+  // deadline reports DeadlineExceeded, not a stale success.
+  if (CancelIfExpired(job)) return;
+  FinishJob(job, Status::OK());
 }
 
 bool NdpRuntime::CancelIfExpired(Job& job) {
@@ -920,33 +891,23 @@ bool NdpRuntime::CancelIfExpired(Job& job) {
   return true;
 }
 
-void NdpRuntime::MergeBitmapRange(Job& job, uint64_t first_row, uint64_t rows,
-                                  uint64_t out_base) {
-  NDP_CHECK(first_row % 64 == 0);
-  uint64_t words = (rows + 63) / 64;
-  for (uint64_t w = 0; w < words; ++w) {
-    uint64_t value = array_->dram().backing_store().Read64(out_base + w * 8);
-    if ((w + 1) * 64 > rows) {
-      uint64_t valid = rows - w * 64;
-      value &= (valid >= 64) ? ~uint64_t{0} : ((uint64_t{1} << valid) - 1);
-    }
-    job.bitmap.SetWord(first_row / 64 + w, value);
-  }
-}
-
-void NdpRuntime::CompleteJob(Job& job) {
+void NdpRuntime::FinishJob(Job& job, const Status& status) {
   JobResult result;
   result.job_id = job.id;
   result.kind = job.kind;
-  result.status = Status::OK();
-  result.matches = job.matches;
-  result.agg_value = job.agg_value;
+  result.status = status;
   result.submitted_ps = job.submitted_ps;
   result.completed_ps = eq_.Now();
   result.leases = job.leases;
-  if (KindHasBitmap(job.kind)) result.bitmap = std::move(job.bitmap);
-  if (job.kind == JobKind::kGroupBy) result.groups = std::move(job.groups);
-  ++counters_.jobs_completed;
+  if (status.ok()) {
+    result.matches = job.matches;
+    result.agg_value = job.agg_value;
+    if (KindHasBitmap(job.kind)) result.bitmap = std::move(job.bitmap);
+    if (job.kind == JobKind::kGroupBy) result.groups = std::move(job.groups);
+    ++counters_.jobs_completed;
+  } else {
+    ++counters_.jobs_failed;
+  }
   --active_jobs_;
   JobCallback cb = std::move(job.on_done);
   auto [it, inserted] = results_.emplace(job.id, std::move(result));
@@ -957,31 +918,19 @@ void NdpRuntime::CompleteJob(Job& job) {
 void NdpRuntime::FailJob(Job& job, const Status& status) {
   if (job.failed) return;
   job.failed = true;
-  JobResult result;
-  result.job_id = job.id;
-  result.kind = job.kind;
-  result.status = status;
-  result.submitted_ps = job.submitted_ps;
-  result.completed_ps = eq_.Now();
-  result.leases = job.leases;
-  ++counters_.jobs_failed;
-  --active_jobs_;
   // Purge the job's queued chunks everywhere; in-flight sibling leases see
-  // job.failed at completion and drop their chunk without accounting.
+  // job.failed when they come back and end their chunk then.
   for (auto& lane : lanes_) {
     auto& q = lane->queue;
     q.erase(std::remove_if(q.begin(), q.end(),
                            [&](const std::unique_ptr<Chunk>& c) {
                              if (c->job != &job) return false;
-                             --job.chunks_live;
+                             EndChunk(job);
                              return true;
                            }),
             q.end());
   }
-  JobCallback cb = std::move(job.on_done);
-  auto [it, inserted] = results_.emplace(job.id, std::move(result));
-  NDP_CHECK(inserted);
-  if (cb) cb(it->second);
+  FinishJob(job, status);
 }
 
 // -- Probe / group-by helpers -------------------------------------------------
@@ -1160,13 +1109,11 @@ void NdpRuntime::TrySteal(Lane& thief) {
   ++counters_.steals;
   counters_.stolen_pages += (steal_rows + kRowsPerPage - 1) / kRowsPerPage;
   // A queued chunk whose whole remaining tail was stolen will never run
-  // again: retire the husk now so its completed prefix (if any) is recorded
-  // and it cannot be dispatched as a zero-row lease.
+  // again: end the husk now so it cannot be dispatched as a zero-row lease.
   if (!victim->queue.empty() && victim->queue.back().get() == source &&
       source->rows == source->rows_done) {
-    std::unique_ptr<Chunk> husk = std::move(victim->queue.back());
     victim->queue.pop_back();
-    RetireChunkImpl(*husk);
+    EndChunk(job);
   }
 }
 
@@ -1185,16 +1132,10 @@ bool NdpRuntime::TransplantRows(Lane& target, Job& job, JobPriority priority,
     if (!v.ok()) return false;
     val_base = v.value();
   }
-  auto chunk = std::make_unique<Chunk>();
-  chunk->job = &job;
-  chunk->seq = next_chunk_seq_++;
-  chunk->priority = priority;
-  chunk->col_base = col_base.value();
-  chunk->out_base = out_base.value();
-  chunk->val_base = val_base;
-  chunk->first_row = first_row;
-  chunk->rows = rows;
-  ++job.chunks_live;  // live from creation: the copy latency is part of it
+  // Live from creation: the copy latency is part of the chunk's life.
+  std::unique_ptr<Chunk> chunk =
+      NewChunk(job, priority, col_base.value(), out_base.value(), val_base,
+               first_row, rows);
   // Host-mediated DMA: 64 B bursts read from the source rank and written to
   // the target rank through the host. The read and write streams pipeline
   // through the host's buffer (and overlap fully when source and target sit
@@ -1212,7 +1153,7 @@ bool NdpRuntime::TransplantRows(Lane& target, Job& job, JobPriority priority,
   }
   uint64_t copy_cycles = kStealCopyOverheadBusCycles +
                          bursts * array_->timing().tccd;
-  uint32_t ti = target.index;
+  const uint32_t ti = target.device;
   // Shared-pointer hand-off keeps the chunk alive inside the closure.
   std::shared_ptr<Chunk> pending(chunk.release());
   eq_.ScheduleAfter(
@@ -1235,6 +1176,7 @@ bool NdpRuntime::TransplantRows(Lane& target, Job& job, JobPriority priority,
           if (next == nullptr) {
             FailJob(*owned->job,
                     Status::Internal("runtime: all device lanes failed"));
+            EndChunk(*owned->job);
             return;
           }
           ++counters_.chunks_reassigned;
@@ -1246,68 +1188,51 @@ bool NdpRuntime::TransplantRows(Lane& target, Job& job, JobPriority priority,
   return true;
 }
 
+void NdpRuntime::Reassign(Job& job, JobPriority priority, uint64_t src_addr,
+                          uint64_t val_src_addr, uint64_t first_row,
+                          uint64_t rows, const Status& no_lane_status) {
+  Lane* target = LeastLoadedLiveLane();
+  if (target == nullptr) {
+    FailJob(job, no_lane_status);
+    return;
+  }
+  if (!TransplantRows(*target, job, priority, src_addr, val_src_addr,
+                      first_row, rows)) {
+    FailJob(job, Status::ResourceExhausted(
+                     "runtime: no space to reassign rows to a live lane"));
+    return;
+  }
+  ++counters_.chunks_reassigned;
+}
+
 void NdpRuntime::HandleLaneFailure(Lane& lane, const Status& status) {
   ++counters_.lane_failures;
   lane.state = Lane::State::kDead;
   // Hand the rank back to the host controller so CPU traffic to it drains
   // (the failed device is idle after the driver's abort path).
-  uint32_t dead = lane.index;
-  array_->PostToDevice(lane.device, [this, dead] {
+  const uint32_t dead = lane.device;
+  array_->PostToDevice(dead, [this, dead] {
     lanes_[dead]->driver->ReleaseOwnership([](sim::Tick) {});
   });
 
-  // Collect the work the lane can no longer do. The failed lease's rows were
-  // never counted, so re-running them elsewhere cannot double-count.
-  struct Orphan {
-    Job* job;
-    JobPriority priority;
-    uint64_t src_addr, val_src_addr, first_row, rows;
-  };
-  std::vector<Orphan> orphans;
-  auto val_src = [](const Chunk& c) {
-    return c.job->kind == JobKind::kGroupBy ? c.val_base + c.rows_done * 8
-                                            : uint64_t{0};
-  };
-  if (lane.active) {
-    Chunk& c = *lane.active;
-    --c.job->chunks_live;
-    if (!c.job->failed) {
-      if (KindHasBitmap(c.job->kind) && c.rows_done > 0) {
-        // Keep the completed prefix: its bitmap words are already in DRAM.
-        MergeBitmapRange(*c.job, c.first_row, c.rows_done, c.out_base);
-      }
-      if (c.rows_done < c.rows) {
-        orphans.push_back(Orphan{c.job, c.priority,
-                                 c.col_base + c.rows_done * 8, val_src(c),
-                                 c.first_row + c.rows_done,
-                                 c.rows - c.rows_done});
-      }
-    }
-    lane.active.reset();
-  }
-  for (auto& c : lane.queue) {
-    --c->job->chunks_live;
-    if (c->job->failed) continue;
-    orphans.push_back(Orphan{c->job, c->priority, c->col_base + c->rows_done * 8,
-                             val_src(*c), c->first_row + c->rows_done,
-                             c->rows - c->rows_done});
-  }
+  // Move the lane's work out first, then re-home each chunk's unfinished
+  // rows before ending it, so a live job never sees its chunk count touch
+  // zero in between. The failed lease's rows were never counted, and every
+  // finished lease already folded its result, so nothing runs twice.
+  std::vector<std::unique_ptr<Chunk>> orphans;
+  if (lane.active) orphans.push_back(std::move(lane.active));
+  for (auto& c : lane.queue) orphans.push_back(std::move(c));
   lane.queue.clear();
-
-  for (const Orphan& o : orphans) {
-    if (o.job->failed) continue;
-    Lane* target = LeastLoadedLiveLane();
-    if (target == nullptr) {
-      FailJob(*o.job, status);
-      continue;
+  for (const auto& c : orphans) {
+    Job& job = *c->job;
+    if (!job.failed && c->rows_done < c->rows) {
+      uint64_t val_src = job.kind == JobKind::kGroupBy
+                             ? c->val_base + c->rows_done * 8
+                             : 0;
+      Reassign(job, c->priority, c->col_base + c->rows_done * 8, val_src,
+               c->first_row + c->rows_done, c->rows - c->rows_done, status);
     }
-    if (!TransplantRows(*target, *o.job, o.priority, o.src_addr,
-                        o.val_src_addr, o.first_row, o.rows)) {
-      FailJob(*o.job, Status::ResourceExhausted(
-                          "runtime: no space to reassign failed lane's pages"));
-      continue;
-    }
-    ++counters_.chunks_reassigned;
+    EndChunk(job);
   }
 }
 
@@ -1339,19 +1264,12 @@ const JobResult* NdpRuntime::result(JobId id) const {
 // -- Pushdown hooks -----------------------------------------------------------
 
 db::NdpSelectHook NdpRuntime::MakePushdownHook() {
-  return [this](const db::Column& col,
-                const db::Pred& pred) -> Result<db::PositionList> {
-    int64_t lo, hi;
-    NDP_RETURN_NOT_OK(PredToJafarRange(pred, &lo, &hi));
-    NDP_ASSIGN_OR_RETURN(PlacedColumn * placed, EnsurePlaced(col));
-    NDP_ASSIGN_OR_RETURN(
-        JobId id, SubmitSelect(*placed, lo, hi, JobPriority::kInteractive));
-    NDP_RETURN_NOT_OK(WaitFor(id));
-    const JobResult* r = result(id);
-    NDP_RETURN_NOT_OK(r->status);
-    db::PositionList positions = db::BitmapToPositions(r->bitmap);
-    NDP_RETURN_NOT_OK(ValidatePushdownResult(positions, col.size()));
-    return positions;
+  return [batch = MakePushdownBatchHook()](
+             const db::Column& col,
+             const db::Pred& pred) -> Result<db::PositionList> {
+    NDP_ASSIGN_OR_RETURN(std::vector<db::PositionList> lists,
+                         batch({{&col, pred}}));
+    return std::move(lists.front());
   };
 }
 

@@ -249,13 +249,10 @@ class NdpRuntime {
                               JobPriority priority = JobPriority::kBatch,
                               JobCallback on_done = {});
 
-  /// Deadline-carrying select (the serving-ingress admission entry).
-  Result<JobId> SubmitSelectWith(const PlacedColumn& col, int64_t lo,
-                                 int64_t hi, SubmitOptions opts);
-
-  /// One select of a batch-admission burst: the ingress drains its rings in
-  /// bursts and admits the whole burst before any lane wakes, so one poke
-  /// pass (not one per request) amortizes queue/lease overhead.
+  /// One select of a batch-admission burst, the serving ingress's entry: it
+  /// carries a deadline, and the ingress drains its rings in bursts and
+  /// admits the whole burst before any lane wakes, so one poke pass (not one
+  /// per request) amortizes queue/lease overhead. A retry is a burst of one.
   struct BurstSelect {
     const PlacedColumn* col = nullptr;
     int64_t lo = 0, hi = 0;
@@ -275,7 +272,7 @@ class NdpRuntime {
 
   /// Places `col` on first use (cached per column identity) and runs the
   /// predicate through the runtime as an interactive job — the db-layer
-  /// pushdown entry (QueryContext::ndp_select).
+  /// pushdown entry (QueryContext::ndp_select). A one-conjunct batch hook.
   db::NdpSelectHook MakePushdownHook();
   /// Batch form: submits every conjunct concurrently, waits for all, and
   /// returns one position list per conjunct (QueryContext::ndp_select_batch).
@@ -297,10 +294,9 @@ class NdpRuntime {
   struct Job;
   struct Lane;
 
-  Result<JobId> Submit(const PlacedColumn& col, JobKind kind,
-                       jafar::CompareOp op, int64_t lo, int64_t hi,
-                       jafar::AggKind agg, SubmitOptions opts, bool poke_lanes,
-                       const PlacedColumn* vals = nullptr,
+  Result<JobId> Submit(const PlacedColumn& col, JobKind kind, int64_t lo,
+                       int64_t hi, jafar::AggKind agg, SubmitOptions opts,
+                       bool poke_lanes, const PlacedColumn* vals = nullptr,
                        std::vector<uint64_t> filter_image = {});
   /// True (and fails + counts the job) when its deadline has already passed.
   bool CancelIfExpired(Job& job);
@@ -331,18 +327,22 @@ class NdpRuntime {
   /// SampleChannel), then runs `k`. Skips the observation (still running
   /// `k`) when a sample for this lane is already in flight.
   void ObserveWindowThen(Lane& lane, std::function<void()> k);
-  void RetireChunk(Lane& lane);
-  /// Accounts a chunk that will never run again: merges its completed-prefix
-  /// bitmap words and completes the job when this was the last live chunk.
+  /// The only way a chunk comes to life: a fresh (priority, seq) queue key
+  /// and one more live chunk on `job`.
+  std::unique_ptr<Chunk> NewChunk(Job& job, JobPriority priority,
+                                  uint64_t col_base, uint64_t out_base,
+                                  uint64_t val_base, uint64_t first_row,
+                                  uint64_t rows);
+  /// The only way a chunk ends (finished, purged, stolen empty, or re-homed
+  /// off a dead lane): completes a live job when this was its last chunk.
   /// The caller still owns (and disposes of) the chunk object itself.
-  void RetireChunkImpl(Chunk& c);
-  /// Copies the select bitmap for rows [first_row, first_row + rows) from the
-  /// device out region at `out_base` into the job's result bitmap. Must run
-  /// while the region is still intact — i.e. before the owning lane can lease
-  /// a later job's chunk that shares the same placement out region.
-  void MergeBitmapRange(Job& job, uint64_t first_row, uint64_t rows,
-                        uint64_t out_base);
-  void CompleteJob(Job& job);
+  void EndChunk(Job& job);
+  /// The only way a job ends: records its JobResult, counts it completed or
+  /// failed, and fires its callback.
+  void FinishJob(Job& job, const Status& status);
+  /// Marks the job failed, purges its queued chunks, and finishes it. No-op
+  /// on an already failed job; in-flight sibling leases end their chunks
+  /// when they come back.
   void FailJob(Job& job, const Status& status);
   void TrySteal(Lane& thief);
   void HandleLaneFailure(Lane& lane, const Status& status);
@@ -352,6 +352,13 @@ class NdpRuntime {
   bool TransplantRows(Lane& target, Job& job, JobPriority priority,
                       uint64_t src_addr, uint64_t val_src_addr,
                       uint64_t first_row, uint64_t rows);
+  /// Re-homes rows whose lane cannot run them (a dead placement home or a
+  /// failed lane) onto the least loaded live lane. Fails the job with
+  /// `no_lane_status` when every lane is dead, or when the target rank has
+  /// no room for the copy.
+  void Reassign(Job& job, JobPriority priority, uint64_t src_addr,
+                uint64_t val_src_addr, uint64_t first_row, uint64_t rows,
+                const Status& no_lane_status);
   uint64_t StealableRows(const Lane& lane) const;
   /// The live lane with the fewest stealable rows (ties go to the lowest
   /// index), or null when every lane is dead. Rerouting and failure

@@ -45,7 +45,6 @@ SystemModel::SystemModel(PlatformConfig config) : config_(std::move(config)) {
   core_scope.Counter("degraded_mode", &degraded_mode_);
   core_scope.Counter("pushdown_probes", &pushdown_probes_);
 
-#ifdef NDP_FAULT_INJECT
   // Overlay the NDP_FAULT_* environment on the programmatic plan, and attach
   // an injector to the device only when some rate is nonzero — a system with
   // an inactive plan takes no RNG draws and stays byte-identical to a
@@ -57,7 +56,6 @@ SystemModel::SystemModel(PlatformConfig config) : config_(std::move(config)) {
                                                        root.Sub("fault"));
     device_->set_fault_injector(injector_.get());
   }
-#endif
 }
 
 uint64_t SystemModel::Allocate(uint64_t bytes, uint64_t align) {

@@ -8,9 +8,8 @@
 // which is itself deterministic, so a (plan, workload) pair fully determines
 // the fault sequence.
 //
-// The injector is wired into the JAFAR device (and consulted by the driver)
-// only when the NDP_FAULT_INJECT compile option is on; with it off, no draw
-// site exists in the binary at all.
+// A device with no injector attached (the default) takes no draws, so a run
+// without a fault plan is byte-identical to one without the draw sites.
 #pragma once
 
 #include <cstdint>

@@ -142,27 +142,20 @@ void Device::FailJob(Status st) {
 }
 
 bool Device::MaybeInjectHang() {
-#ifdef NDP_FAULT_INJECT
   if (injector_ != nullptr && injector_->DrawHangAtDispatch()) {
     // The command sequencer wedges before its first step: the device stays
     // busy with no pending events. Only the driver watchdog (AbortJob) can
     // recover it.
     return true;
   }
-#endif
   return false;
 }
 
 bool Device::DrawStallAtBurst() {
-#ifdef NDP_FAULT_INJECT
   return injector_ != nullptr && injector_->DrawStallAtBurst();
-#else
-  return false;
-#endif
 }
 
 bool Device::HandleReadFault(uint64_t burst_addr) {
-#ifdef NDP_FAULT_INJECT
   if (injector_ == nullptr) return true;
   fault::ReadFault rf = injector_->DrawReadBurst();
   if (rf == fault::ReadFault::kNone) return true;
@@ -191,10 +184,6 @@ bool Device::HandleReadFault(uint64_t burst_addr) {
   channel().rank(rank_index_).NoteEccUncorrectable();
   FailJob(Status::Internal("uncorrectable ECC error on read burst"));
   return false;
-#else
-  (void)burst_addr;
-  return true;
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -619,7 +608,6 @@ void Device::FlushBitmap(std::function<void()> next) {
     last_result_checksum_ = ChecksumMix(last_result_checksum_, value);
   }
 
-#ifdef NDP_FAULT_INJECT
   if (injector_ != nullptr && injector_->DrawCorruptAtFlush()) {
     // Flip one already-written bit after the checksum was taken — exactly
     // what a flaky writeback path would do. The driver's verification pass
@@ -629,7 +617,6 @@ void Device::FlushBitmap(std::function<void()> next) {
     uint64_t word = dram_->backing_store().Read64(waddr);
     dram_->backing_store().Write64(waddr, word ^ (uint64_t{1} << (bit % 64)));
   }
-#endif
 
   // Timing: one WR burst per 64 B of bitmap.
   uint64_t bursts = (bytes + kBurstBytes - 1) / kBurstBytes;
@@ -655,13 +642,11 @@ void Device::FinishJob() {
   ++stats_.jobs_completed;
   auto cb = std::move(on_done_);
   on_done_ = nullptr;
-#ifdef NDP_FAULT_INJECT
   if (injector_ != nullptr && injector_->DrawDropCompletion()) {
     // The job finished and its results are in DRAM, but the completion
     // signal is lost. The driver's watchdog times out and retries.
     cb = nullptr;
   }
-#endif
   if (cb) cb(Completion{Status::OK(), job_matches_, eq_->Now(), 1});
 }
 

@@ -106,8 +106,8 @@ class Device {
 
   // -- Fault injection & recovery (src/fault) -------------------------------
 
-  /// Attaches a seeded fault source. Null (the default) means no faults; the
-  /// draw sites only exist when built with NDP_FAULT_INJECT.
+  /// Attaches a seeded fault source. Null (the default) means no faults and
+  /// no draws.
   void set_fault_injector(fault::FaultInjector* injector) {
     injector_ = injector;
   }

@@ -7,10 +7,6 @@
 
 namespace ndp::jafar {
 
-static_assert(static_cast<size_t>(Command::kGoProbe) ==
-                  std::variant_size_v<JobDescriptor>,
-              "one kGo* command per JobDescriptor alternative, in order");
-
 Driver::Driver(Device* device, dram::MemoryController* controller,
                DriverConfig config, const StatsScope& stats)
     : device_(device),
@@ -87,21 +83,6 @@ Status Driver::Submit(const JobDescriptor& job,
     return Status::InvalidArgument("col_data must be page aligned (Figure 2: "
                                    "one call per virtual memory page)");
   }
-  // Program the control-register block, as the memory-mapped interface
-  // would, then GO.
-  regs_.Write(Reg::kNumRows, rows);
-  if (sel != nullptr) {
-    regs_.Write(Reg::kColBase, sel->col_base);
-    regs_.Write(Reg::kCompareOp, static_cast<uint64_t>(sel->op));
-    regs_.Write(Reg::kRangeLow, static_cast<uint64_t>(sel->range_low));
-    regs_.Write(Reg::kRangeHigh, static_cast<uint64_t>(sel->range_high));
-    regs_.Write(Reg::kOutBase, sel->out_base);
-    regs_.Write(Reg::kFlagAddr, sel->flag_addr);
-  }
-  regs_.Write(Reg::kCommand,
-              static_cast<uint64_t>(Command::kGoSelect) + job.index());
-  regs_.Write(Reg::kStatus, static_cast<uint64_t>(DeviceStatus::kBusy));
-
   active_ = true;
   job_ = job;
   result_ = Completion{};
@@ -211,8 +192,6 @@ void Driver::HandleFailure(Status st) {
 
 void Driver::Finish(Status st) {
   const bool ok = st.ok();
-  regs_.Write(Reg::kStatus, static_cast<uint64_t>(ok ? DeviceStatus::kDone
-                                                     : DeviceStatus::kError));
   active_ = false;
   result_.status = std::move(st);
   result_.completed_at = eq_->Now();

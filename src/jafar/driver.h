@@ -1,9 +1,8 @@
 // Host-side driver for a JAFAR unit. Implements the paper's invocation model:
 //  * rank ownership hand-off through the memory controller's MR3/MPR write
 //    (§2.2, "Coordinating DRAM Access");
-//  * one submit path for every job kind: the descriptor is written into the
-//    control-register block, GO is written, and STATUS reads BUSY until the
-//    job ends in DONE or ERROR;
+//  * one submit path for every job kind: the descriptor goes to the device,
+//    and the job ends in exactly one Completion (OK or the failure cause);
 //  * the Figure 2 API, `select_jafar(col_data, range_low, range_high,
 //    out_buf, num_input_rows, &num_output_rows)`, called once per (pinned)
 //    virtual-memory page because JAFAR relies on the CPU for translation:
@@ -20,7 +19,6 @@
 
 #include "fault/retry.h"
 #include "jafar/device.h"
-#include "jafar/registers.h"
 
 namespace ndp::jafar {
 
@@ -53,7 +51,7 @@ struct DriverStats {
   uint64_t permanent_failures = 0; ///< retry budget exhausted / non-retryable
 };
 
-/// \brief The driver: control-register ceremony, page chunking, recovery.
+/// \brief The driver: ownership hand-off, page chunking, recovery.
 class Driver {
  public:
   Driver(Device* device, dram::MemoryController* controller,
@@ -90,9 +88,6 @@ class Driver {
   /// Completion sums the passes and stops at the first failed one.
   Status HierarchicalGroupBy(GroupByJob job, uint32_t num_groups,
                              std::function<void(const Completion&)> on_done);
-
-  /// The memory-mapped register block (exposed for inspection/testing).
-  const ControlRegisters& registers() const { return regs_; }
 
   const DriverStats& stats() const { return stats_; }
 
@@ -135,7 +130,6 @@ class Driver {
   dram::MemoryController* controller_;
   DriverConfig config_;
   sim::EventQueue* eq_;
-  ControlRegisters regs_;
   DriverStats stats_;
   /// Dispatch-to-success latency of recovered (attempt > 1) jobs, in ps.
   ndp::Histogram recovery_latency_{0.0, 5.0e8, 50};

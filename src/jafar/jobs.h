@@ -178,9 +178,8 @@ struct RowStoreJob {
   uint64_t out_base = 0;  ///< bitmap, one bit per tuple
 };
 
-/// \brief One job of any kind: what the CPU writes into the control-register
-/// block before GO (§2.2). The alternative index + 1 is the kGo* command
-/// value (registers.h).
+/// \brief One job of any kind: what the CPU hands the device before GO
+/// (§2.2).
 using JobDescriptor = std::variant<SelectJob, AggregateJob, ProjectJob,
                                    RowStoreJob, SortJob, GroupByJob, ProbeJob>;
 

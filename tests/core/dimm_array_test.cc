@@ -35,24 +35,23 @@ TEST(DimmArrayTest, BuildsOneDevicePerRank) {
 TEST(DimmArrayTest, PartitionsCoverAllRows) {
   DimmArray array(dram::DramTiming::DDR3_1600(), 4, 1, Config());
   db::Column col = RandomColumn(100000);
-  auto counts = array.LoadPartitioned(col);
+  PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
   uint64_t total = 0;
-  for (uint64_t c : counts) total += c;
-  EXPECT_EQ(total, col.size());
-  // Partition boundaries are bitmap-word aligned.
-  uint64_t row = 0;
-  for (size_t i = 0; i + 1 < counts.size(); ++i) {
-    row += counts[i];
-    EXPECT_EQ(row % 64, 0u) << "partition " << i;
+  for (const DevicePlacement& part : placed.parts) {
+    // Partition starts are bitmap-word aligned and contiguous.
+    EXPECT_EQ(part.first_row, total) << "device " << part.device;
+    EXPECT_EQ(part.first_row % 64, 0u) << "device " << part.device;
+    total += part.rows;
   }
+  EXPECT_EQ(total, col.size());
 }
 
 TEST(DimmArrayTest, ParallelSelectMatchesOracle) {
   DimmArray array(dram::DramTiming::DDR3_1600(), 2, 2, Config());
   array.AcquireAllOwnership();
   db::Column col = RandomColumn(50000, 5);
-  array.LoadPartitioned(col);
-  auto result = array.RunParallelSelect(100000, 600000).ValueOrDie();
+  PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
+  auto result = array.RunParallelSelect(placed, 100000, 600000).ValueOrDie();
   uint64_t oracle = 0;
   for (size_t i = 0; i < col.size(); ++i) {
     bool pass = col[i] >= 100000 && col[i] <= 600000;
@@ -67,8 +66,8 @@ TEST(DimmArrayTest, ParallelismShortensMakespan) {
   auto run = [&](uint32_t channels) {
     DimmArray array(dram::DramTiming::DDR3_1600(), channels, 1, Config());
     array.AcquireAllOwnership();
-    array.LoadPartitioned(col);
-    return array.RunParallelSelect(0, 499999).ValueOrDie().duration_ps;
+    PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
+    return array.RunParallelSelect(placed, 0, 499999).ValueOrDie().duration_ps;
   };
   sim::Tick one = run(1);
   sim::Tick four = run(4);
@@ -123,16 +122,16 @@ TEST(DimmArrayTest, SplitRowsWeightedSkew) {
   }
 }
 
-TEST(DimmArrayTest, LoadPartitionedRaggedMatchesOracle) {
+TEST(DimmArrayTest, PlaceColumnRaggedMatchesOracle) {
   DimmArray array(dram::DramTiming::DDR3_1600(), 4, 1, Config());
   array.AcquireAllOwnership();
   db::Column col = RandomColumn(100037, 11);  // ragged on purpose
-  auto counts = array.LoadPartitioned(col);
-  ASSERT_EQ(counts.size(), 4u);
+  PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
+  ASSERT_EQ(placed.parts.size(), 4u);
   uint64_t total = 0;
-  for (uint64_t c : counts) total += c;
+  for (const DevicePlacement& part : placed.parts) total += part.rows;
   EXPECT_EQ(total, col.size());
-  auto result = array.RunParallelSelect(250000, 750000).ValueOrDie();
+  auto result = array.RunParallelSelect(placed, 250000, 750000).ValueOrDie();
   uint64_t oracle = 0;
   for (size_t i = 0; i < col.size(); ++i) {
     oracle += col[i] >= 250000 && col[i] <= 750000;
@@ -140,24 +139,17 @@ TEST(DimmArrayTest, LoadPartitionedRaggedMatchesOracle) {
   EXPECT_EQ(result.matches, oracle);
 }
 
-TEST(DimmArrayTest, LoadPartitionedMoreDevicesThanRows) {
+TEST(DimmArrayTest, PlaceColumnMoreDevicesThanRows) {
   DimmArray array(dram::DramTiming::DDR3_1600(), 2, 2, Config());
   array.AcquireAllOwnership();
   db::Column col = RandomColumn(10, 12);
-  auto counts = array.LoadPartitioned(col);
-  ASSERT_EQ(counts.size(), 4u);
+  PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
+  ASSERT_EQ(placed.parts.size(), 4u);
   uint64_t total = 0;
-  for (uint64_t c : counts) total += c;
+  for (const DevicePlacement& part : placed.parts) total += part.rows;
   EXPECT_EQ(total, 10u);
-  auto result = array.RunParallelSelect(0, 999999).ValueOrDie();
+  auto result = array.RunParallelSelect(placed, 0, 999999).ValueOrDie();
   EXPECT_EQ(result.matches, 10u);
-}
-
-TEST(DimmArrayTest, SelectBeforeLoadFails) {
-  DimmArray array(dram::DramTiming::DDR3_1600(), 1, 1, Config());
-  array.AcquireAllOwnership();
-  EXPECT_EQ(array.RunParallelSelect(0, 1).status().code(),
-            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

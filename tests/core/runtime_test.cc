@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/host_traffic.h"
@@ -267,6 +268,39 @@ TEST(NdpRuntimeTest, PushdownHookFeedsPlanExecution) {
   db::PositionList cpu =
       ScanSelect(&cpu_ctx, col, db::Pred::Between(0, 99'999));
   EXPECT_EQ(ndp, cpu);
+}
+
+TEST(NdpRuntimeTest, PreemptedBatchChunkKeepsItsBitmap) {
+  // An interactive select preempts a half-done batch chunk on the only lane
+  // and reuses the column's placement out region. The batch job's finished
+  // leases must keep their bits: they are folded when each lease ends, not
+  // when the chunk retires after the interactive job overwrote the region.
+  DimmArray array(dram::DramTiming::DDR3_1600(), 1, 1, Config());
+  NdpRuntime runtime(&array, RuntimeConfig{});
+  db::Column col = RandomColumn(1u << 18, 7);
+  PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
+  auto batch = runtime.SubmitSelect(placed, 0, 499'999).ValueOrDie();
+  ASSERT_TRUE(array.RunUntilTrue([&] {
+    return array.stats().ReadValue("array.runtime.leases") >= 2.0;
+  }));
+  auto interactive = runtime
+                         .SubmitSelect(placed, 500'000, 999'999,
+                                       JobPriority::kInteractive)
+                         .ValueOrDie();
+  ASSERT_TRUE(runtime.Drain().ok());
+
+  for (auto [id, lo, hi] : {std::tuple{batch, 0, 499'999},
+                            std::tuple{interactive, 500'000, 999'999}}) {
+    const JobResult* r = runtime.result(id);
+    ASSERT_TRUE(r != nullptr);
+    ASSERT_TRUE(r->status.ok()) << r->status.ToString();
+    EXPECT_EQ(r->matches, Oracle(col, lo, hi));
+    uint64_t wrong = 0;
+    for (size_t i = 0; i < col.size(); ++i) {
+      wrong += r->bitmap.Get(i) != (col[i] >= lo && col[i] <= hi);
+    }
+    EXPECT_EQ(wrong, 0u) << "job " << id;
+  }
 }
 
 TEST(NdpRuntimeTest, BatchHookRunsConjunctsConcurrently) {

@@ -82,8 +82,6 @@ TEST(NdpSchedulerTest, HostWindowLetsCoRunningCpuProgress) {
   EXPECT_GT(sliced.slices, 2u);
 }
 
-#ifdef NDP_FAULT_INJECT
-
 TEST(NdpSchedulerTest, PermanentDeviceFailureIsReported) {
   db::Column col = RandomColumn(65536, 9);
   PlatformConfig config = PlatformConfig::Gem5();
@@ -99,8 +97,6 @@ TEST(NdpSchedulerTest, PermanentDeviceFailureIsReported) {
   // The failed slice still handed the rank back to the host.
   EXPECT_EQ(sys.dram().channel(0).rank(0).owner(), dram::RankOwner::kHost);
 }
-
-#endif  // NDP_FAULT_INJECT
 
 }  // namespace
 }  // namespace ndp::core

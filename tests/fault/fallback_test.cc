@@ -47,8 +47,6 @@ TEST(PushdownHygieneTest, RejectsDuplicatesOutOfOrderAndOutOfRange) {
             StatusCode::kInternal);
 }
 
-#ifdef NDP_FAULT_INJECT
-
 TEST(FallbackTest, PermanentDeviceFailureFallsBackBitIdentically) {
   db::Column col = MakeColumn(2048, 41);
   db::Pred pred = db::Pred::Between(100, 499);
@@ -168,8 +166,6 @@ TEST(FallbackTest, RecoveredFaultsKeepPushdownOnDevice) {
   EXPECT_GT(sys.driver().stats().retries, 0u);
   EXPECT_EQ(sys.driver().stats().permanent_failures, 0u);
 }
-
-#endif  // NDP_FAULT_INJECT
 
 }  // namespace
 }  // namespace ndp::core

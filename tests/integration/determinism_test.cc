@@ -66,8 +66,6 @@ TEST(DeterminismTest, Fig3PipelineIsBitIdenticalAcrossRuns) {
             std::string::npos);
 }
 
-#ifdef NDP_FAULT_INJECT
-
 struct FaultedResult {
   uint64_t matches = 0;
   std::string stats_dump;
@@ -115,8 +113,6 @@ TEST(DeterminismTest, DifferentFaultSeedsStillAgreeOnResults) {
   EXPECT_EQ(a.matches, oracle);
   EXPECT_EQ(b.matches, oracle);
 }
-
-#endif  // NDP_FAULT_INJECT
 
 TEST(DeterminismTest, ParallelSweepIsThreadCountInvariant) {
   db::Column col = bench::UniformColumn(16 * 1024);

@@ -108,8 +108,8 @@ TEST(DevGenEquivalenceTest, V2BitmapAndMatchesIdenticalToV1) {
   auto run = [&](jafar::DeviceGeneration gen) {
     core::DimmArray array = MakeArray(gen, 2, /*partitioned=*/false);
     array.AcquireAllOwnership();
-    array.LoadPartitioned(col);
-    return array.RunParallelSelect(150'000, 800'000).ValueOrDie();
+    core::PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
+    return array.RunParallelSelect(placed, 150'000, 800'000).ValueOrDie();
   };
   core::DimmArray::ParallelResult v1 =
       run(jafar::DeviceGeneration::kV1RankIo);
@@ -374,8 +374,9 @@ std::string RunPartitionedWorkload(jafar::DeviceGeneration gen) {
   core::DimmArray array = MakeArray(gen, 4, /*partitioned=*/true);
   array.AcquireAllOwnership();
   db::Column col = RandomColumn(64'000, 47);
-  array.LoadPartitioned(col);
-  auto result = array.RunParallelSelect(200'000, 900'000).ValueOrDie();
+  core::PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
+  auto result =
+      array.RunParallelSelect(placed, 200'000, 900'000).ValueOrDie();
   EXPECT_EQ(result.matches, Oracle(col, 200'000, 900'000));
   return array.stats().Snapshot().ToText() + "\nnow=" +
          std::to_string(array.eq().Now());

@@ -12,8 +12,6 @@
 #include "fault/injector.h"
 #include "util/rng.h"
 
-#ifdef NDP_FAULT_INJECT
-
 namespace ndp::core {
 namespace {
 
@@ -159,14 +157,3 @@ TEST(IngressFaultsTest, FaultedServingIsAPureFunctionOfTheSeed) {
 
 }  // namespace
 }  // namespace ndp::core
-
-#else  // !NDP_FAULT_INJECT
-
-namespace ndp::core {
-TEST(IngressFaultsTest, SkippedWithoutFaultInjectionHook) {
-  GTEST_SKIP() << "built with NDP_FAULT_INJECT=OFF (tools/check.sh runs the "
-                  "ON configuration)";
-}
-}  // namespace ndp::core
-
-#endif  // NDP_FAULT_INJECT

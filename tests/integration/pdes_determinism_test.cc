@@ -56,8 +56,8 @@ TEST(PdesEquivalenceTest, ParallelSelectMatchesSingleWheelOracle) {
   auto run = [&](bool partitioned) {
     core::DimmArray array = MakeArray(4, partitioned);
     array.AcquireAllOwnership();
-    array.LoadPartitioned(col);
-    return array.RunParallelSelect(100'000, 700'000).ValueOrDie();
+    core::PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
+    return array.RunParallelSelect(placed, 100'000, 700'000).ValueOrDie();
   };
   core::DimmArray::ParallelResult wheel = run(false);
   core::DimmArray::ParallelResult pdes = run(true);
@@ -148,8 +148,6 @@ TEST(PdesDeterminismTest, PartitionedRuntimeDumpIsByteIdentical) {
   EXPECT_EQ(RunPartitionedRuntimeWorkload(), first);
 }
 
-#ifdef NDP_FAULT_INJECT
-
 /// Faulted partitioned run: one device (on channel 1) draws hangs, stalls,
 /// corruptions, and ECC flips from a seeded injector; the driver's recovery
 /// machinery (watchdog, retries, writeback checksums) is in the loop. One
@@ -182,8 +180,6 @@ TEST(PdesDeterminismTest, FaultedPartitionedDumpIsByteIdentical) {
   EXPECT_NE(first.find("fault."), std::string::npos);
   EXPECT_EQ(RunFaultedPartitionedWorkload(), first);
 }
-
-#endif  // NDP_FAULT_INJECT
 
 }  // namespace
 }  // namespace ndp

@@ -5,12 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "core/runtime.h"
 #include "fault/injector.h"
 #include "util/rng.h"
-
-#ifdef NDP_FAULT_INJECT
 
 namespace ndp::core {
 namespace {
@@ -106,6 +105,48 @@ TEST(RuntimeFaultsTest, FailureMidStealComposesWithReassignment) {
   EXPECT_EQ(runtime.lanes_alive(), 3u);
 }
 
+TEST(RuntimeFaultsTest, QueuedPartlyDoneChunkKeepsItsBitmapOnLaneFailure) {
+  // Device 1 finishes one lease of a batch select, then an interactive
+  // select preempts the rest of that chunk and hangs the lane. The batch
+  // chunk's finished prefix sits in the dead lane's queue: its bits must
+  // survive, and only its unfinished rows move to device 0.
+  DimmArray array(dram::DramTiming::DDR3_1600(), 2, 1, Config());
+  NdpRuntime runtime(&array, DoomedLaneConfig());
+  db::Column a = RandomColumn(200'000, 3);
+  db::Column b = RandomColumn(20'000, 4);
+  PlacedColumn placed_a = array.PlaceColumn(a).ValueOrDie();
+  PlacedColumn placed_b = array.PlaceColumn(b).ValueOrDie();
+  auto batch = runtime.SubmitSelect(placed_a, 0, 499'999).ValueOrDie();
+  // Device 1's first lease is 69 pages, one device job per page.
+  ASSERT_TRUE(array.RunUntilTrue([&] {
+    return array.stats().ReadValue("array.dev1.jobs_completed") >= 69.0;
+  }));
+  fault::FaultPlan plan;
+  plan.hang_per_job = 1.0;
+  StatsScope fault_scope(array.mutable_stats(), "fault");
+  fault::FaultInjector injector(plan, fault_scope);
+  array.device(1).set_fault_injector(&injector);
+  auto interactive = runtime
+                         .SubmitSelect(placed_b, 0, 499'999,
+                                       JobPriority::kInteractive)
+                         .ValueOrDie();
+  ASSERT_TRUE(runtime.Drain().ok());
+
+  EXPECT_EQ(array.stats().ReadValue("array.runtime.lane_failures"), 1.0);
+  EXPECT_EQ(array.stats().ReadValue("array.runtime.chunks_reassigned"), 2.0);
+  for (auto [id, col] : {std::pair{batch, &a}, std::pair{interactive, &b}}) {
+    const JobResult* r = runtime.result(id);
+    ASSERT_TRUE(r != nullptr);
+    ASSERT_TRUE(r->status.ok()) << r->status.ToString();
+    EXPECT_EQ(r->matches, Oracle(*col, 0, 499'999));
+    uint64_t wrong = 0;
+    for (size_t i = 0; i < col->size(); ++i) {
+      wrong += r->bitmap.Get(i) != ((*col)[i] <= 499'999);
+    }
+    EXPECT_EQ(wrong, 0u) << "job " << id;
+  }
+}
+
 TEST(RuntimeFaultsTest, AllLanesFailedFailsJobsCleanly) {
   DimmArray array(dram::DramTiming::DDR3_1600(), 1, 1, Config());
   fault::FaultPlan plan;
@@ -130,14 +171,3 @@ TEST(RuntimeFaultsTest, AllLanesFailedFailsJobsCleanly) {
 
 }  // namespace
 }  // namespace ndp::core
-
-#else  // !NDP_FAULT_INJECT
-
-namespace ndp::core {
-TEST(RuntimeFaultsTest, SkippedWithoutFaultInjectionHook) {
-  GTEST_SKIP() << "built with NDP_FAULT_INJECT=OFF (tools/check.sh runs the "
-                  "ON configuration)";
-}
-}  // namespace ndp::core
-
-#endif  // NDP_FAULT_INJECT
