@@ -181,14 +181,6 @@ std::string SystemModel::DumpStats() const {
 
 namespace {
 
-/// Device-side failure codes: the ones the pushdown circuit breaker counts.
-/// Validation errors (unsupported predicate, bad arguments) say nothing about
-/// device health and never trip the breaker.
-bool IsDeviceFailure(StatusCode code) {
-  return code == StatusCode::kInternal || code == StatusCode::kDeviceBusy ||
-         code == StatusCode::kResourceExhausted;
-}
-
 /// Consecutive device failures before the breaker opens.
 constexpr uint32_t kDegradeThreshold = 3;
 /// While degraded, every Nth pushdown call probes the device again.
@@ -217,7 +209,7 @@ db::NdpSelectHook SystemModel::MakePushdownHook() {
 
     Result<JafarRunResult> run = RunJafarSelect(col, lo, hi);
     if (!run.ok()) {
-      if (IsDeviceFailure(run.status().code())) {
+      if (IsDeviceFault(run.status().code())) {
         ++pushdown_fallbacks_;
         if (++consecutive_failures_ >= kDegradeThreshold) degraded_mode_ = 1;
       }

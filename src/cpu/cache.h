@@ -57,7 +57,6 @@ class Cache : public MemSink {
   bool Quiescent() const { return mshr_.empty() && pending_writebacks_ == 0; }
 
   const CacheStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = CacheStats{}; }
   const CacheConfig& config() const { return config_; }
 
   /// Whether `addr`'s line is currently resident (test/inspection helper).

@@ -91,7 +91,6 @@ class Core : public sim::TickingComponent {
   bool busy() const { return stream_ != nullptr; }
 
   const CoreStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = CoreStats{}; }
   const CoreConfig& core_config() const { return config_; }
   BranchPredictor& predictor() { return predictor_; }
 

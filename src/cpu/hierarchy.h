@@ -48,9 +48,6 @@ class CacheHierarchy {
   void InvalidateAll() {
     for (auto& c : caches_) c->InvalidateAll();
   }
-  void ResetStats() {
-    for (auto& c : caches_) c->ResetStats();
-  }
 
  private:
   DramPort port_;

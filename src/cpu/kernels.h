@@ -1,7 +1,9 @@
-// µop stream generators for the workloads the paper runs on the CPU:
-// the select scan (branching and predicated variants, §3.2), aggregation and
-// projection loops (§4), and a replay stream for recorded database operator
-// traces (Figure 4 profiling).
+// µop stream generators for the workloads the paper runs on the CPU. The
+// loop kernels — the select scan (branching and predicated variants, §3.2),
+// aggregation, projection, group-by, hash probe (§4) and merge sort — derive
+// from LoopStream and write each loop iteration's µops as straight-line code.
+// ReplayStream replays recorded database operator traces (Figure 4
+// profiling), and ConcatStream runs streams back to back.
 #pragma once
 
 #include <cstddef>
@@ -18,6 +20,45 @@ namespace ndp::cpu {
 constexpr uint64_t kPredicateBranchPc = 0x400100;
 constexpr uint64_t kLoopBranchPc = 0x400180;
 
+/// \brief Base of the scalar loop kernels. A kernel implements
+/// EmitIteration, which appends one iteration's µops in program order with
+/// the Alu/Load/Store/Branch helpers (a µop that only runs on some rows is a
+/// plain `if`); Next hands them out one at a time. Every µop has latency 1.
+class LoopStream : public UopStream {
+ public:
+  bool Next(Uop* uop) final;
+
+ protected:
+  /// Appends iteration `i`'s µops, or returns false (appending nothing) when
+  /// `i` is past the last iteration.
+  virtual bool EmitIteration(uint64_t i) = 0;
+
+  void Alu(uint8_t dep = 0) {
+    Push({.type = UopType::kAlu, .dep_distance = dep});
+  }
+  void Load(uint64_t addr, uint8_t dep = 0) {
+    Push({.type = UopType::kLoad, .addr = addr, .dep_distance = dep});
+  }
+  void Store(uint64_t addr) { Push({.type = UopType::kStore, .addr = addr}); }
+  void Branch(uint64_t pc, bool taken, uint8_t dep = 0) {
+    Push({.type = UopType::kBranch, .pc = pc, .taken = taken,
+          .dep_distance = dep});
+  }
+
+ private:
+  /// The longest iteration is a passing row of the branching select.
+  static constexpr uint8_t kMaxUops = 11;
+
+  void Push(const Uop& u) {
+    NDP_CHECK(len_ < kMaxUops);
+    buf_[len_++] = u;
+  }
+
+  Uop buf_[kMaxUops];
+  uint8_t len_ = 0, pos_ = 0;
+  uint64_t iter_ = 0;
+};
+
 /// \brief CPU select over an integer column: `out[] = positions where
 /// lo <= col[i] <= hi`, producing a position list.
 ///
@@ -25,7 +66,7 @@ constexpr uint64_t kLoopBranchPc = 0x400180;
 ///   load col[i]; cmp lo; cmp hi; and; branch;   [store pos; count++] if pass
 /// Predicated variant (§3.2 discussion):
 ///   load col[i]; cmp lo; cmp hi; and; store pos; count += pass
-class SelectScanStream : public UopStream {
+class SelectScanStream : public LoopStream {
  public:
   SelectScanStream(const int64_t* values, uint64_t num_rows, int64_t lo,
                    int64_t hi, uint64_t col_base_addr, uint64_t out_base_addr,
@@ -39,45 +80,39 @@ class SelectScanStream : public UopStream {
         predicated_(predicated),
         elem_bytes_(elem_bytes) {}
 
-  bool Next(Uop* uop) override;
-
   uint64_t matches() const { return matches_; }
 
  private:
+  bool EmitIteration(uint64_t row) override;
+
   const int64_t* values_;
   uint64_t num_rows_;
   int64_t lo_, hi_;
   uint64_t col_base_, out_base_;
   bool predicated_;
   uint32_t elem_bytes_;
-
-  uint64_t row_ = 0;
-  uint32_t step_ = 0;
-  bool pass_ = false;
   uint64_t matches_ = 0;
 };
 
 /// \brief CPU aggregation over an integer column (sum/min/max have identical
 /// µop structure): load; accumulate (loop-carried dependence); loop overhead.
-class AggregateScanStream : public UopStream {
+class AggregateScanStream : public LoopStream {
  public:
   AggregateScanStream(uint64_t num_rows, uint64_t col_base_addr,
                       uint32_t elem_bytes = 8)
       : num_rows_(num_rows), col_base_(col_base_addr), elem_bytes_(elem_bytes) {}
 
-  bool Next(Uop* uop) override;
-
  private:
+  bool EmitIteration(uint64_t row) override;
+
   uint64_t num_rows_;
   uint64_t col_base_;
   uint32_t elem_bytes_;
-  uint64_t row_ = 0;
-  uint32_t step_ = 0;
 };
 
 /// \brief CPU projection (tuple reconstruction, §4): gather col[pos[j]] for a
 /// position list — the dependent-load pattern of late materialization.
-class ProjectGatherStream : public UopStream {
+class ProjectGatherStream : public LoopStream {
  public:
   ProjectGatherStream(const uint32_t* positions, uint64_t num_positions,
                       uint64_t pos_base_addr, uint64_t col_base_addr,
@@ -89,22 +124,20 @@ class ProjectGatherStream : public UopStream {
         out_base_(out_base_addr),
         elem_bytes_(elem_bytes) {}
 
-  bool Next(Uop* uop) override;
-
  private:
+  bool EmitIteration(uint64_t j) override;
+
   const uint32_t* positions_;
   uint64_t num_positions_;
   uint64_t pos_base_, col_base_, out_base_;
   uint32_t elem_bytes_;
-  uint64_t j_ = 0;
-  uint32_t step_ = 0;
 };
 
 /// \brief CPU hash group-by: per row, load the key and value, hash, a
 /// data-dependent load of the bucket line, accumulate, store back — the
 /// classic dependent-access pattern of hash aggregation. CPU baseline for
 /// the §4 grouped-aggregation engine ablation.
-class GroupByScanStream : public UopStream {
+class GroupByScanStream : public LoopStream {
  public:
   GroupByScanStream(const int64_t* keys, uint64_t num_rows,
                     uint64_t key_base_addr, uint64_t val_base_addr,
@@ -116,15 +149,13 @@ class GroupByScanStream : public UopStream {
         ht_base_(ht_base_addr),
         num_buckets_(num_buckets) {}
 
-  bool Next(Uop* uop) override;
-
  private:
+  bool EmitIteration(uint64_t row) override;
+
   const int64_t* keys_;
   uint64_t num_rows_;
   uint64_t key_base_, val_base_, ht_base_;
   uint32_t num_buckets_;
-  uint64_t row_ = 0;
-  uint32_t step_ = 0;
 };
 
 /// \brief CPU hash semijoin probe: per probe row, load the key, hash, a
@@ -133,7 +164,7 @@ class GroupByScanStream : public UopStream {
 /// device Bloom-probe job competes against in the abl_join ablation.
 /// `hit_flags[i]` (nullable, 0/1) drives the branch outcome and the store, so
 /// the simulated branch behaviour follows the real join's selectivity.
-class HashProbeStream : public UopStream {
+class HashProbeStream : public LoopStream {
  public:
   HashProbeStream(const int64_t* keys, uint64_t num_rows,
                   uint64_t key_base_addr, uint64_t ht_base_addr,
@@ -147,18 +178,16 @@ class HashProbeStream : public UopStream {
         num_buckets_(num_buckets),
         hit_flags_(hit_flags) {}
 
-  bool Next(Uop* uop) override;
-
   uint64_t matches() const { return matches_; }
 
  private:
+  bool EmitIteration(uint64_t row) override;
+
   const int64_t* keys_;
   uint64_t num_rows_;
   uint64_t key_base_, ht_base_, out_base_;
   uint32_t num_buckets_;
   const uint8_t* hit_flags_;
-  uint64_t row_ = 0;
-  uint32_t step_ = 0;
   uint64_t matches_ = 0;
 };
 
@@ -167,7 +196,7 @@ class HashProbeStream : public UopStream {
 /// run load, a compare, a data-dependent branch (the classic ~50%-mispredict
 /// merge branch on random keys), a store, and cursor bookkeeping. Used as the
 /// CPU baseline for the §4 sorting accelerator ablation.
-class MergeSortStream : public UopStream {
+class MergeSortStream : public LoopStream {
  public:
   MergeSortStream(uint64_t num_rows, uint64_t src_base, uint64_t dst_base,
                   uint64_t branch_seed = 0x5eed)
@@ -179,11 +208,12 @@ class MergeSortStream : public UopStream {
     while ((uint64_t{1} << passes_) < num_rows_) ++passes_;
   }
 
-  bool Next(Uop* uop) override;
-
   uint32_t passes() const { return passes_; }
 
  private:
+  /// Iteration `n` is element `n % num_rows` of pass `n / num_rows`.
+  bool EmitIteration(uint64_t n) override;
+
   bool NextBit() {  // xorshift: models the data-dependent branch outcome
     rng_state_ ^= rng_state_ << 13;
     rng_state_ ^= rng_state_ >> 7;
@@ -195,9 +225,6 @@ class MergeSortStream : public UopStream {
   uint64_t src_base_, dst_base_;
   uint64_t rng_state_;
   uint32_t passes_ = 0;
-  uint32_t pass_ = 0;
-  uint64_t i_ = 0;
-  uint32_t step_ = 0;
 };
 
 /// One event of a recorded operator trace (see db::TraceRecorder), packed

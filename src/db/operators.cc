@@ -19,16 +19,10 @@ constexpr uint64_t kAggUops = 3;
 constexpr uint64_t kGroupAggUops = 8;
 }  // namespace
 
-namespace {
-// Pushdown declines split into "the device broke" (a dispatched JAFAR job
-// failed past its retry budget, or the breaker is open) vs. "not applicable"
-// (unsupported predicate, planner said CPU is cheaper). The former is the
-// graceful-degradation path and gets its own operator stat.
-bool IsDeviceFallback(StatusCode code) {
-  return code == StatusCode::kInternal || code == StatusCode::kDeviceBusy ||
-         code == StatusCode::kResourceExhausted;
-}
-}  // namespace
+// Pushdown declines split into "the device broke" (IsDeviceFault: a
+// dispatched JAFAR job failed past its retry budget, or the breaker is open)
+// vs. "not applicable" (unsupported predicate, planner said CPU is cheaper).
+// The former is the graceful-degradation path and gets its own operator stat.
 
 PositionList ScanSelect(QueryContext* ctx, const Column& col, const Pred& pred) {
   bool device_fallback = false;
@@ -38,7 +32,7 @@ PositionList ScanSelect(QueryContext* ctx, const Column& col, const Pred& pred) 
       ctx->Record("scan_select[jafar]", col.size(), pushed.value().size());
       return std::move(pushed).value();
     }
-    device_fallback = IsDeviceFallback(pushed.status().code());
+    device_fallback = IsDeviceFault(pushed.status().code());
     NDP_LOG_DEBUG("NDP pushdown declined, CPU fallback: %s",
                   pushed.status().ToString().c_str());
   }
@@ -173,7 +167,7 @@ PositionList HashSemiJoin(QueryContext* ctx, const Column& build_col,
                   pushed.value().size());
       return std::move(pushed).value();
     }
-    device_fallback = IsDeviceFallback(pushed.status().code());
+    device_fallback = IsDeviceFault(pushed.status().code());
     NDP_LOG_DEBUG("NDP semijoin declined, CPU fallback: %s",
                   pushed.status().ToString().c_str());
   }
@@ -293,7 +287,7 @@ std::map<int64_t, std::pair<int64_t, int64_t>> GroupSumFullColumn(
                   pushed.value().size());
       return std::move(pushed).value();
     }
-    device_fallback = IsDeviceFallback(pushed.status().code());
+    device_fallback = IsDeviceFault(pushed.status().code());
     NDP_LOG_DEBUG("NDP group-by declined, CPU fallback: %s",
                   pushed.status().ToString().c_str());
   }

@@ -108,15 +108,6 @@ ControllerCounters MemoryController::counters() const {
   return c;
 }
 
-void MemoryController::ResetCounters() {
-  counters_ = ControllerCounters{};
-  sim::Tick now = event_queue()->Now();
-  if (read_busy_since_) read_busy_since_ = now;
-  if (write_busy_since_) write_busy_since_ = now;
-  if (idle_since_) idle_since_ = now;
-  idle_hist_ = Histogram(0, 4000, 80);
-}
-
 sim::Tick MemoryController::RefreshEmergencyAt(uint32_t rank) const {
   // JEDEC lets a DDR3 device postpone up to eight refreshes, i.e. the REF may
   // run as late as 8 x tREFI past its due point before retention is at risk.

@@ -100,8 +100,6 @@ class MemoryController : public sim::TickingComponent {
   /// ground truth against which the paper's pessimistic estimator compares.
   const Histogram& idle_period_histogram() const { return idle_hist_; }
 
-  void ResetCounters();
-
   const ControllerConfig& config() const { return config_; }
   Channel* channel() { return channel_; }
 

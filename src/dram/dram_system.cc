@@ -72,10 +72,6 @@ ControllerCounters DramSystem::TotalCounters() const {
   return total;
 }
 
-void DramSystem::ResetCounters() {
-  for (auto& mc : controllers_) mc->ResetCounters();
-}
-
 #ifdef NDP_PROTOCOL_CHECK
 uint64_t DramSystem::TotalProtocolViolations() const {
   uint64_t total = 0;

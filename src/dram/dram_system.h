@@ -49,7 +49,6 @@ class DramSystem {
 
   /// Aggregated counters across all channels.
   ControllerCounters TotalCounters() const;
-  void ResetCounters();
 
 #ifdef NDP_PROTOCOL_CHECK
   /// Sum of recorded protocol violations across every channel's checker

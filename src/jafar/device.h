@@ -95,7 +95,6 @@ class Device {
 
   bool busy() const { return busy_; }
   const DeviceStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = DeviceStats{}; }
   const DeviceConfig& config() const { return config_; }
   uint32_t channel_index() const { return channel_index_; }
   uint32_t rank_index() const { return rank_index_; }

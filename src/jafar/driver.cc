@@ -24,19 +24,6 @@ Driver::Driver(Device* device, dram::MemoryController* controller,
   stats.Histogram("recovery_latency_ps", &recovery_latency_);
 }
 
-bool Driver::IsRetryable(StatusCode code) {
-  switch (code) {
-    // Transient device conditions: timeouts, machine checks, corruption.
-    case StatusCode::kInternal:
-    case StatusCode::kDeviceBusy:
-    case StatusCode::kResourceExhausted:
-      return true;
-    // Validation/configuration errors: re-dispatching cannot fix these.
-    default:
-      return false;
-  }
-}
-
 void Driver::ArmWatchdog(uint64_t rows) {
   DisarmWatchdog();
   sim::Tick deadline = eq_->Now() + config_.watchdog_base_ps +
@@ -180,7 +167,7 @@ bool Driver::VerifyWriteback() const {
 
 void Driver::HandleFailure(Status st) {
   DisarmWatchdog();
-  if (!IsRetryable(st.code()) || attempt_ >= config_.retry.max_attempts) {
+  if (!IsDeviceFault(st.code()) || attempt_ >= config_.retry.max_attempts) {
     ++stats_.permanent_failures;
     Finish(std::move(st));
     return;

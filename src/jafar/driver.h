@@ -103,8 +103,6 @@ class Driver {
     void Fire() override { driver->OnWatchdogFire(); }
   };
 
-  static bool IsRetryable(StatusCode code);
-
   void ArmWatchdog(uint64_t rows);
   void DisarmWatchdog();
   void OnWatchdogFire();

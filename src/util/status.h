@@ -30,6 +30,16 @@ enum class StatusCode : uint8_t {
 /// Returns a stable human-readable name for a status code ("InvalidArgument").
 const char* StatusCodeToString(StatusCode code);
 
+/// True for the codes a faulting device reports: a timeout, machine check or
+/// corruption (kInternal), a busy engine, or exhausted device resources. The
+/// driver retries these, the pushdown circuit breaker counts them, and
+/// operators record a CPU fallback for them. Validation errors say nothing
+/// about device health, and re-dispatching cannot fix them.
+constexpr bool IsDeviceFault(StatusCode code) {
+  return code == StatusCode::kInternal || code == StatusCode::kDeviceBusy ||
+         code == StatusCode::kResourceExhausted;
+}
+
 /// \brief Outcome of a fallible operation: a code plus a message.
 ///
 /// Cheap to return in the OK case (no allocation). Modeled on arrow::Status.

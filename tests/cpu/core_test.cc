@@ -161,11 +161,11 @@ TEST_F(CoreTest, MispredictsAddStallCycles) {
   uint64_t mispredicts = core_->stats().mispredicts;
   EXPECT_GT(mispredicts, 30u);
 
-  core_->ResetStats();
   core_->predictor().Reset();
   VectorStream s2(constant);
   sim::Tick dur_const = RunKernel(core_.get(), eq_.get(), &s2);
-  EXPECT_LT(core_->stats().mispredicts, 15u);  // gshare warm-up only
+  // gshare warm-up only.
+  EXPECT_LT(core_->stats().mispredicts - mispredicts, 15u);
   EXPECT_GT(dur_alt, dur_const + 30 * 20 * cfg.clock.period_ps());
 }
 

@@ -131,6 +131,94 @@ TEST(ProjectGatherStreamTest, GatherAddressesFollowPositions) {
                                    0x100000 + 1023 * 8}));
 }
 
+// Pins every kernel's whole µop stream: FNV-1a over each field of each µop,
+// the µop count and the kernels' match/pass counters, for a fixed input set.
+// A rewrite of a kernel must leave this constant unchanged.
+class KernelDigestTest : public ::testing::Test {
+ protected:
+  void Mix(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xff;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+
+  void Add(UopStream* s) {
+    const std::vector<Uop> uops = Drain(s);
+    for (const Uop& u : uops) {
+      Mix(static_cast<uint64_t>(u.type));
+      Mix(u.addr);
+      Mix(u.pc);
+      Mix(u.taken);
+      Mix(u.latency);
+      Mix(u.dep_distance);
+    }
+    Mix(uops.size());
+    Uop u;
+    EXPECT_FALSE(s->Next(&u)) << "stream restarted after its end";
+  }
+
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+TEST_F(KernelDigestTest, EveryKernelStreamMatchesGolden) {
+  const std::vector<int64_t> values = MakeValues(300, 7);
+  const int64_t ranges[][2] = {
+      {-10, -1}, {0, 99999}, {250000, 749999}, {0, 999999}};
+  for (bool predicated : {false, true}) {
+    for (uint32_t elem_bytes : {4u, 8u}) {
+      for (const auto& r : ranges) {
+        SelectScanStream s(values.data(), values.size(), r[0], r[1],
+                           0x1000000, 0x2000000, predicated, elem_bytes);
+        Add(&s);
+        Mix(s.matches());
+      }
+    }
+  }
+
+  AggregateScanStream agg(200, 0x1000, 4), agg_empty(0, 0x1000);
+  Add(&agg);
+  Add(&agg_empty);
+
+  std::vector<uint32_t> positions = {7, 0, 1023, 5, 5, 299};
+  ProjectGatherStream project(positions.data(), positions.size(), 0x1000,
+                              0x100000, 0x200000, 4);
+  Add(&project);
+
+  GroupByScanStream group(values.data(), values.size(), 0x10000, 0x20000,
+                          0x30000, 97);
+  Add(&group);
+
+  std::vector<uint8_t> hits(values.size());
+  for (size_t i = 0; i < hits.size(); ++i) hits[i] = values[i] % 3 == 0;
+  HashProbeStream probe(values.data(), values.size(), 0x10000, 0x30000,
+                        0x40000, 61, hits.data());
+  HashProbeStream probe_no_flags(values.data(), values.size(), 0x10000,
+                                 0x30000, 0x40000, 61);
+  Add(&probe);
+  Mix(probe.matches());
+  Add(&probe_no_flags);
+  Mix(probe_no_flags.matches());
+
+  for (uint64_t rows : {1, 2, 5, 64, 1000}) {
+    MergeSortStream sort(rows, 0x100000, 0x900000, 0x1234 + rows);
+    Add(&sort);
+    Mix(sort.passes());
+  }
+
+  SelectScanStream head(values.data(), 50, 0, 499999, 0x1000, 0x8000,
+                        /*predicated=*/false);
+  AggregateScanStream empty(0, 0x1000);
+  SelectScanStream tail(values.data() + 50, 50, 0, 499999, 0x1000 + 50 * 8,
+                        0x8000, /*predicated=*/true);
+  ConcatStream concat({&head, &empty, &tail});
+  Add(&concat);
+  Mix(head.matches());
+  Mix(tail.matches());
+
+  EXPECT_EQ(hash_, 0x6578af213128c1a5ull);
+}
+
 TEST(ReplayStreamTest, ExpandsComputeAndMemoryEvents) {
   std::vector<TraceEvent> events = {
       {TraceEvent::Kind::kCompute, 3},

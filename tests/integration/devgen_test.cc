@@ -385,7 +385,7 @@ std::string RunPartitionedWorkload(jafar::DeviceGeneration gen) {
 class DevGenDeterminismTest
     : public ::testing::TestWithParam<jafar::DeviceGeneration> {};
 
-TEST_P(DevGenDeterminismTest, DumpIsByteIdenticalAcrossThreadCounts) {
+TEST_P(DevGenDeterminismTest, DumpIsByteIdenticalAcrossRuns) {
   std::string first = RunPartitionedWorkload(GetParam());
   EXPECT_EQ(RunPartitionedWorkload(GetParam()), first)
       << "second run diverged for "

@@ -135,7 +135,7 @@ std::string RunPartitionedRuntimeWorkload() {
          std::to_string(array.eq().Now());
 }
 
-TEST(PdesDeterminismTest, Fig3DumpIsByteIdenticalAcrossThreadCounts) {
+TEST(PdesDeterminismTest, Fig3DumpIsByteIdenticalAcrossRuns) {
   std::string first = RunFig3Pipeline();
   EXPECT_EQ(RunFig3Pipeline(), first);
 }
