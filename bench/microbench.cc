@@ -19,6 +19,7 @@
 #include "cpu/kernels.h"
 #include "db/operators.h"
 #include "dram/dram_system.h"
+#include "jafar/config.h"
 #include "sim/event_queue.h"
 #include "sim/reference_queue.h"
 #include "sim/ticking.h"
@@ -189,7 +190,31 @@ void BM_DddgScheduleSelectKernel(benchmark::State& state) {
     benchmark::DoNotOptimize(r.ValueOrDie().total_cycles);
   }
 }
-BENCHMARK(BM_DddgScheduleSelectKernel)->Arg(64)->Arg(512);
+BENCHMARK(BM_DddgScheduleSelectKernel)->Arg(64)->Arg(512)->Arg(4096);
+
+// The scheduling every SystemModel and DimmArray pays at set-up: Derive for a
+// rank-level device (select + probe kernels), DeriveBank for a bank-level one
+// (the same plus the per-bank slice).
+void BM_DeviceConfigDerive(benchmark::State& state) {
+  const dram::DramTiming timing = dram::DramTiming::DDR3_1600();
+  const accel::DatapathResources res;
+  for (auto _ : state) {
+    auto cfg = jafar::DeviceConfig::Derive(timing, res);
+    benchmark::DoNotOptimize(cfg.ValueOrDie().words_per_cycle);
+  }
+}
+BENCHMARK(BM_DeviceConfigDerive);
+
+void BM_DeviceConfigDeriveBank(benchmark::State& state) {
+  const dram::DramTiming timing = dram::DramTiming::DDR3_1600();
+  const dram::DramOrganization org;
+  const accel::DatapathResources res;
+  for (auto _ : state) {
+    auto cfg = jafar::DeviceConfig::DeriveBank(timing, org, res);
+    benchmark::DoNotOptimize(cfg.ValueOrDie().bank_words_per_cycle);
+  }
+}
+BENCHMARK(BM_DeviceConfigDeriveBank);
 
 void BM_DramRandomReads(benchmark::State& state) {
   for (auto _ : state) {

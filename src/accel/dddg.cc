@@ -13,31 +13,25 @@ Result<Dddg> Dddg::Build(const LoopKernel& kernel, uint32_t iterations) {
   Dddg g;
   g.iterations_ = iterations;
   g.body_size_ = static_cast<uint16_t>(kernel.body.size());
-  g.nodes_.reserve(static_cast<size_t>(iterations) * kernel.body.size());
+  const size_t n = static_cast<size_t>(iterations) * kernel.body.size();
+  g.nodes_.reserve(n);
+  g.first_pred_.reserve(n + 1);
+  g.first_pred_.push_back(0);
   for (uint32_t it = 0; it < iterations; ++it) {
     for (uint16_t op = 0; op < kernel.body.size(); ++op) {
-      DddgNode n;
-      n.iteration = it;
-      n.op_index = op;
-      n.code = kernel.body[op].code;
+      g.nodes_.push_back({it, op, kernel.body[op].code});
       for (uint16_t d : kernel.body[op].deps) {
-        n.preds.push_back(g.NodeId(it, d));
+        g.pred_ids_.push_back(g.NodeId(it, d));
       }
       if (it > 0) {
         for (uint16_t d : kernel.body[op].carried_deps) {
-          n.preds.push_back(g.NodeId(it - 1, d));
+          g.pred_ids_.push_back(g.NodeId(it - 1, d));
         }
       }
-      g.nodes_.push_back(std::move(n));
+      g.first_pred_.push_back(static_cast<uint32_t>(g.pred_ids_.size()));
     }
   }
   return g;
-}
-
-uint64_t Dddg::num_edges() const {
-  uint64_t e = 0;
-  for (const auto& n : nodes_) e += n.preds.size();
-  return e;
 }
 
 }  // namespace ndp::accel

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "accel/ir.h"
@@ -16,8 +17,6 @@ struct DddgNode {
   uint32_t iteration = 0;
   uint16_t op_index = 0;
   OpCode code = OpCode::kAdd;
-  /// Node ids of producers (same-iteration and loop-carried).
-  std::vector<uint32_t> preds;
 };
 
 /// \brief The unrolled graph.
@@ -35,11 +34,21 @@ class Dddg {
     return iteration * body_size_ + op;
   }
 
+  /// Node ids of `id`'s producers: same-iteration ones, then loop-carried.
+  std::span<const uint32_t> preds(uint32_t id) const {
+    return {pred_ids_.data() + first_pred_[id],
+            pred_ids_.data() + first_pred_[id + 1]};
+  }
+
   /// Number of edges in the graph (for reporting).
-  uint64_t num_edges() const;
+  uint64_t num_edges() const { return pred_ids_.size(); }
 
  private:
   std::vector<DddgNode> nodes_;
+  /// Every node's producers, flattened in node order: node i's are
+  /// pred_ids_[first_pred_[i] .. first_pred_[i + 1]).
+  std::vector<uint32_t> pred_ids_;
+  std::vector<uint32_t> first_pred_;
   uint32_t iterations_ = 0;
   uint16_t body_size_ = 0;
 };

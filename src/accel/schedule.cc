@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "util/macros.h"
@@ -25,6 +26,8 @@ Result<ScheduleResult> ScheduleKernel(const LoopKernel& kernel,
   if (iterations < 2) {
     return Status::InvalidArgument("need >= 2 iterations to measure II");
   }
+  std::vector<uint8_t> op_class;  // resource class of each body op
+  op_class.reserve(kernel.body.size());
   for (const IrOp& op : kernel.body) {
     Resource r = ResourceFor(op.code);
     if (resources.CountFor(r) == 0) {
@@ -32,93 +35,120 @@ Result<ScheduleResult> ScheduleKernel(const LoopKernel& kernel,
           "kernel '" + kernel.name + "' needs a functional unit of class " +
           std::to_string(static_cast<int>(r)) + " but the datapath has none");
     }
+    op_class.push_back(static_cast<uint8_t>(r));
   }
   NDP_ASSIGN_OR_RETURN(Dddg g, Dddg::Build(kernel, iterations));
 
+  // Every latency is at least one cycle, so an op never becomes ready in the
+  // cycle its producer issues. Aladdin's breadth-first cycle-by-cycle
+  // traversal is then a list scheduler: each cycle, every resource class
+  // issues its lowest-id (program-order) ready ops, up to its unit count. The
+  // ops that lose a structural hazard simply stay in their class's ready
+  // heap, so each node is pushed and popped once: O(n log n) in total.
   const auto& nodes = g.nodes();
   const size_t n = nodes.size();
+  constexpr size_t kClasses = 5;
+  uint32_t units[kClasses];
+  for (size_t r = 0; r < kClasses; ++r) {
+    units[r] = resources.CountFor(static_cast<Resource>(r));
+  }
+
+  // Successor lists, flattened: node i's successors are
+  // succs[first_succ[i] .. first_succ[i + 1]). Counting into first_succ[p]
+  // and taking the inclusive prefix sum leaves each entry at the end of its
+  // run; filling backwards walks it down to the start.
   std::vector<uint32_t> pending_preds(n);
-  std::vector<std::vector<uint32_t>> succs(n);
-  std::vector<uint64_t> finish(n, 0);
-  std::vector<bool> done(n, false);
+  std::vector<uint32_t> first_succ(n + 1, 0);
   for (size_t i = 0; i < n; ++i) {
-    pending_preds[i] = static_cast<uint32_t>(nodes[i].preds.size());
-    for (uint32_t p : nodes[i].preds) succs[p].push_back(static_cast<uint32_t>(i));
+    pending_preds[i] = static_cast<uint32_t>(g.preds(i).size());
+    for (uint32_t p : g.preds(i)) ++first_succ[p];
+  }
+  for (size_t i = 1; i <= n; ++i) first_succ[i] += first_succ[i - 1];
+  std::vector<uint32_t> succs(first_succ[n]);
+  for (size_t i = 0; i < n; ++i) {
+    for (uint32_t p : g.preds(i)) {
+      succs[--first_succ[p]] = static_cast<uint32_t>(i);
+    }
   }
 
-  // Ready nodes ordered breadth-first (by id, i.e. program order) — Aladdin's
-  // traversal order; earliest-ready-first with FIFO tie-break.
-  using Entry = std::pair<uint64_t, uint32_t>;  // (earliest cycle, node id)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> ready;
-  for (size_t i = 0; i < n; ++i) {
-    if (pending_preds[i] == 0) ready.emplace(0, static_cast<uint32_t>(i));
-  }
+  // Nodes whose producers have issued, keyed by the cycle they may first
+  // issue (ties by id), and per class the ready nodes in id order.
+  using Entry = std::pair<uint64_t, uint32_t>;  // (ready cycle, node id)
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> future;
+  using IdHeap =
+      std::priority_queue<uint32_t, std::vector<uint32_t>, std::greater<>>;
+  IdHeap ready[kClasses];
 
-  // Per-iteration serialization barrier when pipelining is disabled.
+  // Non-pipelined datapaths: iteration i becomes eligible once iteration i-1
+  // has fully issued and its last op has finished. Until then its ready
+  // nodes wait here with the cycle their producers allowed.
+  const uint32_t body = g.body_size();
   std::vector<uint64_t> iter_finish(g.iterations(), 0);
-  std::vector<uint32_t> iter_remaining(g.iterations(), g.body_size());
+  std::vector<uint32_t> iter_remaining(g.iterations(), body);
+  std::vector<uint64_t> held_since(resources.pipelined ? 0 : n, 0);
+  auto release = [&](uint32_t id, uint64_t at) {
+    const uint32_t it = nodes[id].iteration;
+    if (resources.pipelined || it == 0) {
+      future.emplace(at, id);
+    } else if (iter_remaining[it - 1] > 0) {
+      held_since[id] = at;
+    } else {
+      future.emplace(std::max(at, iter_finish[it - 1]), id);
+    }
+  };
+  for (size_t i = 0; i < n; ++i) {
+    if (pending_preds[i] == 0) release(static_cast<uint32_t>(i), 0);
+  }
 
-  std::map<Resource, uint64_t> busy_slots;
+  uint64_t busy_slots[kClasses] = {};
   double energy = 0.0;
   uint64_t scheduled = 0;
-  uint64_t cycle = 0;
   uint64_t makespan = 0;
-  std::vector<uint32_t> deferred;
-
+  uint64_t cycle = 0;
   while (scheduled < n) {
-    // Count of each resource consumed this cycle.
-    uint32_t used[5] = {0, 0, 0, 0, 0};
-    deferred.clear();
-    bool any = false;
-    while (!ready.empty() && ready.top().first <= cycle) {
-      uint32_t id = ready.top().second;
-      ready.pop();
-      const DddgNode& node = nodes[id];
-      // Non-pipelined datapaths: an op of iteration i may not start before
-      // iteration i-1 has fully finished.
-      if (!resources.pipelined && node.iteration > 0) {
-        if (iter_remaining[node.iteration - 1] > 0) {
-          deferred.push_back(id);
-          continue;
-        }
-        if (cycle < iter_finish[node.iteration - 1]) {
-          ready.emplace(iter_finish[node.iteration - 1], id);
-          continue;
-        }
-      }
-      Resource r = ResourceFor(node.code);
-      uint32_t ri = static_cast<uint32_t>(r);
-      if (used[ri] >= resources.CountFor(r)) {
-        deferred.push_back(id);  // structural hazard: retry next cycle
-        continue;
-      }
-      ++used[ri];
-      ++busy_slots[r];
-      uint64_t f = cycle + LatencyFor(node.code);
-      finish[id] = f;
-      done[id] = true;
-      makespan = std::max(makespan, f);
-      energy += EnergyFemtojoulesFor(node.code);
-      ++scheduled;
-      any = true;
-      for (uint32_t s : succs[id]) {
-        if (--pending_preds[s] == 0) ready.emplace(f, s);
-      }
-      // Track iteration completion for the non-pipelined barrier.
-      uint64_t& itf = iter_finish[node.iteration];
-      itf = std::max(itf, f);
-      --iter_remaining[node.iteration];
+    while (!future.empty() && future.top().first <= cycle) {
+      const uint32_t id = future.top().second;
+      future.pop();
+      ready[op_class[nodes[id].op_index]].push(id);
     }
-    for (uint32_t id : deferred) ready.emplace(cycle + 1, id);
-    if (!any && ready.empty()) break;  // defensive; should not happen
-    ++cycle;
-    (void)any;
+    bool waiting = false;
+    for (size_t r = 0; r < kClasses; ++r) {
+      for (uint32_t u = 0; u < units[r] && !ready[r].empty(); ++u) {
+        const uint32_t id = ready[r].top();
+        ready[r].pop();
+        const DddgNode& node = nodes[id];
+        const uint64_t f = cycle + LatencyFor(node.code);
+        ++busy_slots[r];
+        makespan = std::max(makespan, f);
+        energy += EnergyFemtojoulesFor(node.code);
+        ++scheduled;
+        for (uint32_t k = first_succ[id]; k < first_succ[id + 1]; ++k) {
+          if (--pending_preds[succs[k]] == 0) release(succs[k], f);
+        }
+        uint64_t& itf = iter_finish[node.iteration];
+        itf = std::max(itf, f);
+        if (--iter_remaining[node.iteration] == 0 && !resources.pipelined &&
+            node.iteration + 1 < g.iterations()) {
+          // The barrier lifts: release the next iteration's held nodes.
+          for (uint16_t op = 0; op < body; ++op) {
+            const uint32_t next = g.NodeId(node.iteration + 1, op);
+            if (pending_preds[next] == 0) {
+              future.emplace(std::max(held_since[next], itf), next);
+            }
+          }
+        }
+      }
+      waiting |= !ready[r].empty();
+    }
+    if (waiting) {
+      ++cycle;
+    } else if (!future.empty()) {
+      cycle = future.top().first;
+    } else {
+      break;
+    }
   }
   NDP_CHECK_MSG(scheduled == n, "scheduler deadlock: cyclic dependence?");
-
-  // For the non-pipelined barrier, iteration i completion must be final
-  // before iteration i+1 starts; with our single pass over monotonically
-  // increasing cycles that holds because ops only defer forward in time.
 
   ScheduleResult result;
   result.total_cycles = makespan;
@@ -126,14 +156,9 @@ Result<ScheduleResult> ScheduleKernel(const LoopKernel& kernel,
   result.dynamic_energy_fj = energy;
 
   // Steady-state II from the completion times of the last iterations.
-  uint32_t half = g.iterations() / 2;
-  uint64_t mid_finish = 0, last_finish = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (nodes[i].iteration == half) mid_finish = std::max(mid_finish, finish[i]);
-    if (nodes[i].iteration == g.iterations() - 1) {
-      last_finish = std::max(last_finish, finish[i]);
-    }
-  }
+  const uint32_t half = g.iterations() / 2;
+  const uint64_t mid_finish = iter_finish[half];
+  const uint64_t last_finish = iter_finish[g.iterations() - 1];
   result.steady_state_ii = static_cast<double>(last_finish - mid_finish) /
                            static_cast<double>(g.iterations() - 1 - half);
 
@@ -146,10 +171,12 @@ Result<ScheduleResult> ScheduleKernel(const LoopKernel& kernel,
           ? static_cast<double>(loads_per_iter) / result.steady_state_ii
           : 0.0;
 
-  for (const auto& [r, slots] : busy_slots) {
-    double capacity = static_cast<double>(resources.CountFor(r)) *
+  for (size_t r = 0; r < kClasses; ++r) {
+    if (busy_slots[r] == 0) continue;
+    double capacity = static_cast<double>(units[r]) *
                       static_cast<double>(std::max<uint64_t>(1, makespan));
-    result.utilization[r] = static_cast<double>(slots) / capacity;
+    result.utilization[static_cast<Resource>(r)] =
+        static_cast<double>(busy_slots[r]) / capacity;
   }
   return result;
 }

@@ -45,16 +45,10 @@ class Column {
   }
   void Reserve(size_t n) { data_.reserve(n); }
 
-  /// Appends a string value, interning it in the dictionary.
-  int64_t AppendString(const std::string& s) {
-    NDP_CHECK(type_ == ColumnType::kDictionary);
-    int64_t code = InternString(s);
-    data_.push_back(code);
-    return code;
-  }
-
-  /// Returns the dictionary code for `s`, interning it if absent.
+  /// Returns the dictionary code for `s`, interning it if absent. Append the
+  /// code to store the string.
   int64_t InternString(const std::string& s) {
+    NDP_CHECK(type_ == ColumnType::kDictionary);
     auto it = dict_index_.find(s);
     if (it != dict_index_.end()) return it->second;
     int64_t code = static_cast<int64_t>(dict_.size());

@@ -1,6 +1,9 @@
 #include "db/tpch.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -65,10 +68,19 @@ void Generate(const TpchConfig& config, Catalog* catalog) {
   Column* c_acctbal = customer->AddColumn(Column::Int64("c_acctbal"));
   Column* c_phone_cc = customer->AddColumn(Column::Int64("c_phone_cc"));
   const uint64_t ncust = config.num_customers();
+  for (Column* col : {c_custkey, c_mktsegment, c_acctbal, c_phone_cc}) {
+    col->Reserve(ncust);
+  }
+  // Segment codes follow first appearance, as interning each row would.
+  int64_t segment_code[kNumMktSegments];
+  std::fill(std::begin(segment_code), std::end(segment_code), -1);
   for (uint64_t c = 0; c < ncust; ++c) {
     c_custkey->Append(static_cast<int64_t>(c + 1));
-    c_mktsegment->AppendString(
-        kMktSegments[rng.NextBounded(kNumMktSegments)]);
+    const uint32_t segment = rng.NextBounded(kNumMktSegments);
+    if (segment_code[segment] < 0) {
+      segment_code[segment] = c_mktsegment->InternString(kMktSegments[segment]);
+    }
+    c_mktsegment->Append(segment_code[segment]);
     // acctbal in [-999.99, 9999.99], stored in cents.
     c_acctbal->Append(rng.NextInRange(-99999, 999999));
     // Phone country code: TPC-H uses 10..34.
@@ -87,6 +99,10 @@ void Generate(const TpchConfig& config, Catalog* catalog) {
   const int64_t last_orderdate = DayNumber(1998, 8, 2);
   // One third of customers never place orders (required for Q22's anti-join).
   const uint64_t ordering_customers = std::max<uint64_t>(1, ncust * 2 / 3);
+  for (Column* col :
+       {o_orderkey, o_custkey, o_orderdate, o_totalprice, o_shippriority}) {
+    col->Reserve(norders);
+  }
   for (uint64_t o = 0; o < norders; ++o) {
     o_orderkey->Append(static_cast<int64_t>(o + 1));
     o_custkey->Append(
@@ -112,17 +128,26 @@ void Generate(const TpchConfig& config, Catalog* catalog) {
   Column* l_receiptdate = lineitem->AddColumn(Column::Int64("l_receiptdate"));
 
   // Intern dictionary codes in a fixed order so they are stable across runs.
-  l_returnflag->InternString("A");
-  l_returnflag->InternString("N");
-  l_returnflag->InternString("R");
-  l_linestatus->InternString("O");
-  l_linestatus->InternString("F");
+  const int64_t flag_a = l_returnflag->InternString("A");
+  const int64_t flag_n = l_returnflag->InternString("N");
+  const int64_t flag_r = l_returnflag->InternString("R");
+  const int64_t status_o = l_linestatus->InternString("O");
+  const int64_t status_f = l_linestatus->InternString("F");
 
   const int64_t current_date = DayNumber(1995, 6, 17);
   std::vector<uint32_t> zipf_lines;
+  // The uniform draw gives at most 7 lines per order.
+  uint64_t max_lines = 7 * norders;
   if (config.skew_theta > 0.0) {
     // Mean 4 lines/order matches the uniform 1..7 draw's expectation.
     zipf_lines = ZipfLineCounts(norders, config.skew_theta, 4.0);
+    max_lines = std::accumulate(zipf_lines.begin(), zipf_lines.end(),
+                                uint64_t{0});
+  }
+  for (Column* col : {l_orderkey, l_quantity, l_extendedprice, l_discount,
+                      l_tax, l_returnflag, l_linestatus, l_shipdate,
+                      l_commitdate, l_receiptdate}) {
+    col->Reserve(max_lines);
   }
   std::vector<int64_t> order_totals(norders, 0);
   for (uint64_t o = 0; o < norders; ++o) {
@@ -145,11 +170,11 @@ void Generate(const TpchConfig& config, Catalog* catalog) {
       l_discount->Append(discount);
       l_tax->Append(tax);
       if (receiptdate <= current_date) {
-        l_returnflag->AppendString(rng.NextBool(0.5) ? "A" : "R");
+        l_returnflag->Append(rng.NextBool(0.5) ? flag_a : flag_r);
       } else {
-        l_returnflag->AppendString("N");
+        l_returnflag->Append(flag_n);
       }
-      l_linestatus->AppendString(shipdate > current_date ? "O" : "F");
+      l_linestatus->Append(shipdate > current_date ? status_o : status_f);
       l_shipdate->Append(shipdate);
       l_commitdate->Append(commitdate);
       l_receiptdate->Append(receiptdate);

@@ -37,22 +37,22 @@ TEST(DddgTest, SameIterationDependencesWired) {
   LoopKernel k = MakeSelectKernel();
   auto g = Dddg::Build(k, 2).ValueOrDie();
   // Op 3 ("and") depends on ops 1 and 2 of the same iteration.
-  const DddgNode& andop = g.nodes()[g.NodeId(1, 3)];
-  EXPECT_EQ(andop.preds.size(), 2u);
-  EXPECT_EQ(andop.preds[0], g.NodeId(1, 1));
-  EXPECT_EQ(andop.preds[1], g.NodeId(1, 2));
+  auto andop = g.preds(g.NodeId(1, 3));
+  EXPECT_EQ(andop.size(), 2u);
+  EXPECT_EQ(andop[0], g.NodeId(1, 1));
+  EXPECT_EQ(andop[1], g.NodeId(1, 2));
 }
 
 TEST(DddgTest, CarriedDependencesCrossIterations) {
   LoopKernel k = MakeAggregateKernel();
   auto g = Dddg::Build(k, 3).ValueOrDie();
   // Accumulator of iteration 2 depends on load(iter 2) and acc(iter 1).
-  const DddgNode& acc2 = g.nodes()[g.NodeId(2, 1)];
-  ASSERT_EQ(acc2.preds.size(), 2u);
-  EXPECT_EQ(acc2.preds[0], g.NodeId(2, 0));
-  EXPECT_EQ(acc2.preds[1], g.NodeId(1, 1));
+  auto acc2 = g.preds(g.NodeId(2, 1));
+  ASSERT_EQ(acc2.size(), 2u);
+  EXPECT_EQ(acc2[0], g.NodeId(2, 0));
+  EXPECT_EQ(acc2[1], g.NodeId(1, 1));
   // Iteration 0 has no carried predecessor.
-  EXPECT_EQ(g.nodes()[g.NodeId(0, 1)].preds.size(), 1u);
+  EXPECT_EQ(g.preds(g.NodeId(0, 1)).size(), 1u);
 }
 
 TEST(DddgTest, ZeroIterationsRejected) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 namespace ndp::accel {
 namespace {
 
@@ -126,6 +129,116 @@ TEST(DatapathSummaryTest, DerivedFromSchedule) {
 
 TEST(ScheduleTest, TooFewIterationsRejected) {
   EXPECT_FALSE(ScheduleKernel(MakeSelectKernel(), DatapathResources{}, 1).ok());
+}
+
+// Pins every ScheduleResult field — doubles by bit pattern, the utilization
+// map entry by entry — and every error code, over a grid of kernels,
+// resource vectors and iteration counts. A rewrite of the scheduler must
+// leave this constant unchanged.
+class ScheduleDigestTest : public ::testing::Test {
+ protected:
+  void Mix(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xff;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+
+  void MixDouble(double d) {
+    uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    Mix(bits);
+  }
+
+  void Add(const Result<ScheduleResult>& r) {
+    Mix(static_cast<uint64_t>(r.status().code()));
+    if (!r.ok()) return;
+    const ScheduleResult& s = r.value();
+    Mix(s.total_cycles);
+    MixDouble(s.steady_state_ii);
+    MixDouble(s.words_per_cycle);
+    Mix(s.num_ops);
+    MixDouble(s.dynamic_energy_fj);
+    Mix(s.utilization.size());
+    for (const auto& [resource, u] : s.utilization) {
+      Mix(static_cast<uint64_t>(resource));
+      MixDouble(u);
+    }
+  }
+
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+TEST_F(ScheduleDigestTest, EveryKernelResourceAndIterationMatchesGolden) {
+  std::vector<LoopKernel> kernels = {MakeSelectKernel(), MakeAggregateKernel(),
+                                     MakeProjectKernel()};
+  for (uint32_t k = 1; k <= 4; ++k) kernels.push_back(MakeRowStoreKernel(k));
+  for (uint32_t h = 1; h <= 5; ++h) kernels.push_back(MakeProbeKernel(h));
+
+  // The full 288-vector resource grid, pipelined and not.
+  std::vector<DatapathResources> grid;
+  for (bool pipelined : {true, false}) {
+    for (uint32_t reads : {1u, 2u}) {
+      for (uint32_t writes : {1u, 2u}) {
+        for (uint32_t alus : {1u, 2u, 3u, 4u}) {
+          for (uint32_t muls : {0u, 1u, 2u}) {
+            for (uint32_t bits : {1u, 2u, 8u}) {
+              DatapathResources res;
+              res.mem_read_ports = reads;
+              res.mem_write_ports = writes;
+              res.alus = alus;
+              res.multipliers = muls;
+              res.bit_units = bits;
+              res.pipelined = pipelined;
+              grid.push_back(res);
+            }
+          }
+        }
+      }
+    }
+  }
+
+  // Two iterations walk the whole grid; the longer windows take every
+  // stride-th vector (strides prime to every axis, so each value of each
+  // axis still appears) to keep the test fast.
+  const struct {
+    uint32_t iterations;
+    size_t stride;
+  } windows[] = {{2, 1}, {33, 7}, {128, 31}};
+  for (const LoopKernel& kernel : kernels) {
+    bool needs_mul = false;
+    for (const IrOp& op : kernel.body) needs_mul |= op.code == OpCode::kMul;
+    for (const auto& w : windows) {
+      for (size_t i = 0; i < grid.size(); i += w.stride) {
+        auto r = ScheduleKernel(kernel, grid[i], w.iterations);
+        EXPECT_EQ(r.status().code() == StatusCode::kFailedPrecondition,
+                  needs_mul && grid[i].multipliers == 0)
+            << kernel.name;
+        Add(r);
+      }
+    }
+  }
+
+  EXPECT_EQ(ScheduleKernel(MakeSelectKernel(), DatapathResources{}, 0)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  Add(ScheduleKernel(MakeSelectKernel(), DatapathResources{}, 1));
+  LoopKernel forward;
+  forward.name = "forward_dep";
+  forward.body.push_back({OpCode::kLoad, "a", {1}, {}});
+  forward.body.push_back({OpCode::kAdd, "b", {}, {}});
+  auto bad = ScheduleKernel(forward, DatapathResources{}, 4);
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  Add(bad);
+  LoopKernel carried;
+  carried.name = "carried_out_of_range";
+  carried.body.push_back({OpCode::kAdd, "a", {}, {7}});
+  bad = ScheduleKernel(carried, DatapathResources{}, 4);
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  Add(bad);
+
+  EXPECT_EQ(hash_, 0x68903ede13ffeff8ull);
 }
 
 }  // namespace

@@ -27,9 +27,12 @@ TEST(ColumnTest, SetMutates) {
 
 TEST(ColumnTest, DictionaryInternsAndDecodes) {
   Column c = Column::Dictionary("flag");
-  int64_t a = c.AppendString("A");
-  int64_t n = c.AppendString("N");
-  int64_t a2 = c.AppendString("A");
+  int64_t a = c.InternString("A");
+  c.Append(a);
+  int64_t n = c.InternString("N");
+  c.Append(n);
+  int64_t a2 = c.InternString("A");
+  c.Append(a2);
   EXPECT_EQ(a, a2);
   EXPECT_NE(a, n);
   EXPECT_EQ(c.dictionary_size(), 2u);
@@ -41,7 +44,7 @@ TEST(ColumnTest, DictionaryInternsAndDecodes) {
 
 TEST(ColumnTest, CodeOfMissingString) {
   Column c = Column::Dictionary("flag");
-  c.AppendString("A");
+  c.InternString("A");
   EXPECT_TRUE(c.CodeOf("A").ok());
   EXPECT_EQ(c.CodeOf("Z").status().code(), StatusCode::kNotFound);
 }

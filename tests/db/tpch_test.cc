@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "db/tpch_queries.h"
 
@@ -208,6 +212,62 @@ TEST_F(TpchTest, QueriesAgreeAcrossSelectModesAndTracing) {
 TEST_F(TpchTest, UnknownQueryNumberRejected) {
   QueryContext ctx;
   EXPECT_FALSE(RunQueryByNumber(&ctx, catalog_, 2).ok());
+}
+
+// Pins the generated catalog: FNV-1a over every column's name, type, values
+// and dictionary, for the uniform and the skewed generator at scale 0.01. A
+// faster generator must leave both constants unchanged.
+TEST(TpchCatalogDigestTest, GeneratedCatalogMatchesGolden) {
+  const std::pair<const char*, std::vector<const char*>> schema[] = {
+      {"customer", {"c_custkey", "c_mktsegment", "c_acctbal", "c_phone_cc"}},
+      {"orders",
+       {"o_orderkey", "o_custkey", "o_orderdate", "o_totalprice",
+        "o_shippriority"}},
+      {"lineitem",
+       {"l_orderkey", "l_quantity", "l_extendedprice", "l_discount", "l_tax",
+        "l_returnflag", "l_linestatus", "l_shipdate", "l_commitdate",
+        "l_receiptdate"}},
+  };
+  for (const auto& [theta, golden] :
+       {std::pair{0.0, 0x91909bbf0ae4a724ull},
+        std::pair{1.0, 0xe88c34404c184b16ull}}) {
+    uint64_t hash = 0xcbf29ce484222325ull;
+    auto mix_byte = [&hash](uint8_t b) {
+      hash ^= b;
+      hash *= 0x100000001b3ull;
+    };
+    auto mix = [&mix_byte](uint64_t v) {
+      for (int i = 0; i < 8; ++i) mix_byte((v >> (8 * i)) & 0xff);
+    };
+    auto mix_string = [&mix_byte](const std::string& s) {
+      for (char c : s) mix_byte(static_cast<uint8_t>(c));
+    };
+
+    Catalog catalog;
+    TpchConfig cfg;
+    cfg.scale = 0.01;
+    cfg.skew_theta = theta;
+    Generate(cfg, &catalog);
+    ASSERT_EQ(catalog.num_tables(), std::size(schema));
+    for (const auto& [table_name, columns] : schema) {
+      const Table& table = catalog.Tab(table_name);
+      ASSERT_EQ(table.num_columns(), columns.size()) << table_name;
+      for (const char* name : columns) {
+        const Column& col = table.Col(name);
+        mix_string(col.name());
+        mix(static_cast<uint64_t>(col.type()));
+        mix(col.size());
+        for (int64_t v : col.values()) mix(static_cast<uint64_t>(v));
+        mix(col.dictionary_size());
+        for (size_t code = 0; code < col.dictionary_size(); ++code) {
+          const std::string& s = col.DecodeCode(static_cast<int64_t>(code));
+          mix_string(s);
+          mix(s.size());
+        }
+      }
+    }
+    EXPECT_EQ(hash, golden) << "theta=" << theta;
+  }
 }
 
 }  // namespace

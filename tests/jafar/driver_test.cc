@@ -254,7 +254,7 @@ class DriverKindTest : public DriverTest,
   }
 };
 
-TEST_P(DriverKindTest, StatusRegisterAndCompletionAgreeForEveryKind) {
+TEST_P(DriverKindTest, CompletionAgreesWithDeviceCountersForEveryKind) {
   Rng rng(9);
   std::vector<int64_t> values(kRows), keys(kRows);
   for (auto& v : values) v = rng.NextInRange(0, 999);
