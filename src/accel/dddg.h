@@ -40,9 +40,6 @@ class Dddg {
             pred_ids_.data() + first_pred_[id + 1]};
   }
 
-  /// Number of edges in the graph (for reporting).
-  uint64_t num_edges() const { return pred_ids_.size(); }
-
  private:
   std::vector<DddgNode> nodes_;
   /// Every node's producers, flattened in node order: node i's are

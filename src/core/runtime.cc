@@ -162,6 +162,11 @@ struct NdpRuntime::Job {
   /// re-homed tail) holds rows no lane has counted yet.
   uint64_t chunks_live = 0;
   bool failed = false;
+  /// FinishJob ran: the result is recorded (or handed off) and on_done
+  /// fired. The job leaves jobs_ once this is set and chunks_live is 0.
+  bool finished = false;
+  /// Burst admission: the result goes to on_done only, never to results_.
+  bool burst = false;
   sim::Tick submitted_ps = 0;
   /// Per-job result bitmap, folded from the device out region as each lease
   /// ends. The fold cannot wait: out regions come from the placement and are
@@ -315,7 +320,7 @@ Result<NdpRuntime::JobId> NdpRuntime::SubmitSelect(const PlacedColumn& col,
   opts.priority = priority;
   opts.on_done = std::move(on_done);
   return Submit(col, JobKind::kSelect, lo, hi, jafar::AggKind::kSum,
-                std::move(opts), /*poke_lanes=*/true);
+                std::move(opts), /*burst=*/false);
 }
 
 Result<std::vector<NdpRuntime::JobId>> NdpRuntime::SubmitSelectBurst(
@@ -327,7 +332,7 @@ Result<std::vector<NdpRuntime::JobId>> NdpRuntime::SubmitSelectBurst(
     NDP_ASSIGN_OR_RETURN(
         JobId id, Submit(*b.col, JobKind::kSelect, b.lo, b.hi,
                          jafar::AggKind::kSum, std::move(b.opts),
-                         /*poke_lanes=*/false));
+                         /*burst=*/true));
     ids.push_back(id);
   }
   // One wake-up for the whole burst: every chunk of every request is queued
@@ -344,7 +349,7 @@ Result<NdpRuntime::JobId> NdpRuntime::SubmitAggregate(const PlacedColumn& col,
   opts.priority = priority;
   opts.on_done = std::move(on_done);
   return Submit(col, JobKind::kAggregate, 0, 0, kind, std::move(opts),
-                /*poke_lanes=*/true);
+                /*burst=*/false);
 }
 
 Result<NdpRuntime::JobId> NdpRuntime::SubmitProbe(
@@ -366,7 +371,7 @@ Result<NdpRuntime::JobId> NdpRuntime::SubmitProbe(
   opts.priority = priority;
   opts.on_done = std::move(on_done);
   return Submit(col, JobKind::kProbe, 0, 0, jafar::AggKind::kSum,
-                std::move(opts), /*poke_lanes=*/true, /*vals=*/nullptr,
+                std::move(opts), /*burst=*/false, /*vals=*/nullptr,
                 std::move(filter_image));
 }
 
@@ -391,14 +396,13 @@ Result<NdpRuntime::JobId> NdpRuntime::SubmitGroupBy(const PlacedColumn& keys,
   opts.priority = priority;
   opts.on_done = std::move(on_done);
   return Submit(keys, JobKind::kGroupBy, 0, 0, kind, std::move(opts),
-                /*poke_lanes=*/true, &vals);
+                /*burst=*/false, &vals);
 }
 
 Result<NdpRuntime::JobId> NdpRuntime::Submit(const PlacedColumn& col,
                                              JobKind kind, int64_t lo,
                                              int64_t hi, jafar::AggKind agg,
-                                             SubmitOptions opts,
-                                             bool poke_lanes,
+                                             SubmitOptions opts, bool burst,
                                              const PlacedColumn* vals,
                                              std::vector<uint64_t> filter_image) {
   if (col.total_rows == 0) {
@@ -425,8 +429,10 @@ Result<NdpRuntime::JobId> NdpRuntime::Submit(const PlacedColumn& col,
   job->submitted_ps = eq_.Now();
   job->deadline_ps = opts.deadline_ps;
   job->on_done = std::move(opts.on_done);
+  job->burst = burst;
+  const JobId id = job->id;
   Job* j = job.get();
-  jobs_[j->id] = std::move(job);
+  jobs_[id] = std::move(job);
   ++counters_.jobs_submitted;
   ++active_jobs_;
 
@@ -440,7 +446,8 @@ Result<NdpRuntime::JobId> NdpRuntime::Submit(const PlacedColumn& col,
       // loaded healthy lane through the reassignment copy path.
       Reassign(*j, j->priority, part.col_base, val_base, part.first_row,
                part.rows, Status::Internal("runtime: all device lanes failed"));
-      if (j->failed) return j->id;
+      // A failure may have retired the job already (no chunk left alive).
+      if (!jobs_.contains(id) || j->failed) return id;
       continue;
     }
     // Insert without poking: waking lanes mid-loop would let early-poked idle
@@ -450,11 +457,11 @@ Result<NdpRuntime::JobId> NdpRuntime::Submit(const PlacedColumn& col,
   }
   // Wake everyone only once the whole submission is in place; chunk-less
   // lanes immediately volunteer as steal targets for it. Burst admission
-  // (poke_lanes=false) defers even this to the end of the burst.
-  if (poke_lanes) {
+  // defers even this to the end of the burst.
+  if (!burst) {
     for (auto& lane : lanes_) Poke(*lane);
   }
-  return j->id;
+  return id;
 }
 
 Result<PlacedColumn*> NdpRuntime::EnsurePlaced(const db::Column& col) {
@@ -872,7 +879,14 @@ std::unique_ptr<NdpRuntime::Chunk> NdpRuntime::NewChunk(
 
 void NdpRuntime::EndChunk(Job& job) {
   NDP_CHECK(job.chunks_live > 0);
-  if (--job.chunks_live > 0 || job.failed) return;
+  if (--job.chunks_live > 0) return;
+  if (job.finished) {
+    // A failed job's last in-flight lease came back: nothing refers to the
+    // job any more, so it retires.
+    jobs_.erase(job.id);
+    return;
+  }
+  if (job.failed) return;  // FailJob is purging; its FinishJob retires it
   // The last chunk ended: every row was counted and folded exactly once.
   NDP_CHECK(job.rows_completed == job.total_rows);
   // Never silently complete late: a job whose last lease landed past the
@@ -909,10 +923,18 @@ void NdpRuntime::FinishJob(Job& job, const Status& status) {
     ++counters_.jobs_failed;
   }
   --active_jobs_;
+  job.finished = true;
   JobCallback cb = std::move(job.on_done);
-  auto [it, inserted] = results_.emplace(job.id, std::move(result));
-  NDP_CHECK(inserted);
-  if (cb) cb(it->second);
+  if (job.burst) {
+    if (cb) cb(result);
+  } else {
+    auto [it, inserted] = results_.emplace(job.id, std::move(result));
+    NDP_CHECK(inserted);
+    if (cb) cb(it->second);
+  }
+  // Retire now unless a failed job still has a lease in flight; that
+  // lease's EndChunk retires it.
+  if (job.chunks_live == 0) jobs_.erase(job.id);
 }
 
 void NdpRuntime::FailJob(Job& job, const Status& status) {
@@ -1246,11 +1268,15 @@ Status NdpRuntime::Drain() {
 }
 
 Status NdpRuntime::WaitFor(JobId id) {
-  if (jobs_.find(id) == jobs_.end()) {
+  if (id == 0 || id >= next_job_id_) {
     return Status::NotFound("runtime: unknown job id");
   }
-  if (!array_->RunUntilTrue(
-          [this, id] { return results_.find(id) != results_.end(); })) {
+  // A finished job is retired from jobs_, or about to be once its last
+  // in-flight lease ends.
+  if (!array_->RunUntilTrue([this, id] {
+        auto it = jobs_.find(id);
+        return it == jobs_.end() || it->second->finished;
+      })) {
     return Status::Internal("runtime wait stalled: job pending, queue dry");
   }
   return Status::OK();
@@ -1259,6 +1285,16 @@ Status NdpRuntime::WaitFor(JobId id) {
 const JobResult* NdpRuntime::result(JobId id) const {
   auto it = results_.find(id);
   return it == results_.end() ? nullptr : &it->second;
+}
+
+Result<JobResult> NdpRuntime::TakeResult(JobId id) {
+  NDP_RETURN_NOT_OK(WaitFor(id));
+  auto it = results_.find(id);
+  NDP_CHECK(it != results_.end());
+  JobResult r = std::move(it->second);
+  results_.erase(it);
+  NDP_RETURN_NOT_OK(r.status);
+  return r;
 }
 
 // -- Pushdown hooks -----------------------------------------------------------
@@ -1276,27 +1312,40 @@ db::NdpSelectHook NdpRuntime::MakePushdownHook() {
 db::NdpSelectBatchHook NdpRuntime::MakePushdownBatchHook() {
   return [this](const std::vector<std::pair<const db::Column*, db::Pred>>&
                     selects) -> Result<std::vector<db::PositionList>> {
+    auto submit = [this](const db::Column& col,
+                         const db::Pred& pred) -> Result<JobId> {
+      int64_t lo, hi;
+      NDP_RETURN_NOT_OK(PredToJafarRange(pred, &lo, &hi));
+      NDP_ASSIGN_OR_RETURN(PlacedColumn * placed, EnsurePlaced(col));
+      return SubmitSelect(*placed, lo, hi, JobPriority::kInteractive);
+    };
+    Status st;
     std::vector<JobId> ids;
     ids.reserve(selects.size());
     for (const auto& [col, pred] : selects) {
-      int64_t lo, hi;
-      NDP_RETURN_NOT_OK(PredToJafarRange(pred, &lo, &hi));
-      NDP_ASSIGN_OR_RETURN(PlacedColumn * placed, EnsurePlaced(*col));
-      NDP_ASSIGN_OR_RETURN(
-          JobId id, SubmitSelect(*placed, lo, hi, JobPriority::kInteractive));
-      ids.push_back(id);
+      Result<JobId> id = submit(*col, pred);
+      if (!id.ok()) {
+        st = id.status();
+        break;
+      }
+      ids.push_back(id.value());
     }
+    // Every submitted id is taken, even after an error, so the hook leaves
+    // no result behind in results_.
     std::vector<db::PositionList> lists;
     lists.reserve(ids.size());
     for (size_t i = 0; i < ids.size(); ++i) {
-      NDP_RETURN_NOT_OK(WaitFor(ids[i]));
-      const JobResult* r = result(ids[i]);
-      NDP_RETURN_NOT_OK(r->status);
-      db::PositionList positions = db::BitmapToPositions(r->bitmap);
-      NDP_RETURN_NOT_OK(
-          ValidatePushdownResult(positions, selects[i].first->size()));
+      Result<JobResult> r = TakeResult(ids[i]);
+      if (!st.ok()) continue;
+      if (!r.ok()) {
+        st = r.status();
+        continue;
+      }
+      db::PositionList positions = db::BitmapToPositions(r.value().bitmap);
+      st = ValidatePushdownResult(positions, selects[i].first->size());
       lists.push_back(std::move(positions));
     }
+    NDP_RETURN_NOT_OK(st);
     return lists;
   };
 }
@@ -1326,14 +1375,12 @@ db::NdpSemiJoinHook NdpRuntime::MakeSemiJoinHook() {
     NDP_ASSIGN_OR_RETURN(PlacedColumn * placed, EnsurePlaced(probe_col));
     NDP_ASSIGN_OR_RETURN(JobId id, SubmitProbe(*placed, std::move(image),
                                                JobPriority::kInteractive));
-    NDP_RETURN_NOT_OK(WaitFor(id));
-    const JobResult* r = result(id);
-    NDP_RETURN_NOT_OK(r->status);
+    NDP_ASSIGN_OR_RETURN(JobResult r, TakeResult(id));
     // Refinement: candidates are a superset (Bloom collisions), never a
     // subset — a candidate bit may be spurious, a missing bit is definitive.
     db::PositionList out;
     for (uint32_t p : probe_pos) {
-      if (r->bitmap.Get(p) && build_keys.count(probe_col[p]) != 0) {
+      if (r.bitmap.Get(p) && build_keys.count(probe_col[p]) != 0) {
         out.push_back(p);
       }
     }
@@ -1353,10 +1400,8 @@ db::NdpGroupByHook NdpRuntime::MakeGroupByHook() {
     NDP_ASSIGN_OR_RETURN(
         JobId id, SubmitGroupBy(*keys, *vals, jafar::AggKind::kSum,
                                 JobPriority::kInteractive));
-    NDP_RETURN_NOT_OK(WaitFor(id));
-    const JobResult* r = result(id);
-    NDP_RETURN_NOT_OK(r->status);
-    return r->groups;
+    NDP_ASSIGN_OR_RETURN(JobResult r, TakeResult(id));
+    return std::move(r.groups);
   };
 }
 

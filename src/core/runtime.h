@@ -195,6 +195,7 @@ struct JobResult {
   BitVector bitmap;             ///< select/probe: merged, logical row order
   /// Group-by: key -> {aggregate, row count}, merged across every device's
   /// bucket-window passes.
+  // ndp-lint: bounded-queue-ok result payload: one entry per distinct key of one group-by job
   std::map<int64_t, std::pair<int64_t, int64_t>> groups;
   sim::Tick submitted_ps = 0;
   sim::Tick completed_ps = 0;
@@ -253,6 +254,9 @@ class NdpRuntime {
   /// carries a deadline, and the ingress drains its rings in bursts and
   /// admits the whole burst before any lane wakes, so one poke pass (not one
   /// per request) amortizes queue/lease overhead. A retry is a burst of one.
+  /// A burst select's JobResult goes to its `opts.on_done` and nowhere else:
+  /// result() is always null for it, and the runtime keeps nothing of the
+  /// job once the callback has run.
   struct BurstSelect {
     const PlacedColumn* col = nullptr;
     int64_t lo = 0, hi = 0;
@@ -265,9 +269,14 @@ class NdpRuntime {
   /// Pumps the array's event queue until every submitted job completed.
   Status Drain();
   /// Pumps until one specific job completed (other jobs keep progressing).
+  /// OK at once for a job that already finished; NotFound for an id this
+  /// runtime never issued.
   Status WaitFor(JobId id);
 
-  /// Completed job's result, or nullptr while in flight / unknown.
+  /// Completed result of a public Submit* job (SubmitSelect, SubmitAggregate,
+  /// SubmitProbe, SubmitGroupBy), kept until the runtime is destroyed; null
+  /// while in flight, for an unknown id, for a burst select (its result goes
+  /// only to its callback) and for a hook's job (the hook takes it).
   const JobResult* result(JobId id) const;
 
   /// Places `col` on first use (cached per column identity) and runs the
@@ -294,10 +303,15 @@ class NdpRuntime {
   struct Job;
   struct Lane;
 
+  /// `burst`: a SubmitSelectBurst entry — lanes are not poked (the burst
+  /// pokes once at its end) and the result goes to on_done only.
   Result<JobId> Submit(const PlacedColumn& col, JobKind kind, int64_t lo,
                        int64_t hi, jafar::AggKind agg, SubmitOptions opts,
-                       bool poke_lanes, const PlacedColumn* vals = nullptr,
+                       bool burst, const PlacedColumn* vals = nullptr,
                        std::vector<uint64_t> filter_image = {});
+  /// A hook's wait-and-consume: waits for `id`, moves its JobResult out of
+  /// results_ (erasing the entry), and returns the job's status if it failed.
+  Result<JobResult> TakeResult(JobId id);
   /// True (and fails + counts the job) when its deadline has already passed.
   bool CancelIfExpired(Job& job);
   Result<PlacedColumn*> EnsurePlaced(const db::Column& col);
@@ -337,8 +351,10 @@ class NdpRuntime {
   /// off a dead lane): completes a live job when this was its last chunk.
   /// The caller still owns (and disposes of) the chunk object itself.
   void EndChunk(Job& job);
-  /// The only way a job ends: records its JobResult, counts it completed or
-  /// failed, and fires its callback.
+  /// The only way a job ends: records its JobResult (burst selects hand it
+  /// to the callback only), counts it completed or failed, fires its
+  /// callback, and retires the job unless a failed job's lease is still in
+  /// flight (that lease's EndChunk retires it).
   void FinishJob(Job& job, const Status& status);
   /// Marks the job failed, purges its queued chunks, and finishes it. No-op
   /// on an already failed job; in-flight sibling leases end their chunks
@@ -383,10 +399,19 @@ class NdpRuntime {
   DimmArray* array_;
   RuntimeConfig config_;
   sim::EventQueue& eq_;
+  // ndp-lint: bounded-queue-ok one lane per array device, built in the constructor
   std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<std::unique_ptr<LeaseController>> controllers_;  ///< per channel
+  // ndp-lint: bounded-queue-ok one controller per memory channel, built in the constructor
+  std::vector<std::unique_ptr<LeaseController>> controllers_;
+  /// A job is erased once its result is recorded and its last chunk has
+  /// ended; a failed job whose lease is still out waits for that lease.
+  // ndp-lint: bounded-queue-ok in-flight jobs only, retired at completion; the serving door caps them at IngressConfig::slots
   std::map<JobId, std::unique_ptr<Job>> jobs_;
+  /// Results of public Submit* jobs, for result(id). Burst selects never
+  /// land here and hooks take theirs out (TakeResult).
+  // ndp-lint: bounded-queue-ok grows only with public Submit* calls, whose caller reads result(id); the serving ingress and the db hooks keep nothing here
   std::map<JobId, JobResult> results_;
+  // ndp-lint: bounded-queue-ok one placement per distinct column a hook pushed down, not per request
   std::map<const db::Column*, PlacedColumn> placed_;
   JobId next_job_id_ = 1;
   uint64_t next_chunk_seq_ = 1;
@@ -408,7 +433,9 @@ class NdpRuntime {
     uint64_t eta_steals = 0; ///< steals where ETA picked a different victim
   } counters_;
 
+  // ndp-lint: bounded-queue-ok one registry path per memory channel, built in the constructor
   std::vector<std::string> busy_paths_rc_, busy_paths_wc_;
+  // ndp-lint: bounded-queue-ok one registry path per memory channel, built in the constructor
   std::vector<std::string> req_paths_rd_, req_paths_wr_;
 };
 

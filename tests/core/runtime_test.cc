@@ -319,5 +319,136 @@ TEST(NdpRuntimeTest, BatchHookRunsConjunctsConcurrently) {
             ScanSelect(&cpu_ctx, b, db::Pred::Ge(400'000)));
 }
 
+// -- Result lifetime ----------------------------------------------------------
+
+TEST(NdpRuntimeResultTest, BurstSelectResultGoesOnlyToItsCallback) {
+  DimmArray array(dram::DramTiming::DDR3_1600(), 4, 1, Config());
+  NdpRuntime runtime(&array, RuntimeConfig{});
+  db::Column col = RandomColumn(1u << 14, 81);
+  PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
+  const std::vector<std::pair<int64_t, int64_t>> ranges = {
+      {0, 99'999}, {250'000, 749'999}, {900'000, 999'999}};
+  std::vector<uint64_t> calls(ranges.size(), 0);
+  std::vector<uint64_t> matches(ranges.size(), 0);
+  std::vector<NdpRuntime::BurstSelect> burst;
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    NdpRuntime::BurstSelect b;
+    b.col = &placed;
+    b.lo = ranges[i].first;
+    b.hi = ranges[i].second;
+    b.opts.on_done = [&calls, &matches, i](const JobResult& r) {
+      ++calls[i];
+      EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+      matches[i] = r.matches;
+    };
+    burst.push_back(std::move(b));
+  }
+  std::vector<NdpRuntime::JobId> ids =
+      runtime.SubmitSelectBurst(std::move(burst)).ValueOrDie();
+  ASSERT_TRUE(runtime.Drain().ok());
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    EXPECT_EQ(calls[i], 1u) << "select " << i;
+    EXPECT_EQ(matches[i], Oracle(col, ranges[i].first, ranges[i].second));
+    EXPECT_EQ(runtime.result(ids[i]), nullptr)
+        << "a burst select's result goes to its callback only";
+  }
+}
+
+TEST(NdpRuntimeResultTest, WaitForKnowsRetiredJobsAndRejectsUnknownIds) {
+  DimmArray array(dram::DramTiming::DDR3_1600(), 2, 1, Config());
+  NdpRuntime runtime(&array, RuntimeConfig{});
+  db::Column col = RandomColumn(1u << 12, 82);
+  PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
+  auto id = runtime.SubmitSelect(placed, 0, 499'999).ValueOrDie();
+  NdpRuntime::BurstSelect b;
+  b.col = &placed;
+  b.lo = 0;
+  b.hi = 499'999;
+  auto burst_id = runtime.SubmitSelectBurst({b}).ValueOrDie().front();
+  ASSERT_TRUE(runtime.Drain().ok());
+  // Both jobs are finished and retired; waiting on them is still OK.
+  EXPECT_TRUE(runtime.WaitFor(id).ok());
+  EXPECT_TRUE(runtime.WaitFor(burst_id).ok());
+  EXPECT_EQ(runtime.WaitFor(0).code(), StatusCode::kNotFound);
+  EXPECT_EQ(runtime.WaitFor(burst_id + 1).code(), StatusCode::kNotFound);
+}
+
+TEST(NdpRuntimeResultTest, PublicSubmitResultOutlivesDrainAndLaterJobs) {
+  DimmArray array(dram::DramTiming::DDR3_1600(), 2, 1, Config());
+  NdpRuntime runtime(&array, RuntimeConfig{});
+  db::Column col = RandomColumn(1u << 12, 83);
+  PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
+  auto id = runtime.SubmitSelect(placed, 100'000, 599'999).ValueOrDie();
+  ASSERT_TRUE(runtime.Drain().ok());
+  auto later = runtime.SubmitAggregate(placed, jafar::AggKind::kCount)
+                   .ValueOrDie();
+  ASSERT_TRUE(runtime.Drain().ok());
+  const JobResult* r = runtime.result(id);
+  ASSERT_NE(r, nullptr);
+  EXPECT_TRUE(r->status.ok());
+  EXPECT_EQ(r->matches, Oracle(col, 100'000, 599'999));
+  EXPECT_EQ(r->bitmap.size(), col.size());
+  ASSERT_NE(runtime.result(later), nullptr);
+  EXPECT_EQ(runtime.result(later)->agg_value,
+            static_cast<int64_t>(col.size()));
+}
+
+TEST(NdpRuntimeResultTest, FailedJobRetiresWhenItsInFlightSiblingLeaseEnds) {
+  // Lane 0 is busy with a long batch scan when an interactive burst select
+  // arrives with a deadline that has passed by the time lane 0 reaches a
+  // chunk boundary. Lane 1 was idle and started its part at once, so the
+  // job is failed (FailJob) while lane 1's lease of it is still running.
+  // That lease must come back to a live job: the job retires only when the
+  // lease ends its chunk (under ASan an early retire is a use-after-free).
+  DimmArray array(dram::DramTiming::DDR3_1600(), 2, 1, Config());
+  RuntimeConfig cfg;
+  cfg.steal_enabled = false;
+  NdpRuntime runtime(&array, cfg);
+  db::Column busy = RandomColumn(1u << 18, 84);
+  db::Column col = RandomColumn(1u << 18, 85);
+  PlacedColumn busy_placed = array.PlaceColumn(busy, {1.0, 0.0}).ValueOrDie();
+  PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
+  // Idle warm-up, so both channels' lease controllers have seen an idle
+  // window: equal lease lengths and short host windows on both lanes.
+  array.RunUntil(array.eq().Now() + 20'000'000);
+  auto scan = runtime.SubmitSelect(busy_placed, 0, 499'999).ValueOrDie();
+  ASSERT_TRUE(array.RunUntilTrue([&] {
+    return array.stats().ReadValue("array.runtime.leases") >= 1.0;
+  }));
+  array.RunUntil(array.eq().Now() + 5'000'000);  // 5 us into lane 0's lease
+
+  const std::string dev1_done = "array.dev1.jobs_completed";
+  uint64_t calls = 0;
+  double dev1_done_at_fail = -1.0;
+  NdpRuntime::BurstSelect b;
+  b.col = &placed;
+  b.lo = 0;
+  b.hi = 499'999;
+  b.opts.priority = JobPriority::kInteractive;
+  b.opts.deadline_ps = array.eq().Now() + 1'000;
+  b.opts.on_done = [&](const JobResult& r) {
+    ++calls;
+    EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_GE(r.leases, 1u);
+    dev1_done_at_fail = array.stats().ReadValue(dev1_done);
+  };
+  auto id = runtime.SubmitSelectBurst({b}).ValueOrDie().front();
+  ASSERT_TRUE(array.RunUntilTrue([&] { return calls > 0; }));
+
+  EXPECT_TRUE(runtime.WaitFor(id).ok());
+  // The sibling lease was still out when the job failed; it comes back now.
+  ASSERT_TRUE(array.RunUntilTrue([&] {
+    return array.stats().ReadValue(dev1_done) > dev1_done_at_fail ||
+           runtime.result(scan) != nullptr;
+  }));
+  EXPECT_GT(array.stats().ReadValue(dev1_done), dev1_done_at_fail);
+  ASSERT_TRUE(runtime.Drain().ok());
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(runtime.result(id), nullptr);
+  const JobResult* r = runtime.result(scan);
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->matches, Oracle(busy, 0, 499'999));
+}
+
 }  // namespace
 }  // namespace ndp::core

@@ -548,10 +548,12 @@ void PassKnobCoherence(std::vector<SourceFile>& files, const Index& idx,
 
 // -- bounded-queue ------------------------------------------------------------
 
-/// Growable std:: containers declared on the serving ingress/admission path.
-/// Overload robustness is a whole-path property: one unbounded queue between
-/// the door and the runtime turns every shed point upstream of it into
-/// theater. Every such declaration must either carry a
+/// Growable std:: containers declared on the serving ingress/admission path:
+/// the ingress sources and the runtime's headers behind it (its .cc files
+/// are skipped, their function-local containers are not state). Overload
+/// robustness is a whole-path property: one unbounded queue between the
+/// door and the runtime turns every shed point upstream of it into theater.
+/// Every such declaration must either carry a
 /// "// ndp: bounded-by(<Struct>::<field>)" annotation naming the config
 /// field that caps it (cross-checked against the members of every scanned
 /// struct, so the bound is verifiable) or a reasoned waiver for setup-time
@@ -562,7 +564,9 @@ const std::regex kGrowableDecl(
 void PassBoundedQueue(std::vector<SourceFile>& files, const Index& idx,
                       std::vector<Finding>* out) {
   for (SourceFile& f : files) {
-    if (f.rel.rfind("src/core/ingress", 0) != 0) continue;
+    const bool runtime_header =
+        f.rel.rfind("src/core/runtime", 0) == 0 && f.rel.ends_with(".h");
+    if (f.rel.rfind("src/core/ingress", 0) != 0 && !runtime_header) continue;
     for (size_t line = 1; line <= f.lex.code.size(); ++line) {
       const std::string& code = f.lex.code[line - 1];
       std::smatch m;
@@ -606,7 +610,8 @@ void PassBoundedQueue(std::vector<SourceFile>& files, const Index& idx,
 /// tests can observe state. References are by name, so an overloaded or
 /// shadowed name is reached if any of its uses is. lower_snake_case names
 /// are the style's trivial accessors (`activate_count()`): reading a field
-/// back is observation, not dead behaviour, so they are exempt.
+/// back is observation, not dead behaviour, so they are exempt — which
+/// means a test-only lower_snake_case name is caught only by review.
 void PassTestOnly(std::vector<SourceFile>& files, const Index& idx,
                   std::vector<Finding>* out) {
   for (const FunctionDecl& fn : idx.header_functions) {

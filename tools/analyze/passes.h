@@ -16,7 +16,8 @@
 //                       the README knob table and vice versa; NDP_* call
 //                       sites may not disagree on defaults
 //   bounded-queue       growable std:: containers on the serving ingress
-//                       path (src/core/ingress*) must carry a
+//                       path (src/core/ingress* and the runtime headers
+//                       src/core/runtime*.h behind it) must carry a
 //                       "// ndp: bounded-by(<Struct>::<field>)" annotation
 //                       naming a member some scanned struct declares, or a
 //                       reasoned waiver for setup-time state
