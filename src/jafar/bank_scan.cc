@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "fault/injector.h"
 #include "sim/event_queue.h"
 #include "util/macros.h"
 
@@ -57,17 +58,11 @@ void Device::BankScan::Teardown() {
 }
 
 void Device::BankScan::Begin() {
-  base_ = dev_->ScanBase();
-  stride_bytes_ = dev_->ScanStride();
-  total_rows_ = JobRows(*dev_->job_);
-  scan_end_ = base_ + total_rows_ * stride_bytes_;
-  next_seg_start_ = base_;
-  wave_covered_end_ = base_;
+  const StreamSpec& s = dev_->stream_;
+  scan_end_ = s.cols[0] + s.rows * s.stride;
+  next_seg_start_ = s.cols[0];
+  wave_covered_end_ = s.cols[0];
   wave_pending_ = 0;
-  if (total_rows_ == 0 || next_seg_start_ >= scan_end_) {
-    dev_->FlushBitmap([this] { dev_->FinishJob(); });
-    return;
-  }
   StartWave();
 }
 
@@ -77,7 +72,8 @@ void Device::BankScan::StartWave() {
   if (dev_->dram_->controller(dev_->channel_index_)
           .RefreshClaims(dev_->rank_index_)) {
     ++dev_->stats_.refresh_backoffs;
-    dev_->ScheduleAfterGuarded(dev_->BusCycles(8), [this] { StartWave(); });
+    dev_->ScheduleAtGuarded(dev_->eq_->Now() + dev_->BusCycles(8),
+                            [this] { StartWave(); });
     return;
   }
   const dram::AddressMapper& mapper = dev_->dram_->mapper();
@@ -186,7 +182,7 @@ void Device::BankScan::ReadNext(dram::DramLocation loc, uint64_t first_burst,
   dev_->IssueWhenReady(
       rd,
       [this, loc, first_burst, idx, nbursts, addr](sim::Tick) {
-        if (dev_->DrawStallAtBurst()) {
+        if (dev_->injector_ != nullptr && dev_->injector_->DrawStallAtBurst()) {
           // Sequencer stall: the wave never completes and the driver
           // watchdog aborts the job (teardown disarms the banks).
           return;
@@ -203,7 +199,7 @@ void Device::BankScan::ReadNext(dram::DramLocation loc, uint64_t first_burst,
         // Probe jobs run each bank's hash-lane slice at its own (slower)
         // scheduled rate instead of the range comparator's.
         const DeviceConfig& cfg = dev_->config_;
-        const bool probe = dev_->active_is<ProbeJob>();
+        const bool probe = std::holds_alternative<ProbeJob>(*dev_->job_);
         sim::Tick proc = probe ? cfg.BankProbeBurstProcessingPs(words)
                                : cfg.BankBurstProcessingPs(words);
         dev_->stats_.engine_busy_ps += proc;
@@ -243,24 +239,25 @@ void Device::BankScan::OnSegmentDone() {
   // wave covered (same covers-the-burst formula as v1).
   const uint64_t covered =
       (wave_covered_end_ + kBurstBytes - 1) & ~uint64_t{kBurstBytes - 1};
-  const uint64_t last = std::min(
-      total_rows_, (covered - base_ + stride_bytes_ - 1) / stride_bytes_);
+  const StreamSpec& s = dev_->stream_;
+  const uint64_t last =
+      std::min(s.rows, (covered - s.cols[0] + s.stride - 1) / s.stride);
   EvalRange(last);
 }
 
 void Device::BankScan::EvalRange(uint64_t last) {
-  dev_->EvalScanRows(last);
+  dev_->FoldRows(last);
   if (dev_->cursor_rows_ < last) {
     // Output buffer full mid-wave: flush, then resume. Every bank is
     // precharged and disarmed at a barrier, so the writeback bursts cannot
     // collide with filter state.
-    dev_->FlushBitmap([this, last] { EvalRange(last); });
+    dev_->Flush(/*final=*/false, [this, last](sim::Tick) { EvalRange(last); });
     return;
   }
   if (next_seg_start_ < scan_end_) {
     StartWave();
   } else {
-    dev_->FlushBitmap([this] { dev_->FinishJob(); });
+    dev_->EndStream();
   }
 }
 

@@ -52,10 +52,7 @@ class Device::BankScan {
   Device* dev_;
 
   // Scan state staged by Begin (one job at a time, like the shell).
-  uint64_t base_ = 0;          ///< first byte of the scanned region
-  uint64_t stride_bytes_ = 0;  ///< bytes per row element (elem or tuple)
-  uint64_t total_rows_ = 0;
-  uint64_t scan_end_ = 0;        ///< base_ + total_rows_ * stride_bytes_
+  uint64_t scan_end_ = 0;        ///< one past the scanned region's last byte
   uint64_t next_seg_start_ = 0;  ///< first byte not yet assigned to a wave
   uint64_t wave_covered_end_ = 0;  ///< bytes filtered once this wave drains
   uint32_t wave_pending_ = 0;      ///< segments still in flight in this wave

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "fault/ecc.h"
 #include "fault/injector.h"
@@ -14,7 +15,9 @@ namespace ndp::jafar {
 
 namespace {
 constexpr uint32_t kBurstBytes = 64;
+constexpr uint32_t kWordsPerBurst = kBurstBytes / 8;
 constexpr uint32_t kBitsPerBurst = kBurstBytes * 8;  // 512 bitmap bits / burst
+constexpr uint64_t BurstsFor(uint64_t n) { return (n + kBurstBytes - 1) / kBurstBytes; }
 }  // namespace
 
 Device::Device(dram::DramSystem* dram, uint32_t channel_index,
@@ -52,51 +55,48 @@ Device::Device(dram::DramSystem* dram, uint32_t channel_index,
 
 Device::~Device() = default;
 
-int64_t Device::ReadValue(uint64_t addr) const {
-  if (config_.elem_bytes == 8) {
-    return static_cast<int64_t>(dram_->backing_store().Read64(addr));
-  }
-  int32_t v;
-  dram_->backing_store().Read(addr, &v, 4);
-  return v;
-}
-
-Status Device::CheckRange(uint64_t base, uint64_t count,
-                          uint64_t elem_bytes) const {
-  uint64_t len;
-  if (__builtin_mul_overflow(count, elem_bytes, &len)) {
-    return Status::InvalidArgument("job byte length overflows 64 bits");
-  }
-  if (len == 0) return Status::InvalidArgument("empty range");
+Status Device::CheckRegions(std::initializer_list<Region> regions) const {
   const uint64_t capacity = dram_->mapper().organization().TotalBytes();
-  if (base < capacity && len > capacity - base) {
-    return Status::InvalidArgument("job range runs past installed capacity");
+  for (const Region& r : regions) {
+    uint64_t len;
+    if (__builtin_mul_overflow(r.count, r.elem_bytes, &len)) {
+      return Status::InvalidArgument("job byte length overflows 64 bits");
+    }
+    if (len == 0) return Status::InvalidArgument("empty range");
+    if (r.base < capacity && len > capacity - r.base) {
+      return Status::InvalidArgument("job range runs past installed capacity");
+    }
+    for (uint64_t addr : {r.base, r.base + len - 1}) {
+      auto loc = dram_->mapper().Decode(addr);
+      NDP_RETURN_NOT_OK(loc.status());
+      if (loc.value().channel != channel_index_ ||
+          loc.value().rank != rank_index_) {
+        return Status::InvalidArgument(
+            "job data must be resident on this device's DIMM (channel " +
+            std::to_string(channel_index_) + ", rank " +
+            std::to_string(rank_index_) + ")");
+      }
+    }
   }
-  auto first = dram_->mapper().Decode(base);
-  NDP_RETURN_NOT_OK(first.status());
-  auto last = dram_->mapper().Decode(base + len - 1);
-  NDP_RETURN_NOT_OK(last.status());
-  if (first.value().channel != channel_index_ ||
-      last.value().channel != channel_index_ ||
-      first.value().rank != rank_index_ || last.value().rank != rank_index_) {
-    return Status::InvalidArgument(
-        "job data must be resident on this device's DIMM (channel " +
-        std::to_string(channel_index_) + ", rank " +
-        std::to_string(rank_index_) + ")");
+  for (const Region& r : regions) {
+    if (r.aligned && r.base % kBurstBytes != 0) {
+      return Status::InvalidArgument(std::string(r.name) +
+                                     " must be 64 B aligned");
+    }
   }
   return Status::OK();
 }
 
-Status Device::CheckIdleAndOwned() const {
-  if (busy_) return Status::DeviceBusy("a job is already executing");
-  if (config_.require_ownership &&
-      dram_->channel(channel_index_).rank(rank_index_).owner() !=
-          dram::RankOwner::kAccelerator) {
-    return Status::FailedPrecondition(
-        "rank ownership not held: set MR3/MPR before invoking JAFAR "
-        "(§2.2, Coordinating DRAM Access)");
+Status Device::CheckStreams(const StreamSpec& s) const {
+  const uint64_t bitmap_bytes = (s.rows + 7) / 8;
+  for (uint32_t c = 0; c < s.num_cols; ++c) {
+    NDP_RETURN_NOT_OK(CheckRegions({{"column", s.cols[c], s.rows, s.stride}}));
   }
-  return Status::OK();
+  if (s.bitmap) {
+    NDP_RETURN_NOT_OK(CheckRegions({{"bitmap_base", *s.bitmap, bitmap_bytes, 1}}));
+  }
+  if (!s.scan) return Status::OK();
+  return CheckRegions({{"out_base", s.out, bitmap_bytes, 1}});
 }
 
 // ---------------------------------------------------------------------------
@@ -109,13 +109,9 @@ void Device::ScheduleAtGuarded(sim::Tick t, std::function<void()> fn) {
   });
 }
 
-void Device::ScheduleAfterGuarded(sim::Tick delta, std::function<void()> fn) {
-  ScheduleAtGuarded(eq_->Now() + delta, std::move(fn));
-}
-
 void Device::EndJob() {
   if (bank_scan_) bank_scan_->Teardown();
-  if (active_is<ProbeJob>()) {
+  if (std::holds_alternative<ProbeJob>(*job_)) {
     // The job may end mid filter-load; close the shadow window (idempotent).
     channel().NoteProbeFilterLoadDone(rank_index_);
   }
@@ -127,32 +123,17 @@ void Device::EndJob() {
 
 void Device::AbortJob() {
   if (!busy_) return;  // completion won the race against the watchdog
-  EndJob();
-  ++stats_.jobs_failed;
   on_done_ = nullptr;  // the aborting driver already gave up on this callback
+  FailJob(Status::Internal("aborted"));
 }
 
 void Device::FailJob(Status st) {
   NDP_CHECK(busy_);
   EndJob();
   ++stats_.jobs_failed;
-  auto cb = std::move(on_done_);
-  on_done_ = nullptr;
-  if (cb) cb(Completion{std::move(st), 0, eq_->Now(), 0});
-}
-
-bool Device::MaybeInjectHang() {
-  if (injector_ != nullptr && injector_->DrawHangAtDispatch()) {
-    // The command sequencer wedges before its first step: the device stays
-    // busy with no pending events. Only the driver watchdog (AbortJob) can
-    // recover it.
-    return true;
+  if (auto cb = std::exchange(on_done_, nullptr)) {
+    cb(Completion{std::move(st), 0, eq_->Now(), 0});
   }
-  return false;
-}
-
-bool Device::DrawStallAtBurst() {
-  return injector_ != nullptr && injector_->DrawStallAtBurst();
 }
 
 bool Device::HandleReadFault(uint64_t burst_addr) {
@@ -193,18 +174,14 @@ void Device::IssueWhenReady(dram::Command cmd,
                             std::function<void(sim::Tick)> next,
                             std::function<void()> on_stale,
                             bool defer_to_refresh) {
+  auto retry_at = [&](sim::Tick t) {
+    ScheduleAtGuarded(t, [this, cmd, next = std::move(next),
+                          on_stale = std::move(on_stale), defer_to_refresh] {
+      IssueWhenReady(cmd, next, on_stale, defer_to_refresh);
+    });
+  };
   // In polite (no-scheduler) mode, JAFAR may only use the channel while the
   // host memory controller is idle (§3.3).
-  if (!config_.require_ownership &&
-      dram_->controller(channel_index_).HasPendingWork()) {
-    ++stats_.polite_backoffs;
-    ScheduleAfterGuarded(
-        BusCycles(8),
-        [this, cmd, next = std::move(next), on_stale, defer_to_refresh] {
-          IssueWhenReady(cmd, next, on_stale, defer_to_refresh);
-        });
-    return;
-  }
   // Refresh outranks rank ownership: when the host controller is stealing the
   // rank back for an overdue REF (its postponement budget nearly spent), stop
   // competing for the command bus — fighting the precharge drain would only
@@ -213,34 +190,24 @@ void Device::IssueWhenReady(dram::Command cmd,
   // the controller cannot interrupt anyway (v2 holds armed banks REF must
   // wait out) pass defer_to_refresh=false and yield at their own barriers —
   // deferring here would deadlock against the controller's armed-bank wait.
-  if (defer_to_refresh &&
-      dram_->controller(channel_index_).RefreshClaims(rank_index_)) {
-    ++stats_.refresh_backoffs;
-    ScheduleAfterGuarded(
-        BusCycles(8),
-        [this, cmd, next = std::move(next), on_stale, defer_to_refresh] {
-          IssueWhenReady(cmd, next, on_stale, defer_to_refresh);
-        });
+  const dram::MemoryController& mc = dram_->controller(channel_index_);
+  const bool polite = !config_.require_ownership && mc.HasPendingWork();
+  if (polite || (defer_to_refresh && mc.RefreshClaims(rank_index_))) {
+    ++(polite ? stats_.polite_backoffs : stats_.refresh_backoffs);
+    retry_at(eq_->Now() + BusCycles(8));
     return;
   }
   // Bank-state validity may have changed between scheduling and issue when a
   // third party shares the rank (host refresh or traffic in polite mode):
   // column commands need their row open, ACT needs the bank closed.
-  if (cmd.type == dram::CommandType::kRead ||
-      cmd.type == dram::CommandType::kWrite) {
-    const dram::Bank& bank = channel().rank(rank_index_).bank(cmd.bank);
-    if (!bank.has_open_row() || bank.open_row() != cmd.row) {
-      NDP_CHECK_MSG(on_stale != nullptr, "row closed under exclusive access");
-      on_stale();
-      return;
-    }
-  } else if (cmd.type == dram::CommandType::kActivate) {
-    const dram::Bank& bank = channel().rank(rank_index_).bank(cmd.bank);
-    if (bank.has_open_row()) {
-      NDP_CHECK_MSG(on_stale != nullptr, "bank opened under exclusive access");
-      on_stale();
-      return;
-    }
+  const dram::Bank& bank = channel().rank(rank_index_).bank(cmd.bank);
+  const bool column = cmd.type == dram::CommandType::kRead ||
+                      cmd.type == dram::CommandType::kWrite;
+  if ((column && (!bank.has_open_row() || bank.open_row() != cmd.row)) ||
+      (cmd.type == dram::CommandType::kActivate && bank.has_open_row())) {
+    NDP_CHECK_MSG(on_stale != nullptr, "bank state changed under exclusive access");
+    on_stale();
+    return;
   }
   sim::ClockDomain bus = channel().bus_clock();
   sim::Tick t = std::max(channel().EarliestIssue(cmd),
@@ -251,84 +218,46 @@ void Device::IssueWhenReady(dram::Command cmd,
     next(done.value());
     return;
   }
-  ScheduleAtGuarded(
-      t, [this, cmd, next = std::move(next), on_stale, defer_to_refresh] {
-        // Conditions may have shifted (other-rank traffic on the shared
-        // command bus, host activity in polite mode): re-evaluate.
-        IssueWhenReady(cmd, next, on_stale, defer_to_refresh);
-      });
+  // Conditions may have shifted by then (other-rank traffic on the shared
+  // command bus, host activity in polite mode): re-evaluate.
+  retry_at(t);
 }
 
-void Device::OpenRow(const dram::DramLocation& loc, std::function<void()> next) {
-  dram::Bank& bank = channel().rank(rank_index_).bank(loc.bank);
-  if (bank.has_open_row() && bank.open_row() == loc.row) {
-    next();
-    return;
-  }
-  if (bank.has_open_row()) {
+void Device::BurstChain(dram::CommandType type, BurstRun run,
+                        std::function<void(sim::Tick)> next) {
+  if (run.bursts == 0) return next(eq_->Now());
+  const dram::DramLocation loc = dram_->mapper().Decode(run.addr).ValueOrDie();
+  const dram::Bank& bank = channel().rank(rank_index_).bank(loc.bank);
+  // Re-entered after opening the row, and whenever a third party changed
+  // the bank's state between scheduling and issue.
+  auto again = [this, type, run, next] { BurstChain(type, run, next); };
+  if (bank.has_open_row() && bank.open_row() != loc.row) {
     dram::Command pre{dram::CommandType::kPrecharge, rank_index_, loc.bank};
-    IssueWhenReady(pre, [this, loc, next = std::move(next)](sim::Tick) {
-      OpenRow(loc, next);
-    });
+    IssueWhenReady(pre, [again](sim::Tick) { again(); });
     return;
   }
-  dram::Command act{dram::CommandType::kActivate, rank_index_, loc.bank,
-                    loc.row};
-  ++stats_.activates;
-  auto retry = [this, loc, next]() { OpenRow(loc, next); };
-  IssueWhenReady(act, [next = std::move(next)](sim::Tick) { next(); },
-                 /*on_stale=*/retry);
-}
-
-void Device::ReadBurst(uint64_t addr, std::function<void(sim::Tick)> next) {
-  auto loc = dram_->mapper().Decode(addr).ValueOrDie();
-  auto attempt = std::make_shared<std::function<void()>>();
-  // The stored function holds only a weak self-reference (a strong capture
-  // would be a shared_ptr cycle that leaks the whole continuation chain);
-  // each invocation re-locks, and the in-flight DRAM callbacks below hold
-  // the strong references that keep retry alive while the burst is pending.
-  std::weak_ptr<std::function<void()>> weak = attempt;
-  *attempt = [this, loc, addr, next = std::move(next), weak]() {
-    auto self = weak.lock();
-    OpenRow(loc, [this, loc, addr, next, self]() {
-      dram::Command rd{dram::CommandType::kRead, rank_index_, loc.bank,
-                       loc.row, loc.burst_col};
-      IssueWhenReady(
-          rd,
-          [this, addr, next](sim::Tick done) {
-            ++stats_.bursts_read;
-            stats_.data_wait_ps += BusCycles(timing().cl);
-            if (!HandleReadFault(addr)) {
-              return;  // uncorrectable ECC: FailJob already ran
-            }
-            next(done);
-          },
-          /*on_stale=*/[self] { (*self)(); });
-    });
-  };
-  (*attempt)();
-}
-
-void Device::WriteBurst(uint64_t addr, std::function<void(sim::Tick)> next) {
-  auto loc = dram_->mapper().Decode(addr).ValueOrDie();
-  auto attempt = std::make_shared<std::function<void()>>();
-  // Weak self-reference for the same cycle-avoidance reason as ReadBurst.
-  std::weak_ptr<std::function<void()>> weak = attempt;
-  *attempt = [this, loc, next = std::move(next), weak]() {
-    auto self = weak.lock();
-    OpenRow(loc, [this, loc, next, self]() {
-      dram::Command wr{dram::CommandType::kWrite, rank_index_, loc.bank,
-                       loc.row, loc.burst_col};
-      IssueWhenReady(
-          wr,
-          [this, next](sim::Tick done) {
-            ++stats_.bursts_written;
-            next(done);
-          },
-          /*on_stale=*/[self] { (*self)(); });
-    });
-  };
-  (*attempt)();
+  if (!bank.has_open_row()) {
+    dram::Command act{dram::CommandType::kActivate, rank_index_, loc.bank,
+                      loc.row};
+    ++stats_.activates;
+    IssueWhenReady(act, [again](sim::Tick) { again(); }, again);
+    return;
+  }
+  dram::Command cmd{type, rank_index_, loc.bank, loc.row, loc.burst_col};
+  IssueWhenReady(
+      cmd,
+      [this, type, run, next = std::move(next)](sim::Tick done) {
+        if (type == dram::CommandType::kWrite) {
+          ++stats_.bursts_written;
+        } else {
+          ++stats_.bursts_read;
+          stats_.data_wait_ps += BusCycles(timing().cl);
+          if (!HandleReadFault(run.addr)) return;  // ECC UE: FailJob ran
+        }
+        if (run.bursts == 1) return next(done);
+        BurstChain(type, {run.addr + kBurstBytes, run.bursts - 1}, next);
+      },
+      again);
 }
 
 // ---------------------------------------------------------------------------
@@ -337,42 +266,171 @@ void Device::WriteBurst(uint64_t addr, std::function<void(sim::Tick)> next) {
 
 Status Device::Start(const JobDescriptor& job,
                      std::function<void(const Completion&)> on_done) {
-  NDP_RETURN_NOT_OK(CheckIdleAndOwned());
-  NDP_RETURN_NOT_OK(
-      std::visit([this](const auto& j) { return Validate(j); }, job));
+  if (busy_) return Status::DeviceBusy("a job is already executing");
+  if (config_.require_ownership &&
+      channel().rank(rank_index_).owner() != dram::RankOwner::kAccelerator) {
+    return Status::FailedPrecondition(
+        "rank ownership not held: set MR3/MPR before invoking JAFAR "
+        "(§2.2, Coordinating DRAM Access)");
+  }
+  if (config_.elem_bytes != 8 && !std::holds_alternative<SelectJob>(job) &&
+      !std::holds_alternative<RowStoreJob>(job)) {
+    return Status::Unimplemented(
+        "only the select and row-store datapaths take packed 32-bit halves");
+  }
+  StreamSpec spec;
+  NDP_RETURN_NOT_OK(std::visit([&](const auto& j) { return Validate(j, &spec); }, job));
+  NDP_RETURN_NOT_OK(CheckStreams(spec));
   busy_ = true;
   job_ = job;
+  stream_ = spec;
   on_done_ = std::move(on_done);
   cursor_rows_ = 0;
+  bitmap_rows_ = 0;
   engine_ready_at_ = eq_->Now();
-  pending_bits_.ClearAll();
   pending_bit_count_ = 0;
   bitmap_write_cursor_ = 0;
+  project_out_buffer_.clear();
+  project_emitted_ = 0;
   job_matches_ = 0;
   last_result_checksum_ = kChecksumInit;
   stats_.total_busy_ps -= eq_->Now();  // settled in EndJob
-  if (MaybeInjectHang()) return Status::OK();
-  ScheduleAfterGuarded(
-      config_.invocation_overhead_cycles * config_.clock.period_ps(),
+  if (injector_ != nullptr && injector_->DrawHangAtDispatch()) {
+    // The command sequencer wedges before its first step: the device stays
+    // busy with no pending events. Only the driver watchdog (AbortJob) can
+    // recover it.
+    return Status::OK();
+  }
+  ScheduleAtGuarded(
+      eq_->Now() + config_.invocation_overhead_cycles * config_.clock.period_ps(),
       [this] { std::visit([this](const auto& j) { Begin(j); }, *job_); });
   return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
-// Select / row-store / probe: the scan kinds. v1 runs ScanStep below; v2 runs
-// Device::BankScan (bank_scan.cc). Both evaluate rows with EvalScanRows and
-// share the bitmap writeback.
+// The stream loop. Every kind runs the same sequence per step: fetch the
+// pre-filter bursts not fetched yet, then each column's bursts; fold the
+// rows; charge the engine; flush a full output buffer; continue. Past the
+// last row comes the final write-back, then FinishJob. v2's BankScan times
+// the scan kinds its own way but folds and flushes through FoldRows/Flush.
 
-Status Device::Validate(const SelectJob& job) const {
-  NDP_RETURN_NOT_OK(CheckRange(job.col_base, job.num_rows, config_.elem_bytes));
-  NDP_RETURN_NOT_OK(CheckRange(job.out_base, (job.num_rows + 7) / 8, 1));
-  if (job.col_base % kBurstBytes != 0 || job.out_base % kBurstBytes != 0) {
-    return Status::InvalidArgument("col_base/out_base must be 64 B aligned");
+void Device::Step() {
+  const StreamSpec& s = stream_;
+  if (bank_scan_ && s.scan) return bank_scan_->Begin();  // v2 runs the whole scan
+  if (cursor_rows_ >= s.rows) return EndStream();
+  // The step's bursts start at the one holding the cursor row and cover the
+  // rows that start within them.
+  step_offset_ = cursor_rows_ * s.stride;
+  step_offset_ -= step_offset_ % kBurstBytes;
+  const uint64_t end = step_offset_ + s.step_bursts * kBurstBytes;
+  step_last_ = std::min(s.rows, (end + s.stride - 1) / s.stride);
+  step_bursts_ = std::min(s.step_bursts, BurstsFor(step_last_ * s.stride - step_offset_));
+  BurstRun bitmap;
+  if (s.bitmap && step_last_ > bitmap_rows_) {
+    bitmap = {*s.bitmap + bitmap_rows_ / 8,
+              (step_last_ - bitmap_rows_ + kBitsPerBurst - 1) / kBitsPerBurst};
+    bitmap_rows_ += bitmap.bursts * kBitsPerBurst;
   }
+  BurstChain(dram::CommandType::kRead, bitmap, [this](sim::Tick) { FetchColumn(0); });
+}
+
+void Device::FetchColumn(uint32_t c) {
+  BurstChain(dram::CommandType::kRead, {stream_.cols[c] + step_offset_, step_bursts_},
+             [this, c](sim::Tick data_done) {
+               if (c + 1 == stream_.num_cols) return EndStep(data_done);
+               FetchColumn(c + 1);
+             });
+}
+
+void Device::EndStep(sim::Tick data_done) {
+  if (stream_.scan && injector_ != nullptr && injector_->DrawStallAtBurst()) {
+    // Sequencer stall mid-scan: the partial bitmap may already be in DRAM,
+    // but this burst's rows are never accumulated. The device stays busy
+    // with no pending events until the driver watchdog aborts it.
+    return;
+  }
+  const uint64_t first = cursor_rows_;
+  FoldRows(step_last_);
+  const EngineCost cost = std::visit(
+      [&](const auto& j) { return Cost(j, cursor_rows_ - first); }, *job_);
+  ChargeEngine(data_done, cost.ps, cost.fj);
+  Flush(/*final=*/false, [this](sim::Tick) { ContinueWhenEngineReady(); });
+}
+
+void Device::FoldRows(uint64_t last) {
+  const uint64_t rows = std::visit([&](const auto& j) { return Fold(j, last); }, *job_);
+  stats_.rows_processed += rows;
+  cursor_rows_ += rows;
+}
+
+void Device::ChargeEngine(sim::Tick data_done, sim::Tick proc,
+                          double energy_fj) {
+  engine_ready_at_ = std::max(data_done, engine_ready_at_) + proc;
+  stats_.engine_busy_ps += proc;
+  stats_.energy_fj += energy_fj;
+}
+
+void Device::ContinueWhenEngineReady() {
+  // Throttle command issue so a slow datapath (words_per_cycle < 1) does not
+  // overrun its input FIFO: the next burst's data (which completes CL+tBURST
+  // after its command) should not arrive before the engine can take it.
+  // Project's spec turns the throttle off: abl_projection's numbers rest on
+  // it continuing at once.
+  const sim::Tick pipe_ps = BusCycles(timing().cl + timing().tburst);
+  const sim::Tick earliest = stream_.throttle && engine_ready_at_ > pipe_ps
+                                 ? engine_ready_at_ - pipe_ps
+                                 : 0;
+  if (earliest > eq_->Now()) return ScheduleAtGuarded(earliest, [this] { Step(); });
+  Step();
+}
+
+void Device::Flush(bool final, std::function<void(sim::Tick)> next) {
+  const BurstRun run =
+      std::visit([&](const auto& j) { return WriteBack(j, final); }, *job_);
+  if (run.bursts > 0 && stream_.writeback_after_engine) {
+    return ScheduleAtGuarded(engine_ready_at_, [this, run, next = std::move(next)] {
+      BurstChain(dram::CommandType::kWrite, run, next);
+    });
+  }
+  BurstChain(dram::CommandType::kWrite, run, std::move(next));
+}
+
+void Device::EndStream() {
+  Flush(/*final=*/true, [this](sim::Tick) { FinishJob(); });
+}
+
+void Device::FinishJob() {
+  EndJob();
+  ++stats_.jobs_completed;
+  auto cb = std::exchange(on_done_, nullptr);
+  // A dropped completion: the job finished and its results are in DRAM, but
+  // the driver is never told; its watchdog times out and retries.
+  if (injector_ != nullptr && injector_->DrawDropCompletion()) return;
+  if (cb) cb(Completion{Status::OK(), job_matches_, eq_->Now(), 1});
+}
+
+template <typename J>
+Device::EngineCost Device::Cost(const J&, uint64_t) const {
+  // One word per II from the IO buffer, for a whole burst even when the
+  // final one holds fewer rows.
+  return {config_.BurstProcessingPs(kWordsPerBurst),
+          config_.energy_per_word_fj * kWordsPerBurst};
+}
+
+// ---------------------------------------------------------------------------
+// Select / row-store / probe: the scan kinds. Each folds one bit per row into
+// the output buffer, which is written back every time it fills.
+
+Status Device::Validate(const SelectJob& job, StreamSpec* spec) const {
+  *spec = {.rows = job.num_rows, .cols = {job.col_base}, .stride = config_.elem_bytes,
+           .scan = true, .out = job.out_base,
+           .out_mask = job.masked_writeback ? job.writeback_mask : ~uint64_t{0}};
   return Status::OK();
 }
 
-Status Device::Validate(const RowStoreJob& job) const {
+Status Device::Validate(const RowStoreJob& job, StreamSpec* spec) const {
+  *spec = {.rows = job.num_tuples, .cols = {job.tuple_base}, .stride = job.tuple_bytes,
+           .scan = true, .out = job.out_base};
   if (job.tuple_bytes == 0 || job.tuple_bytes % 8 != 0) {
     return Status::InvalidArgument("tuple_bytes must be a positive multiple of 8");
   }
@@ -384,18 +442,14 @@ Status Device::Validate(const RowStoreJob& job) const {
       return Status::InvalidArgument("predicate attribute outside tuple");
     }
   }
-  NDP_RETURN_NOT_OK(CheckRange(job.tuple_base, job.num_tuples, job.tuple_bytes));
-  NDP_RETURN_NOT_OK(CheckRange(job.out_base, (job.num_tuples + 7) / 8, 1));
-  if (job.tuple_base % kBurstBytes != 0 || job.out_base % kBurstBytes != 0) {
-    return Status::InvalidArgument("tuple_base/out_base must be 64 B aligned");
-  }
   return Status::OK();
 }
 
-Status Device::Validate(const ProbeJob& job) const {
-  if (config_.elem_bytes != 8) {
-    return Status::Unimplemented("probe engine hashes 64-bit join keys");
-  }
+Status Device::Validate(const ProbeJob& job, StreamSpec* spec) const {
+  // Probe bitmaps are always whole-word owned by this device (the runtime
+  // chunks on page boundaries), so no masked merge is needed.
+  *spec = {.rows = job.num_rows, .cols = {job.col_base}, .scan = true,
+           .out = job.out_base};
   if (job.hash_count != config_.probe_hashes) {
     return Status::InvalidArgument(
         "hash_count does not match the derived probe datapath (" +
@@ -409,594 +463,286 @@ Status Device::Validate(const ProbeJob& job) const {
   if (config_.probe_words_per_cycle <= 0.0) {
     return Status::Unimplemented("datapath has no scheduled probe kernel");
   }
-  NDP_RETURN_NOT_OK(CheckRange(job.col_base, job.num_rows, 8));
-  NDP_RETURN_NOT_OK(CheckRange(job.out_base, (job.num_rows + 7) / 8, 1));
-  NDP_RETURN_NOT_OK(CheckRange(job.filter_base, job.filter_words, 8));
-  if (job.col_base % kBurstBytes != 0 || job.out_base % kBurstBytes != 0 ||
-      job.filter_base % kBurstBytes != 0) {
-    return Status::InvalidArgument(
-        "col_base/out_base/filter_base must be 64 B aligned");
-  }
-  return Status::OK();
+  return CheckRegions({{"filter_base", job.filter_base, job.filter_words, 8}});
 }
-
-void Device::Begin(const SelectJob&) { BeginScan(); }
-
-void Device::Begin(const RowStoreJob&) { BeginScan(); }
 
 void Device::Begin(const ProbeJob& job) {
   // Filter preload, shared by both generations: announce the load window to
   // the shadow checker, stream the Bloom image out of DRAM with ordinary
   // reads (the timing), latch it into the probe SRAM (the function), close
-  // the window, and only then start the scan sequencer.
+  // the window, and only then start the scan.
   channel().NoteProbeFilterLoadStart(rank_index_, eq_->Now());
   probe_sram_.assign(job.filter_words, 0);
-  uint64_t bursts = (job.filter_words * 8 + kBurstBytes - 1) / kBurstBytes;
-  ReadBurstChain(job.filter_base, bursts, [this](sim::Tick) {
-    const ProbeJob& j = active_job<ProbeJob>();
-    for (uint64_t w = 0; w < j.filter_words; ++w) {
-      probe_sram_[w] = dram_->backing_store().Read64(j.filter_base + w * 8);
-    }
+  const BurstRun image{job.filter_base, BurstsFor(job.filter_words * 8)};
+  BurstChain(dram::CommandType::kRead, image, [this, image](sim::Tick) {
+    dram_->backing_store().Read(image.addr, probe_sram_.data(), probe_sram_.size() * 8);
     channel().NoteProbeFilterLoadDone(rank_index_);
-    BeginScan();
+    Step();
   });
 }
 
-void Device::BeginScan() {
-  if (bank_scan_) {
-    bank_scan_->Begin();
-  } else {
-    ScanStep();
-  }
-}
-
-bool Device::EvalProbeKey(int64_t key) const {
-  const ProbeJob& job = active_job<ProbeJob>();
-  for (uint32_t h = 0; h < job.hash_count; ++h) {
-    uint64_t bit =
-        BloomBitIndex(static_cast<uint64_t>(key), h, job.filter_words);
-    if (((probe_sram_[bit / 64] >> (bit % 64)) & 1) == 0) return false;
-  }
-  return true;
-}
-
-uint64_t Device::ScanBase() const {
-  if (active_is<RowStoreJob>()) return active_job<RowStoreJob>().tuple_base;
-  if (active_is<ProbeJob>()) return active_job<ProbeJob>().col_base;
-  return active_job<SelectJob>().col_base;
-}
-
-uint32_t Device::ScanStride() const {
-  return active_is<RowStoreJob>() ? active_job<RowStoreJob>().tuple_bytes
-                                  : config_.elem_bytes;
-}
-
-bool Device::EvalScanRow(uint64_t r) const {
-  const uint64_t addr = ScanBase() + r * ScanStride();
-  if (active_is<RowStoreJob>()) {
-    for (const RowPredicate& p : active_job<RowStoreJob>().predicates) {
-      int64_t v = static_cast<int64_t>(
-          dram_->backing_store().Read64(addr + p.attr_offset_bytes));
-      if (!EvalCompare(p.op, v, p.range_low, p.range_high)) return false;
-    }
-    return true;
-  }
-  if (active_is<ProbeJob>()) return EvalProbeKey(ReadValue(addr));
-  const SelectJob& sel = active_job<SelectJob>();
-  return EvalCompare(sel.op, ReadValue(addr), sel.range_low, sel.range_high);
-}
-
-void Device::EvalScanRows(uint64_t last) {
+template <typename Pass>
+uint64_t Device::FillBitmap(uint64_t last, Pass pass) {
   uint64_t r = cursor_rows_;
   uint64_t matches = 0;
   for (; r < last && pending_bit_count_ < config_.output_buffer_bits; ++r) {
-    bool pass = EvalScanRow(r);
-    pending_bits_.SetTo(pending_bit_count_++, pass);
-    matches += pass;
+    const bool p = pass(r);
+    pending_bits_.SetTo(pending_bit_count_++, p);
+    matches += p;
   }
   CountMatches(matches);
-  stats_.rows_processed += r - cursor_rows_;
-  cursor_rows_ = r;
+  return r - cursor_rows_;
 }
 
-void Device::ScanStep() {
-  const uint64_t total_rows = JobRows(*job_);
-  if (cursor_rows_ >= total_rows) {
-    // Final (possibly partial) bitmap flush, then done.
-    FlushBitmap([this] { FinishJob(); });
-    return;
-  }
-  const uint64_t base = ScanBase();
-  const uint32_t row_bytes = ScanStride();
-  // The burst containing the next unprocessed row, and the rows whose data
-  // completes within it.
-  uint64_t burst_addr = base + cursor_rows_ * row_bytes;
-  burst_addr -= burst_addr % kBurstBytes;
-  const uint64_t last = std::min<uint64_t>(
-      total_rows, (burst_addr + kBurstBytes - base + row_bytes - 1) / row_bytes);
-  ReadBurst(burst_addr, [this, last](sim::Tick data_done) {
-    if (DrawStallAtBurst()) {
-      // Sequencer stall mid-scan: the partial bitmap may already be in DRAM,
-      // but this burst's rows are never accumulated. The device stays busy
-      // with no pending events until the driver watchdog aborts it.
-      return;
-    }
-    // Scans start 64 B aligned and the buffer holds a multiple of 512 rows,
-    // so every buffer boundary falls on a burst boundary: the buffer never
-    // fills mid-burst here.
-    EvalScanRows(last);
-    // Datapath timing: one word per II from the IO buffer. Probe jobs run
-    // the hash-lane kernel's (slower) schedule instead of the comparator's.
-    const uint32_t words = kBurstBytes / 8;
-    const bool probe = active_is<ProbeJob>();
-    ChargeEngine(data_done,
-                 probe ? config_.ProbeBurstProcessingPs(words)
-                       : config_.BurstProcessingPs(words),
-                 (probe ? config_.probe_energy_per_word_fj
-                        : config_.energy_per_word_fj) *
-                     words);
-    if (pending_bit_count_ >= config_.output_buffer_bits) {
-      FlushBitmap([this] { ContinueWhenEngineReady(&Device::ScanStep); });
+uint64_t Device::Fold(const SelectJob& job, uint64_t last) {
+  const dram::BackingStore& store = dram_->backing_store();
+  const bool packed = config_.elem_bytes == 4;  // sign-extended 32-bit halves
+  return FillBitmap(last, [&](uint64_t r) {
+    int64_t v;
+    if (packed) {
+      int32_t half;
+      store.Read(job.col_base + r * 4, &half, 4);
+      v = half;
     } else {
-      ContinueWhenEngineReady(&Device::ScanStep);
+      v = static_cast<int64_t>(store.Read64(job.col_base + r * 8));
     }
+    return EvalCompare(job.op, v, job.range_low, job.range_high);
   });
 }
 
-void Device::ChargeEngine(sim::Tick data_done, sim::Tick proc,
-                          double energy_fj) {
-  engine_ready_at_ = std::max(data_done, engine_ready_at_) + proc;
-  stats_.engine_busy_ps += proc;
-  stats_.energy_fj += energy_fj;
-}
-
-void Device::ContinueWhenEngineReady(void (Device::*step)()) {
-  // Throttle command issue so a slow datapath (words_per_cycle < 1) does not
-  // overrun its input FIFO: the next burst's data (which completes CL+tBURST
-  // after its command) should not arrive before the engine can take it.
-  sim::Tick pipe_ps = BusCycles(timing().cl + timing().tburst);
-  sim::Tick earliest =
-      engine_ready_at_ > pipe_ps ? engine_ready_at_ - pipe_ps : 0;
-  if (earliest > eq_->Now()) {
-    ScheduleAtGuarded(earliest, [this, step] { (this->*step)(); });
-  } else {
-    (this->*step)();
-  }
-}
-
-void Device::FlushBitmap(std::function<void()> next) {
-  if (pending_bit_count_ == 0) {
-    next();
-    return;
-  }
-  uint64_t out_base;
-  bool masked = false;
-  uint64_t mask = ~uint64_t{0};
-  if (active_is<RowStoreJob>()) {
-    out_base = active_job<RowStoreJob>().out_base;
-  } else if (active_is<ProbeJob>()) {
-    // Probe bitmaps are always whole-word owned by this device (the runtime
-    // chunks on page boundaries), so no masked merge is needed.
-    out_base = active_job<ProbeJob>().out_base;
-  } else {
-    const SelectJob& sel = active_job<SelectJob>();
-    out_base = sel.out_base;
-    masked = sel.masked_writeback;
-    mask = masked ? sel.writeback_mask : ~uint64_t{0};
-  }
-
-  uint64_t bytes = (pending_bit_count_ + 7) / 8;
-  uint64_t addr = out_base + bitmap_write_cursor_;
-  // Functional write of the buffered bits (word-at-a-time to honour masks).
-  for (uint64_t w = 0; w * 8 < bytes; ++w) {
-    uint64_t value = pending_bits_.Word(w);
-    if (masked || (bytes - w * 8) < 8 ||
-        pending_bit_count_ < (w + 1) * 64) {
-      // Partial word or masked layout: read-modify-write.
-      uint64_t keep_mask = mask;
-      if (pending_bit_count_ < (w + 1) * 64) {
-        uint64_t valid = pending_bit_count_ - w * 64;
-        keep_mask &= (valid >= 64) ? ~uint64_t{0}
-                                   : ((uint64_t{1} << valid) - 1);
-      }
-      uint64_t old = dram_->backing_store().Read64(addr + w * 8);
-      value = (old & ~keep_mask) | (value & keep_mask);
+uint64_t Device::Fold(const RowStoreJob& job, uint64_t last) {
+  const dram::BackingStore& store = dram_->backing_store();
+  return FillBitmap(last, [&](uint64_t r) {
+    const uint64_t addr = job.tuple_base + r * job.tuple_bytes;
+    for (const RowPredicate& p : job.predicates) {
+      int64_t v = static_cast<int64_t>(store.Read64(addr + p.attr_offset_bytes));
+      if (!EvalCompare(p.op, v, p.range_low, p.range_high)) return false;
     }
-    dram_->backing_store().Write64(addr + w * 8, value);
+    return true;
+  });
+}
+
+uint64_t Device::Fold(const ProbeJob& job, uint64_t last) {
+  const dram::BackingStore& store = dram_->backing_store();
+  // Bloom membership: every hash lane's bit for the key is set in the probe
+  // SRAM (no false negatives by construction).
+  return FillBitmap(last, [&](uint64_t r) {
+    const uint64_t key = store.Read64(job.col_base + r * 8);
+    for (uint32_t h = 0; h < job.hash_count; ++h) {
+      uint64_t bit = BloomBitIndex(key, h, job.filter_words);
+      if (((probe_sram_[bit / 64] >> (bit % 64)) & 1) == 0) return false;
+    }
+    return true;
+  });
+}
+
+Device::EngineCost Device::Cost(const ProbeJob&, uint64_t) const {
+  // The hash-lane kernel's (slower) schedule instead of the comparator's.
+  return {config_.ProbeBurstProcessingPs(kWordsPerBurst),
+          config_.probe_energy_per_word_fj * kWordsPerBurst};
+}
+
+template <typename J>
+Device::BurstRun Device::WriteBack(const J&, bool final) {
+  // Scans start 64 B aligned and the buffer holds a multiple of 512 rows, so
+  // every buffer boundary falls on a burst boundary: v1 never fills the
+  // buffer mid-burst.
+  const uint64_t bits = pending_bit_count_;
+  if (bits == 0 || (!final && bits < config_.output_buffer_bits)) return {};
+  const uint64_t addr = stream_.out + bitmap_write_cursor_;
+  dram::BackingStore& store = dram_->backing_store();
+  // Functional write, word at a time: a partial word or a masked layout
+  // merges with what DRAM holds.
+  for (uint64_t w = 0; w * 64 < bits; ++w) {
+    uint64_t keep = stream_.out_mask;
+    if (bits < (w + 1) * 64) keep &= (uint64_t{1} << (bits - w * 64)) - 1;
+    uint64_t value = pending_bits_.Word(w) & keep;
+    if (keep != ~uint64_t{0}) value |= store.Read64(addr + w * 8) & ~keep;
+    store.Write64(addr + w * 8, value);
     // Fold the final written word into the writeback checksum: the driver
     // re-reads these exact words from DRAM, so any later corruption shows.
     last_result_checksum_ = ChecksumMix(last_result_checksum_, value);
   }
-
   if (injector_ != nullptr && injector_->DrawCorruptAtFlush()) {
     // Flip one already-written bit after the checksum was taken — exactly
     // what a flaky writeback path would do. The driver's verification pass
     // catches the mismatch and retries the page.
-    uint64_t bit = injector_->DrawCorruptBit(pending_bit_count_);
-    uint64_t waddr = addr + (bit / 64) * 8;
-    uint64_t word = dram_->backing_store().Read64(waddr);
-    dram_->backing_store().Write64(waddr, word ^ (uint64_t{1} << (bit % 64)));
+    const uint64_t bit = injector_->DrawCorruptBit(bits);
+    const uint64_t waddr = addr + (bit / 64) * 8;
+    store.Write64(waddr, store.Read64(waddr) ^ (uint64_t{1} << (bit % 64)));
   }
-
-  // Timing: one WR burst per 64 B of bitmap.
-  uint64_t bursts = (bytes + kBurstBytes - 1) / kBurstBytes;
+  const uint64_t bytes = (bits + 7) / 8;
   bitmap_write_cursor_ += bytes;
-  pending_bits_.ClearAll();
   pending_bit_count_ = 0;
-  WriteBurstChain(addr - addr % kBurstBytes, bursts, std::move(next));
-}
-
-void Device::WriteBurstChain(uint64_t addr, uint64_t bursts,
-                             std::function<void()> next) {
-  if (bursts == 0) {
-    next();
-    return;
-  }
-  WriteBurst(addr, [this, addr, bursts, next = std::move(next)](sim::Tick) {
-    WriteBurstChain(addr + kBurstBytes, bursts - 1, next);
-  });
-}
-
-void Device::FinishJob() {
-  EndJob();
-  ++stats_.jobs_completed;
-  auto cb = std::move(on_done_);
-  on_done_ = nullptr;
-  if (injector_ != nullptr && injector_->DrawDropCompletion()) {
-    // The job finished and its results are in DRAM, but the completion
-    // signal is lost. The driver's watchdog times out and retries.
-    cb = nullptr;
-  }
-  if (cb) cb(Completion{Status::OK(), job_matches_, eq_->Now(), 1});
+  return {addr - addr % kBurstBytes, BurstsFor(bytes)};
 }
 
 // ---------------------------------------------------------------------------
 // Sort (§4 "Sorting": fixed-function bitonic block sorter)
 
-Status Device::Validate(const SortJob& job) const {
-  if (config_.elem_bytes != 8) {
-    return Status::Unimplemented("sort engine operates on 64-bit words");
+Status Device::Validate(const SortJob& job, StreamSpec* spec) const {
+  if (config_.sort_block_elems % kWordsPerBurst != 0) {
+    return Status::Unimplemented("sort blocks must be whole bursts");
   }
-  NDP_RETURN_NOT_OK(CheckRange(job.col_base, job.num_rows, 8));
-  NDP_RETURN_NOT_OK(CheckRange(job.out_base, job.num_rows, 8));
-  if (job.col_base % kBurstBytes != 0 || job.out_base % kBurstBytes != 0) {
-    return Status::InvalidArgument("sort addresses must be 64 B aligned");
-  }
-  return Status::OK();
+  // A step is one block; its sorted run is written back once the network
+  // finishes, and the next block streams after that write-back.
+  *spec = {.rows = job.num_rows, .cols = {job.col_base},
+           .step_bursts = config_.sort_block_elems / kWordsPerBurst,
+           .writeback_after_engine = true};
+  return CheckRegions({{"out_base", job.out_base, job.num_rows, 8}});
 }
 
-void Device::Begin(const SortJob&) { SortStep(); }
-
-void Device::ReadBurstChain(uint64_t addr, uint64_t bursts,
-                            std::function<void(sim::Tick)> on_last_data) {
-  NDP_CHECK(bursts > 0);
-  ReadBurst(addr, [this, addr, bursts,
-                   on_last_data = std::move(on_last_data)](sim::Tick done) {
-    if (bursts == 1) {
-      on_last_data(done);
-    } else {
-      ReadBurstChain(addr + kBurstBytes, bursts - 1, on_last_data);
-    }
-  });
+uint64_t Device::Fold(const SortJob& job, uint64_t last) {
+  // Functional model: an exact sort of the block in device SRAM.
+  const uint64_t rows = last - cursor_rows_;
+  std::vector<int64_t> block(rows);
+  dram_->backing_store().Read(job.col_base + cursor_rows_ * 8, block.data(), rows * 8);
+  std::sort(block.begin(), block.end());
+  if (job.descending) std::reverse(block.begin(), block.end());
+  dram_->backing_store().Write(job.out_base + cursor_rows_ * 8, block.data(), rows * 8);
+  return rows;
 }
 
-void Device::SortStep() {
-  const SortJob& job = active_job<SortJob>();
-  if (cursor_rows_ >= job.num_rows) {
-    FinishJob();
-    return;
-  }
-  uint64_t block_rows = std::min<uint64_t>(config_.sort_block_elems,
-                                           job.num_rows - cursor_rows_);
-  uint64_t in_addr = job.col_base + cursor_rows_ * 8;
-  uint64_t out_addr = job.out_base + cursor_rows_ * 8;
-  uint64_t bursts = (block_rows * 8 + kBurstBytes - 1) / kBurstBytes;
-  // 1. Stream the block into device SRAM.
-  ReadBurstChain(in_addr, bursts, [this, block_rows, in_addr, out_addr,
-                                   bursts](sim::Tick last_data) {
-    // 2. Run the bitonic network (functional model: an exact sort of the
-    //    block; timing: the network's stage count on the comparator array).
-    std::vector<int64_t> block(block_rows);
-    dram_->backing_store().Read(in_addr, block.data(), block_rows * 8);
-    if (active_job<SortJob>().descending) {
-      std::sort(block.begin(), block.end(), std::greater<int64_t>());
-    } else {
-      std::sort(block.begin(), block.end());
-    }
-    dram_->backing_store().Write(out_addr, block.data(), block_rows * 8);
+Device::EngineCost Device::Cost(const SortJob&, uint64_t rows) const {
+  // The bitonic network's stage count on the comparator array.
+  return {config_.SortBlockCycles(static_cast<uint32_t>(rows)) *
+              config_.clock.period_ps(),
+          config_.energy_per_word_fj * static_cast<double>(rows)};
+}
 
-    uint64_t sort_cycles =
-        config_.SortBlockCycles(static_cast<uint32_t>(block_rows));
-    ChargeEngine(last_data, sort_cycles * config_.clock.period_ps(),
-                 config_.energy_per_word_fj * static_cast<double>(block_rows));
-    stats_.rows_processed += block_rows;
-
-    cursor_rows_ += block_rows;
-    // 3. Write the sorted run back once the network finishes, then continue
-    //    with the next block.
-    sim::Tick when = engine_ready_at_;
-    uint64_t out_bursts = bursts;
-    uint64_t out_base_addr = out_addr;
-    ScheduleAtGuarded(when, [this, out_base_addr, out_bursts] {
-      WriteBurstChain(out_base_addr, out_bursts, [this] { SortStep(); });
-    });
-  });
+Device::BurstRun Device::WriteBack(const SortJob& job, bool final) {
+  if (final) return {};
+  return {job.out_base + step_offset_, step_bursts_};
 }
 
 // ---------------------------------------------------------------------------
-// Aggregate
+// Aggregate, project and group-by: folds over the rows an optional
+// pre-filter bitmap selects.
 
-Status Device::Validate(const AggregateJob& job) const {
-  if (config_.elem_bytes != 8) {
-    return Status::Unimplemented("aggregate engine operates on 64-bit words");
+template <typename F>
+uint64_t Device::ForSelected(std::optional<uint64_t> bitmap, uint64_t last, F fold) {
+  const dram::BackingStore& store = dram_->backing_store();
+  for (uint64_t r = cursor_rows_; r < last; ++r) {
+    if (!bitmap || ((store.Read64(*bitmap + (r / 64) * 8) >> (r % 64)) & 1)) fold(r);
   }
-  NDP_RETURN_NOT_OK(CheckRange(job.col_base, job.num_rows, config_.elem_bytes));
-  NDP_RETURN_NOT_OK(CheckRange(job.out_addr, 1, 8));
-  if (job.bitmap_base != 0) {
-    NDP_RETURN_NOT_OK(CheckRange(job.bitmap_base, (job.num_rows + 7) / 8, 1));
-  }
-  if (job.col_base % kBurstBytes != 0) {
-    return Status::InvalidArgument("col_base must be 64 B aligned");
-  }
-  return Status::OK();
+  return last - cursor_rows_;
+}
+
+Status Device::Validate(const AggregateJob& job, StreamSpec* spec) const {
+  *spec = {.rows = job.num_rows, .cols = {job.col_base},
+           .bitmap = job.bitmap_base ? std::optional(job.bitmap_base) : std::nullopt};
+  return CheckRegions({{"out_addr", job.out_addr, 1, 8, /*aligned=*/false}});
 }
 
 void Device::Begin(const AggregateJob& job) {
   agg_acc_ = AggIdentity(job.kind);
-  AggregateStep();
+  Step();
 }
 
-void Device::AggregateStep() {
-  const AggregateJob& job = active_job<AggregateJob>();
-  if (cursor_rows_ >= job.num_rows) {
-    dram_->backing_store().Write64(job.out_addr,
-                                   static_cast<uint64_t>(agg_acc_));
-    WriteBurstChain(job.out_addr - job.out_addr % kBurstBytes, 1,
-                    [this] { FinishJob(); });
-    return;
-  }
-  // One bitmap burst covers 512 rows; fetch it lazily when filtering.
-  bool need_bitmap =
-      job.bitmap_base != 0 && cursor_rows_ % kBitsPerBurst == 0;
-  auto process_col_burst = [this]() {
-    const AggregateJob& j = active_job<AggregateJob>();
-    uint64_t burst_addr = j.col_base + cursor_rows_ * config_.elem_bytes;
-    burst_addr -= burst_addr % kBurstBytes;
-    ReadBurst(burst_addr, [this](sim::Tick data_done) {
-      const AggregateJob& jb = active_job<AggregateJob>();
-      uint64_t rows_here = std::min<uint64_t>(
-          kBurstBytes / config_.elem_bytes, jb.num_rows - cursor_rows_);
-      for (uint64_t r = cursor_rows_; r < cursor_rows_ + rows_here; ++r) {
-        if (jb.bitmap_base != 0) {
-          uint64_t word = dram_->backing_store().Read64(
-              jb.bitmap_base + (r / 64) * 8);
-          if (((word >> (r % 64)) & 1) == 0) continue;
-        }
-        int64_t v = static_cast<int64_t>(
-            dram_->backing_store().Read64(jb.col_base + r * config_.elem_bytes));
-        agg_acc_ =
-            AggMerge(jb.kind, agg_acc_, jb.kind == AggKind::kCount ? 1 : v);
-        CountMatches(1);
-      }
-      stats_.rows_processed += rows_here;
-      cursor_rows_ += rows_here;
-      uint32_t words = kBurstBytes / 8;
-      ChargeEngine(data_done, config_.BurstProcessingPs(words),
-                   config_.energy_per_word_fj * words);
-      ContinueWhenEngineReady(&Device::AggregateStep);
-    });
-  };
-  if (need_bitmap) {
-    uint64_t bm_addr = job.bitmap_base + (cursor_rows_ / 8);
-    bm_addr -= bm_addr % kBurstBytes;
-    ReadBurst(bm_addr, [process_col_burst](sim::Tick) { process_col_burst(); });
-  } else {
-    process_col_burst();
-  }
+uint64_t Device::Fold(const AggregateJob& job, uint64_t last) {
+  return ForSelected(stream_.bitmap, last, [&](uint64_t r) {
+    int64_t v = static_cast<int64_t>(dram_->backing_store().Read64(job.col_base + r * 8));
+    agg_acc_ = AggMerge(job.kind, agg_acc_, job.kind == AggKind::kCount ? 1 : v);
+    CountMatches(1);
+  });
 }
 
-// ---------------------------------------------------------------------------
-// Grouped aggregation (§4: bucket-limited, hierarchical passes)
+Device::BurstRun Device::WriteBack(const AggregateJob& job, bool final) {
+  if (!final) return {};
+  dram_->backing_store().Write64(job.out_addr, static_cast<uint64_t>(agg_acc_));
+  return {job.out_addr - job.out_addr % kBurstBytes, 1};
+}
 
-Status Device::Validate(const GroupByJob& job) const {
-  if (config_.elem_bytes != 8) {
-    return Status::Unimplemented("group-by engine operates on 64-bit words");
-  }
-  NDP_RETURN_NOT_OK(CheckRange(job.key_base, job.num_rows, 8));
-  NDP_RETURN_NOT_OK(CheckRange(job.val_base, job.num_rows, 8));
-  NDP_RETURN_NOT_OK(CheckRange(job.out_base, config_.groupby_buckets, 16));
-  if (job.bitmap_base != 0) {
-    NDP_RETURN_NOT_OK(CheckRange(job.bitmap_base, (job.num_rows + 7) / 8, 1));
-    if (job.bitmap_base % kBurstBytes != 0) {
-      return Status::InvalidArgument("bitmap_base must be 64 B aligned");
-    }
-  }
-  if (job.key_base % kBurstBytes != 0 || job.val_base % kBurstBytes != 0 ||
-      job.out_base % kBurstBytes != 0) {
-    return Status::InvalidArgument("group-by addresses must be 64 B aligned");
+Status Device::Validate(const ProjectJob& job, StreamSpec* spec) const {
+  *spec = {.rows = job.num_rows, .cols = {job.col_base}, .bitmap = job.bitmap_base,
+           .throttle = false};
+  if (job.out_base % kBurstBytes != 0) {
+    return Status::InvalidArgument("out_base must be 64 B aligned");
   }
   return Status::OK();
+}
+
+uint64_t Device::Fold(const ProjectJob& job, uint64_t last) {
+  return ForSelected(stream_.bitmap, last, [&](uint64_t r) {
+    project_out_buffer_.push_back(static_cast<int64_t>(
+        dram_->backing_store().Read64(job.col_base + r * 8)));
+    CountMatches(1);
+  });
+}
+
+Device::BurstRun Device::WriteBack(const ProjectJob& job, bool final) {
+  // Buffer qualifying values up to the device's output buffer capacity
+  // before dumping them back (§4: "when the internal buffers are full,
+  // JAFAR will dump the contents back to a pre-allocated location") —
+  // flushing per burst would pay the write-to-read turnaround each time.
+  // Mid-job only whole bursts leave the buffer.
+  uint64_t n = project_out_buffer_.size();
+  if (!final) {
+    if (n < config_.output_buffer_bits / 8) return {};
+    n -= n % kWordsPerBurst;
+  }
+  if (n == 0) return {};
+  const uint64_t addr = job.out_base + project_emitted_ * 8;
+  dram_->backing_store().Write(addr, project_out_buffer_.data(), n * 8);
+  project_out_buffer_.erase(project_out_buffer_.begin(),
+                            project_out_buffer_.begin() + static_cast<long>(n));
+  project_emitted_ += n;
+  const uint64_t first = addr - addr % kBurstBytes;
+  return {first, (addr + n * 8 - 1 - first) / kBurstBytes + 1};
+}
+
+// Grouped aggregation (§4: bucket-limited, hierarchical passes)
+
+Status Device::Validate(const GroupByJob& job, StreamSpec* spec) const {
+  // Stream the two columns in DRAM-row-sized steps (8 KB = 1024 values):
+  // alternating single bursts between the columns would ping-pong two rows
+  // of one bank (the columns often alias to the same bank), paying a
+  // precharge/activate pair per burst. Whole-row steps amortize the row
+  // switch across 128 bursts — the device's SRAM double-buffers one row of
+  // keys against one row of values.
+  *spec = {.rows = job.num_rows, .cols = {job.key_base, job.val_base}, .num_cols = 2,
+           .bitmap = job.bitmap_base ? std::optional(job.bitmap_base) : std::nullopt,
+           .step_bursts = 128};
+  return CheckRegions({{"out_base", job.out_base, config_.groupby_buckets, 16}});
 }
 
 void Device::Begin(const GroupByJob& job) {
-  groupby_agg_.assign(config_.groupby_buckets, AggIdentity(job.kind));
-  groupby_count_.assign(config_.groupby_buckets, 0);
-  GroupByStep();
+  groupby_sram_.assign(2 * config_.groupby_buckets, 0);
+  for (size_t b = 0; b < groupby_sram_.size(); b += 2) {
+    groupby_sram_[b] = AggIdentity(job.kind);
+  }
+  Step();
 }
 
-void Device::GroupByStep() {
-  const GroupByJob& job = active_job<GroupByJob>();
-  if (cursor_rows_ >= job.num_rows) {
-    // Dump the bucket SRAM back to DRAM: buckets * 16 bytes.
-    for (uint32_t b = 0; b < config_.groupby_buckets; ++b) {
-      dram_->backing_store().Write64(job.out_base + b * 16,
-                                     static_cast<uint64_t>(groupby_agg_[b]));
-      dram_->backing_store().Write64(
-          job.out_base + b * 16 + 8,
-          static_cast<uint64_t>(groupby_count_[b]));
-    }
-    uint64_t bursts =
-        (config_.groupby_buckets * 16 + kBurstBytes - 1) / kBurstBytes;
-    WriteBurstChain(job.out_base, bursts, [this] { FinishJob(); });
-    return;
-  }
-  // Stream the two columns in DRAM-row-sized chunks (8 KB = 1024 values):
-  // alternating single bursts between the columns would ping-pong two rows
-  // of one bank (the columns often alias to the same bank), paying a
-  // precharge/activate pair per burst. Whole-row chunks amortize the row
-  // switch across 128 bursts — the device's SRAM double-buffers one row of
-  // keys against one row of values.
-  uint64_t chunk_rows = std::min<uint64_t>(1024, job.num_rows - cursor_rows_);
-  uint64_t bursts = (chunk_rows * 8 + kBurstBytes - 1) / kBurstBytes;
-  uint64_t key_addr = job.key_base + cursor_rows_ * 8;
-  uint64_t val_addr = job.val_base + cursor_rows_ * 8;
-  auto read_columns = [this, key_addr, val_addr, bursts, chunk_rows]() {
-    ReadBurstChain(key_addr, bursts, [this, val_addr, bursts,
-                                      chunk_rows](sim::Tick) {
-      ReadBurstChain(val_addr, bursts, [this,
-                                        chunk_rows](sim::Tick data_done) {
-        ProcessGroupByChunk(chunk_rows, data_done);
-      });
-    });
-  };
-  if (job.bitmap_base != 0) {
-    // One bitmap burst covers 512 rows; fetch the chunk's slice first.
-    uint64_t bm_addr = job.bitmap_base + cursor_rows_ / 8;
-    bm_addr -= bm_addr % kBurstBytes;
-    uint64_t bm_bursts = (chunk_rows + kBitsPerBurst - 1) / kBitsPerBurst;
-    ReadBurstChain(bm_addr, bm_bursts,
-                   [read_columns](sim::Tick) { read_columns(); });
-  } else {
-    read_columns();
-  }
-}
-
-void Device::ProcessGroupByChunk(uint64_t chunk_rows, sim::Tick data_done) {
-  const GroupByJob& j = active_job<GroupByJob>();
-  uint64_t rows_here = chunk_rows;
-  for (uint64_t r = cursor_rows_; r < cursor_rows_ + rows_here; ++r) {
-    if (j.bitmap_base != 0) {
-      uint64_t word =
-          dram_->backing_store().Read64(j.bitmap_base + (r / 64) * 8);
-      if (((word >> (r % 64)) & 1) == 0) continue;
-    }
-    int64_t key =
-        static_cast<int64_t>(dram_->backing_store().Read64(j.key_base + r * 8));
-    int64_t bucket = key - j.key_offset;
+uint64_t Device::Fold(const GroupByJob& job, uint64_t last) {
+  const dram::BackingStore& store = dram_->backing_store();
+  return ForSelected(stream_.bitmap, last, [&](uint64_t r) {
+    int64_t bucket = static_cast<int64_t>(store.Read64(job.key_base + r * 8)) -
+                     job.key_offset;
     if (bucket < 0 || bucket >= static_cast<int64_t>(config_.groupby_buckets)) {
-      continue;  // outside this hierarchical pass's window
+      return;  // outside this hierarchical pass's window
     }
-    int64_t v = static_cast<int64_t>(
-        dram_->backing_store().Read64(j.val_base + r * 8));
-    groupby_agg_[bucket] = AggMerge(j.kind, groupby_agg_[bucket],
-                                    j.kind == AggKind::kCount ? 1 : v);
-    ++groupby_count_[bucket];
+    int64_t v = static_cast<int64_t>(store.Read64(job.val_base + r * 8));
+    int64_t* slot = &groupby_sram_[2 * bucket];
+    slot[0] = AggMerge(job.kind, slot[0], job.kind == AggKind::kCount ? 1 : v);
+    ++slot[1];
     CountMatches(1);
-  }
-  stats_.rows_processed += rows_here;
-  cursor_rows_ += rows_here;
-  // Engine: one key/value pair per cycle (hash + accumulate); chunk
-  // processing overlaps the next chunk's reads via the usual throttle.
-  uint32_t words = static_cast<uint32_t>(2 * rows_here);
-  ChargeEngine(data_done, config_.BurstProcessingPs(words),
-               config_.energy_per_word_fj * words);
-  ContinueWhenEngineReady(&Device::GroupByStep);
+  });
 }
 
-// ---------------------------------------------------------------------------
-// Project
-
-Status Device::Validate(const ProjectJob& job) const {
-  if (config_.elem_bytes != 8) {
-    return Status::Unimplemented("project engine operates on 64-bit words");
-  }
-  NDP_RETURN_NOT_OK(CheckRange(job.col_base, job.num_rows, config_.elem_bytes));
-  NDP_RETURN_NOT_OK(CheckRange(job.bitmap_base, (job.num_rows + 7) / 8, 1));
-  if (job.col_base % kBurstBytes != 0 || job.out_base % kBurstBytes != 0 ||
-      job.bitmap_base % kBurstBytes != 0) {
-    return Status::InvalidArgument("project addresses must be 64 B aligned");
-  }
-  return Status::OK();
+Device::EngineCost Device::Cost(const GroupByJob&, uint64_t rows) const {
+  // One key/value pair per cycle (hash + accumulate); a step's processing
+  // overlaps the next step's reads via the usual throttle.
+  const uint32_t words = static_cast<uint32_t>(2 * rows);
+  return {config_.BurstProcessingPs(words), config_.energy_per_word_fj * words};
 }
 
-void Device::Begin(const ProjectJob&) {
-  project_out_buffer_.clear();
-  project_emitted_ = 0;
-  ProjectStep();
-}
-
-void Device::ProjectStep() {
-  const ProjectJob& job = active_job<ProjectJob>();
-  if (cursor_rows_ >= job.num_rows) {
-    FlushProjectOutput([this] { FinishJob(); }, /*final_flush=*/true);
-    return;
-  }
-  bool need_bitmap = cursor_rows_ % kBitsPerBurst == 0;
-  auto process = [this]() {
-    const ProjectJob& j = active_job<ProjectJob>();
-    uint64_t burst_addr = j.col_base + cursor_rows_ * config_.elem_bytes;
-    burst_addr -= burst_addr % kBurstBytes;
-    ReadBurst(burst_addr, [this](sim::Tick data_done) {
-      const ProjectJob& jb = active_job<ProjectJob>();
-      uint64_t rows_here = std::min<uint64_t>(
-          kBurstBytes / config_.elem_bytes, jb.num_rows - cursor_rows_);
-      for (uint64_t r = cursor_rows_; r < cursor_rows_ + rows_here; ++r) {
-        uint64_t word =
-            dram_->backing_store().Read64(jb.bitmap_base + (r / 64) * 8);
-        if ((word >> (r % 64)) & 1) {
-          project_out_buffer_.push_back(static_cast<int64_t>(
-              dram_->backing_store().Read64(jb.col_base +
-                                            r * config_.elem_bytes)));
-          CountMatches(1);
-        }
-      }
-      stats_.rows_processed += rows_here;
-      cursor_rows_ += rows_here;
-      uint32_t words = kBurstBytes / 8;
-      ChargeEngine(data_done, config_.BurstProcessingPs(words),
-                   config_.energy_per_word_fj * words);
-      // Buffer qualifying values up to the device's output buffer capacity
-      // before dumping them back (§4: "when the internal buffers are full,
-      // JAFAR will dump the contents back to a pre-allocated location") —
-      // flushing per burst would pay the write-to-read turnaround each time.
-      if (project_out_buffer_.size() >= config_.output_buffer_bits / 8) {
-        FlushProjectOutput([this] { ProjectStep(); }, /*final_flush=*/false);
-      } else {
-        ProjectStep();
-      }
-    });
-  };
-  if (need_bitmap) {
-    uint64_t bm_addr = job.bitmap_base + (cursor_rows_ / 8);
-    bm_addr -= bm_addr % kBurstBytes;
-    ReadBurst(bm_addr, [process](sim::Tick) { process(); });
-  } else {
-    process();
-  }
-}
-
-void Device::FlushProjectOutput(std::function<void()> next, bool final_flush) {
-  const uint64_t words_per_burst = kBurstBytes / 8;
-  uint64_t available = project_out_buffer_.size();
-  uint64_t to_write = final_flush ? available
-                                  : (available / words_per_burst) * words_per_burst;
-  if (to_write == 0) {
-    next();
-    return;
-  }
-  uint64_t addr = active_job<ProjectJob>().out_base + project_emitted_ * 8;
-  for (uint64_t i = 0; i < to_write; ++i) {
-    dram_->backing_store().Write64(
-        addr + i * 8, static_cast<uint64_t>(project_out_buffer_[i]));
-  }
-  project_out_buffer_.erase(project_out_buffer_.begin(),
-                            project_out_buffer_.begin() +
-                                static_cast<long>(to_write));
-  project_emitted_ += to_write;
-  uint64_t first_burst = addr - addr % kBurstBytes;
-  uint64_t last_byte = addr + to_write * 8 - 1;
-  uint64_t bursts = (last_byte - first_burst) / kBurstBytes + 1;
-  WriteBurstChain(first_burst, bursts, std::move(next));
+Device::BurstRun Device::WriteBack(const GroupByJob& job, bool final) {
+  if (!final) return {};
+  // Dump the bucket SRAM image back to DRAM.
+  const uint64_t bytes = groupby_sram_.size() * 8;
+  dram_->backing_store().Write(job.out_base, groupby_sram_.data(), bytes);
+  return {job.out_base, BurstsFor(bytes)};
 }
 
 }  // namespace ndp::jafar

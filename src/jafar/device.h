@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 
@@ -129,42 +130,101 @@ class Device {
   /// so it drives the shell's private sequencer and job state directly.
   class BankScan;
 
-  /// Validates that `count` elements of `elem_bytes` each, starting at
-  /// `base`, lie within this device's rank. A byte length that overflows 64
-  /// bits or runs past the installed capacity is InvalidArgument.
-  Status CheckRange(uint64_t base, uint64_t count, uint64_t elem_bytes) const;
+  /// What one job kind streams through the loop (Step): plain data, filled
+  /// in by the kind's Validate.
+  struct StreamSpec {
+    uint64_t rows = 0;                    ///< rows (row-store: tuples)
+    uint64_t cols[2] = {0, 0};            ///< column bases, fetched in order
+    uint32_t num_cols = 1;
+    uint32_t stride = 8;                  ///< bytes per row in every column
+    std::optional<uint64_t> bitmap = {};  ///< pre-filter, 512 rows per burst
+    uint64_t step_bursts = 1;             ///< bursts per column per step
+    /// A bitmap-producing scan (select, row-store, probe): draws a stall per
+    /// burst, runs on v2's BankScan when the device has one, and writes its
+    /// output buffer to `out`, merged under `out_mask`.
+    bool scan = false;
+    uint64_t out = 0;
+    uint64_t out_mask = ~uint64_t{0};
+    /// Continue through ContinueWhenEngineReady's input-FIFO throttle.
+    bool throttle = true;
+    /// The per-step write-back waits until the engine has finished (sort).
+    bool writeback_after_engine = false;
+  };
+  struct EngineCost {  ///< engine time and dynamic energy of one step
+    sim::Tick ps = 0;
+    double fj = 0.0;
+  };
+  struct BurstRun {  ///< `bursts` consecutive bursts from `addr`
+    uint64_t addr = 0;
+    uint64_t bursts = 0;
+  };
+  struct Region {  ///< `count` elements of `elem_bytes` at `base`
+    const char* name;
+    uint64_t base;
+    uint64_t count;
+    uint64_t elem_bytes;
+    bool aligned = true;  ///< must start on a burst
+  };
 
-  /// Reads one column value (64-bit word, or sign-extended 32-bit half when
-  /// elem_bytes == 4) from the functional backing store.
-  int64_t ReadValue(uint64_t addr) const;
-  Status CheckIdleAndOwned() const;
+  /// Validates that every region lies within this device's rank (a byte
+  /// length that overflows 64 bits or runs past the installed capacity is
+  /// InvalidArgument), then that the aligned ones start on a burst.
+  Status CheckRegions(std::initializer_list<Region> regions) const;
+  /// CheckRegions on what a StreamSpec names: its columns, its pre-filter
+  /// bitmap and a scan's bitmap output. Validate checks any other region.
+  Status CheckStreams(const StreamSpec& spec) const;
 
-  // -- Per-kind halves of Start: admission checks, then the first step once
-  //    the invocation overhead has elapsed. --------------------------------
-  Status Validate(const SelectJob& job) const;
-  Status Validate(const AggregateJob& job) const;
-  Status Validate(const ProjectJob& job) const;
-  Status Validate(const RowStoreJob& job) const;
-  Status Validate(const SortJob& job) const;
-  Status Validate(const GroupByJob& job) const;
-  Status Validate(const ProbeJob& job) const;
-  void Begin(const SelectJob& job);
+  // -- What each kind supplies, dispatched with std::visit on the job.
+  //    Validate: admission checks, and the kind's StreamSpec. Begin: latch
+  //    the kind's state once the invocation overhead has elapsed, then Step
+  //    (default: nothing to latch).
+  //    Fold: the functional work on rows [cursor_rows_, last) of a fetched
+  //    step; returns the rows consumed (a scan stops early once its output
+  //    buffer is full). Cost: the engine time of a step that folded `rows`
+  //    rows (default: one burst of words at the select comparator's rate).
+  //    WriteBack: the functional write of buffered output, returning the
+  //    bursts to time; mid-job (final = false) only a full buffer, or sort's
+  //    block (default: a scan's bitmap). --------------------------------------
+  Status Validate(const SelectJob& job, StreamSpec* spec) const;
+  Status Validate(const AggregateJob& job, StreamSpec* spec) const;
+  Status Validate(const ProjectJob& job, StreamSpec* spec) const;
+  Status Validate(const RowStoreJob& job, StreamSpec* spec) const;
+  Status Validate(const SortJob& job, StreamSpec* spec) const;
+  Status Validate(const GroupByJob& job, StreamSpec* spec) const;
+  Status Validate(const ProbeJob& job, StreamSpec* spec) const;
+  template <typename J>
+  void Begin(const J&) {
+    Step();
+  }
   void Begin(const AggregateJob& job);
-  void Begin(const ProjectJob& job);
-  void Begin(const RowStoreJob& job);
-  void Begin(const SortJob& job);
   void Begin(const GroupByJob& job);
   void Begin(const ProbeJob& job);
-
-  /// The running job as kind J (it must be one).
+  uint64_t Fold(const SelectJob& job, uint64_t last);
+  uint64_t Fold(const AggregateJob& job, uint64_t last);
+  uint64_t Fold(const ProjectJob& job, uint64_t last);
+  uint64_t Fold(const RowStoreJob& job, uint64_t last);
+  uint64_t Fold(const SortJob& job, uint64_t last);
+  uint64_t Fold(const GroupByJob& job, uint64_t last);
+  uint64_t Fold(const ProbeJob& job, uint64_t last);
   template <typename J>
-  const J& active_job() const {
-    return std::get<J>(*job_);
-  }
+  EngineCost Cost(const J& job, uint64_t rows) const;
+  EngineCost Cost(const SortJob& job, uint64_t rows) const;
+  EngineCost Cost(const GroupByJob& job, uint64_t rows) const;
+  EngineCost Cost(const ProbeJob& job, uint64_t rows) const;
   template <typename J>
-  bool active_is() const {
-    return job_.has_value() && std::holds_alternative<J>(*job_);
-  }
+  BurstRun WriteBack(const J& job, bool final);
+  BurstRun WriteBack(const AggregateJob& job, bool final);
+  BurstRun WriteBack(const ProjectJob& job, bool final);
+  BurstRun WriteBack(const SortJob& job, bool final);
+  BurstRun WriteBack(const GroupByJob& job, bool final);
+  /// Buffers one bit per row from the cursor up to `last` (`pass(r)`),
+  /// stopping once the output buffer is full; returns the rows buffered.
+  template <typename Pass>
+  uint64_t FillBitmap(uint64_t last, Pass pass);
+  /// Calls `fold(r)` for every row up to `last` whose `bitmap` bit is set
+  /// (every row without a bitmap); returns the rows streamed.
+  template <typename F>
+  uint64_t ForSelected(std::optional<uint64_t> bitmap, uint64_t last, F fold);
 
   dram::Channel& channel() { return dram_->channel(channel_index_); }
   const dram::DramTiming& timing() const { return dram_->timing(); }
@@ -186,42 +246,33 @@ class Device {
                       std::function<void()> on_stale = nullptr,
                       bool defer_to_refresh = true);
 
-  /// Ensures `loc`'s bank has `loc.row` open (PRE/ACT as needed), then calls
-  /// `next`.
-  void OpenRow(const dram::DramLocation& loc, std::function<void()> next);
+  /// Reads or writes (`type`) the bursts of `run` one after another, each
+  /// once its row is open (PRE/ACT as needed), then calls `next` with the
+  /// last one's data tick (at once, with Now(), when there are none). A
+  /// write's functional bytes must already be in the backing store; each
+  /// read takes its ECC fault draw as its data arrives.
+  void BurstChain(dram::CommandType type, BurstRun run,
+                  std::function<void(sim::Tick)> next);
 
-  /// Reads the burst at `addr`; calls `next(data_done_tick)`.
-  void ReadBurst(uint64_t addr, std::function<void(sim::Tick)> next);
+  // -- The stream loop: fetch -> fold -> charge -> flush -> continue. ------
 
-  /// Writes the burst at `addr` (functional bytes must already be in the
-  /// backing store); calls `next(data_done_tick)`.
-  void WriteBurst(uint64_t addr, std::function<void(sim::Tick)> next);
-
-  // -- Scan kinds (select, row-store, probe). v1 streams rank reads through
-  //    ScanStep; v2 hands the scan to bank_scan_. Writeback and completion
-  //    are shared. ----------------------------------------------------------
-
-  /// Starts the scan sequencer of this device's generation.
-  void BeginScan();
-  /// One v1 step: read the burst holding the next row, evaluate the rows
-  /// whose data completes in it, charge the engine, continue.
-  void ScanStep();
-  /// First byte, and bytes per row, of the running scan job's input.
-  uint64_t ScanBase() const;
-  uint32_t ScanStride() const;
-  /// The running scan job's predicate (or Bloom probe) on row `r`.
-  bool EvalScanRow(uint64_t r) const;
-  /// Evaluates rows from the cursor up to `last` into the output buffer,
-  /// stopping early once the buffer is full, and advances the cursor.
-  void EvalScanRows(uint64_t last);
-
+  /// One step: fetches the pre-filter bursts not fetched yet, then each
+  /// column's bursts of the step (FetchColumn), folds the rows, charges the
+  /// engine, flushes a full buffer and continues (EndStep). Past the last
+  /// row, EndStream. v2's BankScan takes over a scan kind's whole stream.
+  void Step();
+  void FetchColumn(uint32_t c);
+  void EndStep(sim::Tick data_done);
+  /// Folds rows up to `last` with the kind's Fold and advances the cursor.
+  void FoldRows(uint64_t last);
   /// Charges `proc` of engine time starting once both the data
   /// (`data_done`) and the engine are ready, plus `energy_fj`.
   void ChargeEngine(sim::Tick data_done, sim::Tick proc, double energy_fj);
-  void ContinueWhenEngineReady(void (Device::*step)());
-  void FlushBitmap(std::function<void()> next);
-  void WriteBurstChain(uint64_t addr, uint64_t bursts,
-                       std::function<void()> next);
+  void ContinueWhenEngineReady();
+  /// Runs the kind's WriteBack and times its bursts, then `next`.
+  void Flush(bool final, std::function<void(sim::Tick)> next);
+  /// The final write-back, then FinishJob.
+  void EndStream();
   void FinishJob();
 
   /// Fails the running job with `st`: strands in-flight events, settles
@@ -245,35 +296,12 @@ class Device {
   /// sequencer continuation goes through these so AbortJob can cancel a job
   /// without walking the event queue.
   void ScheduleAtGuarded(sim::Tick t, std::function<void()> fn);
-  void ScheduleAfterGuarded(sim::Tick delta, std::function<void()> fn);
-
-  /// Draws the hang fault for a freshly dispatched job. Returns true when
-  /// the sequencer hangs: the first step is never scheduled and only
-  /// AbortJob (driver watchdog) can free the device.
-  bool MaybeInjectHang();
-
-  /// Draws a sequencer stall after a scan burst. True: the burst's rows are
-  /// never accumulated and only AbortJob can free the device.
-  bool DrawStallAtBurst();
 
   /// Applies one drawn read-path fault to the burst at `burst_addr` through
   /// the SECDED model. Correctable: corrected in-flight, scrub counter bumps,
   /// returns true (job continues). Uncorrectable: fails the job, returns
   /// false. No-op (true) without an injector.
   bool HandleReadFault(uint64_t burst_addr);
-
-  /// True when every hash lane's bit for `key` is set in the probe SRAM
-  /// (Bloom membership; no false negatives by construction).
-  bool EvalProbeKey(int64_t key) const;
-
-  void AggregateStep();
-  void ProjectStep();
-  void FlushProjectOutput(std::function<void()> next, bool final_flush);
-  void SortStep();
-  void GroupByStep();
-  void ProcessGroupByChunk(uint64_t chunk_rows, sim::Tick data_done);
-  void ReadBurstChain(uint64_t addr, uint64_t bursts,
-                      std::function<void(sim::Tick)> on_last_data);
 
   dram::DramSystem* dram_;
   uint32_t channel_index_;
@@ -293,11 +321,15 @@ class Device {
 
   // Job state (one job at a time).
   std::optional<JobDescriptor> job_;
-  std::vector<int64_t> groupby_agg_;
-  std::vector<int64_t> groupby_count_;
+  StreamSpec stream_;
+  std::vector<int64_t> groupby_sram_;  ///< per bucket {aggregate, count}
   std::vector<uint64_t> probe_sram_;  ///< Bloom image latched by Begin(ProbeJob)
 
   uint64_t cursor_rows_ = 0;       ///< rows processed so far
+  uint64_t bitmap_rows_ = 0;       ///< rows whose pre-filter bits are fetched
+  uint64_t step_offset_ = 0;       ///< the step's first burst, from each base
+  uint64_t step_last_ = 0;         ///< one past the step's last row
+  uint64_t step_bursts_ = 0;       ///< bursts per column in the step
   sim::Tick engine_ready_at_ = 0;  ///< datapath pipeline availability
   BitVector pending_bits_;         ///< output buffer (n bits)
   uint64_t pending_bit_count_ = 0;

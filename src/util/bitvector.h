@@ -78,10 +78,6 @@ class BitVector {
     return n;
   }
 
-  void ClearAll() {
-    for (auto& w : words_) w = 0;
-  }
-
   /// Appends the positions of all set bits to `out`.
   void AppendSetPositions(std::vector<uint32_t>* out) const {
     for (size_t wi = 0; wi < words_.size(); ++wi) {

@@ -311,6 +311,16 @@ TEST_F(DeviceTest, UnalignedBaseRejected) {
   job.out_base = kOut;
   EXPECT_EQ(device_->Start(job, nullptr).code(),
             StatusCode::kInvalidArgument);
+  // An aggregate's pre-filter bitmap too: at 64 KiB + 8 each 512-row slice's
+  // bits would straddle two bursts, of which the device fetches one.
+  AggregateJob agg;
+  agg.col_base = kCol;
+  agg.num_rows = 1024;
+  agg.bitmap_base = (64 << 10) + 8;
+  agg.out_addr = kOut;
+  EXPECT_EQ(device_->Start(agg, nullptr).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(device_->busy());
 }
 
 // 2^61 + 8 rows of 8 bytes is 2^64 + 64 bytes, which wraps to a 64-byte
