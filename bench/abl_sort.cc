@@ -43,7 +43,7 @@ int main() {
   double jafar_block_ms = bench::Ms(end - start);
 
   // Verify the runs are sorted and a merge reproduces the full sort.
-  uint32_t block = sys.jafar().config().sort_block_elems;
+  uint32_t block = jafar::kSortBlockElems;
   std::vector<std::vector<int64_t>> runs;
   for (uint64_t r = 0; r < rows; r += block) {
     uint64_t n = std::min<uint64_t>(block, rows - r);

@@ -76,7 +76,7 @@ int main() {
         // (§3.1: the paper reports 93%).
         r.pages = jaf.stats.jobs_completed;
         sim::Tick overhead_ps =
-            r.pages * sys.jafar().config().invocation_overhead_cycles *
+            r.pages * jafar::kInvocationOverheadCycles *
                 sys.jafar().config().clock.period_ps() +
             jaf.ownership_ps;
         r.accel_frac = 1.0 - static_cast<double>(overhead_ps) /

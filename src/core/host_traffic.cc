@@ -6,6 +6,24 @@
 
 namespace ndp::core {
 
+namespace {
+
+/// Fraction of host requests that are writes.
+constexpr double kWriteFraction = 0.3;
+
+/// Mean think time between a closed-loop completion and the next request.
+constexpr sim::Tick kThinkPs = 2'000'000;
+
+/// Fleet select predicates are [lo, lo + kSpan - 1] with lo uniform over
+/// [kValueLo, kValueHi - kSpan].
+constexpr int64_t kValueLo = 0;
+constexpr int64_t kValueHi = 1'000'000;
+constexpr int64_t kSpan = 50'000;
+static_assert(kSpan > 0 && kValueHi - kValueLo >= kSpan,
+              "the predicate span must fit the value domain");
+
+}  // namespace
+
 HostTrafficGen::HostTrafficGen(sim::EventQueue* eq,
                                dram::MemoryController* controller,
                                HostTrafficConfig config,
@@ -58,7 +76,7 @@ void HostTrafficGen::Issue() {
     }
     line -= r.lines;
   }
-  bool is_write = rng_.NextBool(config_.write_fraction);
+  bool is_write = rng_.NextBool(kWriteFraction);
   ++issued_;
   TryEnqueue(addr, is_write, eq_->Now());
   ScheduleNext();
@@ -90,9 +108,7 @@ void HostTrafficGen::TryEnqueue(uint64_t addr, bool is_write,
 ClientFleet::ClientFleet(sim::EventQueue* eq, ServingIngress* ingress,
                          FleetConfig config, const StatsScope& stats)
     : eq_(eq), ingress_(ingress), config_(config) {
-  NDP_CHECK(config_.reqs_per_us > 0.0 && config_.think_ps > 0);
-  NDP_CHECK(config_.span > 0 &&
-            config_.value_hi - config_.value_lo >= config_.span);
+  NDP_CHECK(config_.reqs_per_us > 0.0);
   size_t n = ingress_->num_tenants();
   NDP_CHECK(n > 0);
   rngs_.reserve(n);
@@ -177,7 +193,7 @@ void ClientFleet::ScheduleOpenArrival(uint32_t tenant) {
 void ClientFleet::ScheduleThink(uint32_t tenant) {
   if (!running_) return;
   double u = rngs_[tenant].NextDouble();
-  double gap_ps = -std::log(1.0 - u) * static_cast<double>(config_.think_ps);
+  double gap_ps = -std::log(1.0 - u) * static_cast<double>(kThinkPs);
   eq_->ScheduleAfter(static_cast<sim::Tick>(gap_ps) + 1, [this, tenant] {
     if (!running_) return;
     IssueOne(tenant);
@@ -190,10 +206,8 @@ void ClientFleet::IssueOne(uint32_t tenant) {
   ServingRequest req;
   req.tenant = tenant;
   req.table = rng.NextBounded(static_cast<uint32_t>(ingress_->num_tables()));
-  req.lo = config_.value_lo +
-           rng.NextInRange(0, config_.value_hi - config_.value_lo -
-                                  config_.span);
-  req.hi = req.lo + config_.span - 1;
+  req.lo = kValueLo + rng.NextInRange(0, kValueHi - kValueLo - kSpan);
+  req.hi = req.lo + kSpan - 1;
   req.deadline_ps = spec.deadline_ps == 0 || !config_.propagate_deadlines
                         ? 0
                         : eq_->Now() + spec.deadline_ps;

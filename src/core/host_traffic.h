@@ -22,12 +22,11 @@ namespace ndp::core {
 struct HostTrafficConfig {
   /// Offered load: mean request arrivals per microsecond (Poisson process).
   double reqs_per_us = 50.0;
-  /// Fraction of requests that are writes.
-  double write_fraction = 0.3;
   /// PCG32 seed; the only randomness in a runtime experiment.
   uint64_t seed = 1;
   /// Back-off before re-attempting a request the controller refused
   /// (MSHR-style backpressure), in picoseconds.
+  // ndp-lint: never-set-ok saturation test needs 500 ns (10 ns runs > 5 min)
   sim::Tick retry_backoff_ps = 10'000;
 };
 
@@ -84,15 +83,8 @@ struct FleetConfig {
   /// Aggregate open-loop arrival rate across all open-loop tenants,
   /// requests per microsecond (split by tenant weight).
   double reqs_per_us = 0.05;
-  /// Mean think time between a closed-loop completion and the next request.
-  sim::Tick think_ps = 2'000'000;
   /// PCG32 seed; every tenant derives its own stream from it.
   uint64_t seed = 1;
-  /// Select predicates are [lo, lo + span - 1] with lo uniform over
-  /// [value_lo, value_hi - span].
-  int64_t value_lo = 0;
-  int64_t value_hi = 1'000'000;
-  int64_t span = 50'000;
   /// When false, requests are issued with no deadline (the pre-ingress
   /// control: nothing is ever cancelled, late work completes silently). The
   /// fleet still judges completions against the tenant SLO client-side, so

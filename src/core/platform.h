@@ -13,7 +13,6 @@
 #include "cpu/cache.h"
 #include "cpu/core.h"
 #include "dram/address.h"
-#include "dram/controller.h"
 #include "dram/timing.h"
 #include "fault/fault_plan.h"
 #include "jafar/config.h"
@@ -30,9 +29,7 @@ struct PlatformConfig {
   dram::DramTiming dram_timing;
   dram::DramOrganization dram_org;
   dram::InterleaveScheme interleave = dram::InterleaveScheme::kContiguous;
-  dram::ControllerConfig controller;
   accel::DatapathResources jafar_datapath;  ///< for DeviceConfig::Derive
-  uint32_t jafar_output_buffer_bits = 4096;
   /// Which JAFAR datapath generation the DIMM carries: v1_rank_io (the
   /// paper's rank-level comparator, the default) or v2_bank_level
   /// (Membrane-style per-bank filtering). SystemModel overlays the

@@ -31,11 +31,10 @@ bool KindHasBitmap(ndp::core::JobKind kind) {
 // -- RuntimeConfig ------------------------------------------------------------
 
 Status RuntimeConfig::Validate() const {
-  if (lease_min_bus_cycles == 0 ||
-      lease_min_bus_cycles > lease_init_bus_cycles ||
+  if (kLeaseMinBusCycles > lease_init_bus_cycles ||
       lease_init_bus_cycles > lease_max_bus_cycles) {
     return Status::InvalidArgument(
-        "runtime config: need 0 < lease_min <= lease_init <= lease_max");
+        "runtime config: need lease_min <= lease_init <= lease_max");
   }
   if (!(qos_max_cpu_slowdown_pct > 0.0 && qos_max_cpu_slowdown_pct <= 100.0)) {
     return Status::InvalidArgument(
@@ -45,21 +44,9 @@ Status RuntimeConfig::Validate() const {
     return Status::InvalidArgument(
         "runtime config: idle threshold must be below the busy budget");
   }
-  if (qos_max_stall_bus_cycles < lease_min_bus_cycles) {
+  if (qos_max_stall_bus_cycles < kLeaseMinBusCycles) {
     return Status::InvalidArgument(
         "runtime config: stall bound below the minimum lease");
-  }
-  if (host_window_min_bus_cycles == 0) {
-    return Status::InvalidArgument(
-        "runtime config: host_window_min must be positive");
-  }
-  if (join_hashes == 0 || join_hashes > 8) {
-    return Status::InvalidArgument(
-        "runtime config: join_hashes must be in [1, 8]");
-  }
-  if (join_filter_kb == 0 || (join_filter_kb & (join_filter_kb - 1)) != 0) {
-    return Status::InvalidArgument(
-        "runtime config: join_filter_kb must be a nonzero power of two");
   }
   return Status::OK();
 }
@@ -69,7 +56,7 @@ Status RuntimeConfig::Validate() const {
 LeaseController::LeaseController(const RuntimeConfig& cfg) : cfg_(cfg) {
   lease_ = static_cast<double>(
       std::min(cfg_.lease_init_bus_cycles, LeaseCap()));
-  lease_ = std::max(lease_, static_cast<double>(cfg_.lease_min_bus_cycles));
+  lease_ = std::max(lease_, static_cast<double>(kLeaseMinBusCycles));
 }
 
 uint64_t LeaseController::LeaseCap() const {
@@ -93,7 +80,7 @@ void LeaseController::Observe(uint64_t window_cycles, uint64_t busy_cycles,
         kEwmaAlpha * idle + (1.0 - kEwmaAlpha) * ewma_idle_;
   }
   double cap = static_cast<double>(LeaseCap());
-  double floor = static_cast<double>(cfg_.lease_min_bus_cycles);
+  double floor = static_cast<double>(kLeaseMinBusCycles);
   if (ewma_busy_ > cfg_.qos_budget_fraction()) {
     lease_ = std::max(floor, lease_ * kLeaseShrink);
     ++shrinks_;
@@ -119,11 +106,11 @@ bool LeaseController::OverBudget() const {
 }
 
 uint64_t LeaseController::HostWindowBusCycles(uint64_t lease_bus_cycles) const {
-  if (ChannelIdle()) return cfg_.host_window_min_bus_cycles;
+  if (ChannelIdle()) return kHostWindowMinBusCycles;
   double beta = cfg_.qos_budget_fraction();
-  if (beta >= 1.0) return cfg_.host_window_min_bus_cycles;
+  if (beta >= 1.0) return kHostWindowMinBusCycles;
   double w = static_cast<double>(lease_bus_cycles) * (1.0 - beta) / beta;
-  return std::max(cfg_.host_window_min_bus_cycles,
+  return std::max(kHostWindowMinBusCycles,
                   static_cast<uint64_t>(std::ceil(w)));
 }
 
@@ -145,7 +132,6 @@ struct NdpRuntime::Job {
   /// per-device copy (EnsureProbeFilter).
   std::vector<uint64_t> filter_image;
   uint64_t filter_words = 0;  ///< filter_image.size(), a power of two
-  uint32_t hash_count = 2;
   /// Devices that already hold the image, and where. Lazy: a device pays for
   /// the image only if a chunk of this job actually lands on it.
   std::map<uint32_t, uint64_t> filter_base_by_device;
@@ -360,13 +346,6 @@ Result<NdpRuntime::JobId> NdpRuntime::SubmitProbe(
     return Status::InvalidArgument(
         "runtime: probe filter image must be a nonzero power-of-two size");
   }
-  if (config_.join_hashes != array_->device_config().probe_hashes) {
-    // The device's probe timing is the accel schedule of exactly
-    // probe_hashes lanes; silently probing with a different count would
-    // decouple the functional filter from the modeled datapath.
-    return Status::InvalidArgument(
-        "runtime: join_hashes does not match the device's probe_hashes");
-  }
   SubmitOptions opts;
   opts.priority = priority;
   opts.on_done = std::move(on_done);
@@ -424,7 +403,6 @@ Result<NdpRuntime::JobId> NdpRuntime::Submit(const PlacedColumn& col,
   if (kind == JobKind::kProbe) {
     job->filter_words = filter_image.size();
     job->filter_image = std::move(filter_image);
-    job->hash_count = static_cast<uint32_t>(config_.join_hashes);
   }
   job->submitted_ps = eq_.Now();
   job->deadline_ps = opts.deadline_ps;
@@ -509,7 +487,7 @@ void NdpRuntime::MaybeDispatch(Lane& lane) {
   // re-sampled: the elapsed time since is below the minimum window.
   if (lane.has_window &&
       eq_.Now() - lane.window_start_ps >=
-          BusCyclesToPs(config_.host_window_min_bus_cycles)) {
+          BusCyclesToPs(kHostWindowMinBusCycles)) {
     const uint32_t d = lane.device;
     ObserveWindowThen(lane, [this, d] { DispatchNow(*lanes_[d]); });
     return;
@@ -618,7 +596,6 @@ void NdpRuntime::OnOwnershipAcquired(Lane& lane) {
       probe.out_base = out_addr;
       probe.filter_base = filter.value();
       probe.filter_words = c.job->filter_words;
-      probe.hash_count = c.job->hash_count;
       job = probe;
       break;
     }
@@ -1359,14 +1336,14 @@ db::NdpSemiJoinHook NdpRuntime::MakeSemiJoinHook() {
     // the device probes) and the exact key set (what refines the device's
     // candidates). Sharing BloomBitIndex with the device functional model is
     // what makes "no false negatives" a structural property, not a hope.
-    const uint64_t filter_words = config_.join_filter_kb * 1024 / 8;
+    const uint64_t filter_words = RuntimeConfig::join_filter_kb * 1024 / 8;
     std::vector<uint64_t> image(filter_words, 0);
     std::unordered_set<int64_t> build_keys;
     build_keys.reserve(build_pos.size());
     for (uint32_t p : build_pos) {
       int64_t key = build_col[p];
       if (!build_keys.insert(key).second) continue;
-      for (uint32_t h = 0; h < config_.join_hashes; ++h) {
+      for (uint32_t h = 0; h < jafar::kProbeHashes; ++h) {
         uint64_t bit =
             jafar::BloomBitIndex(static_cast<uint64_t>(key), h, filter_words);
         image[bit / 64] |= uint64_t{1} << (bit % 64);

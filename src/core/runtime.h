@@ -70,6 +70,10 @@ inline constexpr double kHeavyHitterThreshold = 1.5;
 /// Trust a lane's progress-rate EWMA only after this many completed
 /// leases; untrusted lanes borrow the mean rate of trusted siblings.
 inline constexpr uint64_t kHeavyHitterMinLeases = 2;
+/// Floor of every lease the controller grants.
+inline constexpr uint64_t kLeaseMinBusCycles = 2'000;
+/// Floor of the host window between leases.
+inline constexpr uint64_t kHostWindowMinBusCycles = 500;
 
 static_assert(kLeaseShrink > 0.0 && kLeaseShrink < 1.0 && kLeaseGrow > 1.0,
               "need 0 < shrink < 1 < grow");
@@ -79,12 +83,13 @@ static_assert(kIdleBusyThreshold >= 0.0 && kIdleFillFactor >= 0.0,
 static_assert(kHeavyHitterThreshold >= 1.0,
               "a sub-mean heavy hitter is meaningless");
 static_assert(kHeavyHitterMinLeases >= 1, "need at least one trusted lease");
+static_assert(kLeaseMinBusCycles > 0 && kHostWindowMinBusCycles > 0,
+              "lease and host-window floors must be positive");
 
 /// QoS and policy knobs of the runtime. All cycle quantities are DDR3 bus
 /// cycles.
 struct RuntimeConfig {
   // -- Lease controller -----------------------------------------------------
-  uint64_t lease_min_bus_cycles = 2'000;
   uint64_t lease_max_bus_cycles = 160'000;
   uint64_t lease_init_bus_cycles = 20'000;
 
@@ -94,9 +99,8 @@ struct RuntimeConfig {
   double qos_max_cpu_slowdown_pct = 25.0;
   /// Longest-stall bound: no lease (hence no single host-request stall due
   /// to ownership) may exceed this many bus cycles.
+  // ndp-lint: never-set-ok loose/tight property test sweeps the stall cap
   uint64_t qos_max_stall_bus_cycles = 40'000;
-  /// Floor for the host window between leases.
-  uint64_t host_window_min_bus_cycles = 500;
 
   // -- Recovery -------------------------------------------------------------
   /// Per-lane driver (watchdog/retry/writeback-checksum) configuration,
@@ -110,13 +114,13 @@ struct RuntimeConfig {
   bool steal_enabled = true;
 
   // -- Join / group-by pushdown ---------------------------------------------
-  /// Bloom hash lanes per probe job. Must match the DeviceConfig's
-  /// probe_hashes (the accel-model schedule the probe timing derives from);
-  /// SubmitProbe rejects a mismatch up front.
-  uint64_t join_hashes = 2;
+  /// Bloom hash lanes per probe job: the device's probe datapath width.
+  static constexpr uint64_t join_hashes = jafar::kProbeHashes;
   /// Bloom filter image size in KB. Power of two, so the device can reduce
   /// hashes to bit indices with a mask instead of a divider.
-  uint64_t join_filter_kb = 16;
+  static constexpr uint64_t join_filter_kb = 16;
+  static_assert((join_filter_kb & (join_filter_kb - 1)) == 0,
+                "join_filter_kb must be a power of two");
 
   Status Validate() const;
 

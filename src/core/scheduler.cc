@@ -12,7 +12,7 @@ uint64_t RowsPerLeaseCycles(const dram::DramTiming& t,
   uint64_t rows_per_page = 4096 / dev.elem_bytes;
   // Invocation overhead is in device cycles; convert to bus cycles.
   uint64_t overhead_bus_cycles =
-      (dev.invocation_overhead_cycles * dev.clock.period_ps() + t.tck_ps - 1) /
+      (jafar::kInvocationOverheadCycles * dev.clock.period_ps() + t.tck_ps - 1) /
       t.tck_ps;
   uint64_t cycles_per_page = rows_per_page / 8 * t.tccd + overhead_bus_cycles;
   uint64_t pages = lease_bus_cycles / std::max<uint64_t>(1, cycles_per_page);

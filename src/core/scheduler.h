@@ -23,8 +23,10 @@ uint64_t RowsPerLeaseCycles(const dram::DramTiming& timing,
 
 struct SchedulerConfig {
   /// Ownership lease granted to JAFAR per slice, in DDR3 bus cycles.
+  // ndp-lint: never-set-ok scheduler_test sweeps the lease (5k vs 50k)
   uint64_t lease_bus_cycles = 20000;
   /// Host window between leases (the controller drains its queues here).
+  // ndp-lint: never-set-ok scheduler_test sets a window per swept lease
   uint64_t host_window_bus_cycles = 4000;
 };
 

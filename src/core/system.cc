@@ -12,7 +12,7 @@ SystemModel::SystemModel(PlatformConfig config) : config_(std::move(config)) {
                std::function<uint64_t()>([this] { return eq_.Now(); }));
   dram_ = std::make_unique<dram::DramSystem>(
       &eq_, config_.dram_timing, config_.dram_org, config_.interleave,
-      config_.controller, root.Sub("dram"));
+      dram::ControllerConfig{}, root.Sub("dram"));
   hierarchy_ = std::make_unique<cpu::CacheHierarchy>(
       &eq_, config_.core.clock, config_.caches, dram_.get(),
       config_.frontside_ps, root.Sub("cpu"));
@@ -34,7 +34,6 @@ SystemModel::SystemModel(PlatformConfig config) : config_(std::move(config)) {
            : jafar::DeviceConfig::Derive(config_.dram_timing,
                                          config_.jafar_datapath))
           .ValueOrDie();
-  device_config_.output_buffer_bits = config_.jafar_output_buffer_bits;
   device_ = std::make_unique<jafar::Device>(dram_.get(), 0, 0, device_config_,
                                             root.Sub("jafar").Sub("dev0"));
   driver_ = std::make_unique<jafar::Driver>(device_.get(), &dram_->controller(0),

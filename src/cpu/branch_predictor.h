@@ -12,17 +12,18 @@
 namespace ndp::cpu {
 
 struct BranchPredictorConfig {
-  uint32_t table_bits = 12;     ///< 4096 counters
-  uint32_t history_bits = 8;    ///< global history length (0 = bimodal)
   uint32_t mispredict_penalty_cycles = 12;
 };
 
 /// \brief gshare predictor with 2-bit counters.
 class BranchPredictor {
  public:
+  static constexpr uint32_t kTableBits = 12;   ///< 4096 counters
+  static constexpr uint32_t kHistoryBits = 8;  ///< global history length
+
   explicit BranchPredictor(const BranchPredictorConfig& config)
       : config_(config),
-        table_(size_t{1} << config.table_bits, 1 /* weakly not-taken */) {}
+        table_(size_t{1} << kTableBits, 1 /* weakly not-taken */) {}
 
   /// Predicts, updates with the actual outcome, and reports correctness.
   bool PredictAndUpdate(uint64_t pc, bool taken) {
@@ -33,7 +34,7 @@ class BranchPredictor {
     if (!taken && table_[idx] > 0) --table_[idx];
     // Update global history.
     history_ = ((history_ << 1) | (taken ? 1 : 0)) &
-               ((uint64_t{1} << config_.history_bits) - 1);
+               ((uint64_t{1} << kHistoryBits) - 1);
     if (predicted == taken) {
       ++correct_;
       return true;
@@ -56,8 +57,7 @@ class BranchPredictor {
 
  private:
   size_t Index(uint64_t pc) const {
-    uint64_t h = config_.history_bits ? history_ : 0;
-    return static_cast<size_t>(((pc >> 2) ^ h) & (table_.size() - 1));
+    return static_cast<size_t>(((pc >> 2) ^ history_) & (table_.size() - 1));
   }
 
   BranchPredictorConfig config_;

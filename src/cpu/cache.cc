@@ -6,12 +6,17 @@
 
 namespace ndp::cpu {
 
+namespace {
+
+/// Demand misses one MSHR can merge before the cache pushes back.
+constexpr uint32_t kMaxWaitersPerMshr = 16;
+
+}  // namespace
+
 Cache::Cache(sim::EventQueue* eq, sim::ClockDomain clock, CacheConfig config,
              MemSink* next, const StatsScope& stats)
     : eq_(eq), clock_(clock), config_(config), next_(next) {
-  NDP_CHECK(config_.line_bytes != 0 &&
-            (config_.line_bytes & (config_.line_bytes - 1)) == 0);
-  uint64_t lines = config_.size_bytes / config_.line_bytes;
+  uint64_t lines = config_.size_bytes / kLineBytes;
   NDP_CHECK_MSG(lines % config_.ways == 0, "size/ways/line mismatch");
   num_sets_ = static_cast<uint32_t>(lines / config_.ways);
   lines_.resize(lines);
@@ -60,7 +65,7 @@ bool Cache::TryAccess(uint64_t addr, bool is_write,
   // Miss: merge into a pending fill if one exists for this line.
   auto it = mshr_.find(line_addr);
   if (it != mshr_.end()) {
-    if (it->second.waiters.size() >= config_.max_waiters_per_mshr) {
+    if (it->second.waiters.size() >= kMaxWaitersPerMshr) {
       ++stats_.rejections;
       return false;
     }
@@ -163,7 +168,7 @@ void Cache::IssueWriteback(uint64_t line_addr) {
 
 void Cache::MaybePrefetch(uint64_t line_addr) {
   for (uint32_t d = 1; d <= config_.prefetch_degree; ++d) {
-    uint64_t pf = line_addr + static_cast<uint64_t>(d) * config_.line_bytes;
+    uint64_t pf = line_addr + static_cast<uint64_t>(d) * kLineBytes;
     if (Lookup(pf) != nullptr) continue;
     if (mshr_.count(pf) != 0) continue;
     if (mshr_.size() >= config_.mshrs) break;

@@ -20,11 +20,9 @@ struct CacheConfig {
   std::string name = "L1";
   uint64_t size_bytes = 64 * 1024;
   uint32_t ways = 8;
-  uint32_t line_bytes = 64;
   uint32_t hit_latency_cycles = 2;   ///< in the owning clock domain
   uint32_t mshrs = 8;                ///< max outstanding line fills
   uint32_t prefetch_degree = 0;      ///< next-line prefetches per demand miss
-  uint32_t max_waiters_per_mshr = 16;
 };
 
 struct CacheStats {
@@ -77,9 +75,14 @@ class Cache : public MemSink {
     bool prefetch_only = true;
   };
 
-  uint64_t LineAddr(uint64_t addr) const { return addr & ~uint64_t{config_.line_bytes - 1}; }
+  /// Every level caches 64 B lines, one DDR3 BL8 burst.
+  static constexpr uint32_t kLineBytes = 64;
+  static_assert((kLineBytes & (kLineBytes - 1)) == 0,
+                "LineAddr masks with kLineBytes - 1");
+
+  uint64_t LineAddr(uint64_t addr) const { return addr & ~uint64_t{kLineBytes - 1}; }
   uint32_t SetIndex(uint64_t line_addr) const {
-    return static_cast<uint32_t>((line_addr / config_.line_bytes) % num_sets_);
+    return static_cast<uint32_t>((line_addr / kLineBytes) % num_sets_);
   }
   Line* Lookup(uint64_t line_addr);
   const Line* Lookup(uint64_t line_addr) const;

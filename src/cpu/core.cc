@@ -38,7 +38,6 @@ ndp::Status Core::Run(UopStream* stream, std::function<void(sim::Tick)> on_done)
   on_done_ = std::move(on_done);
   stream_exhausted_ = false;
   pending_uop_.reset();
-  fetch_blocked_on_seq_.reset();
   fetch_stalled_until_ = 0;
   last_retire_tick_ = event_queue()->Now();
   // The gap gauge is a per-kernel maximum; counters accumulate across runs
@@ -75,7 +74,7 @@ void Core::ResolveCompletion(RobEntry* e) {
 }
 
 bool Core::DispatchOne(sim::Tick now) {
-  if (fetch_blocked_on_seq_ || now < fetch_stalled_until_) {
+  if (now < fetch_stalled_until_) {
     ++stats_.fetch_stall_cycles;
     return false;
   }
@@ -137,15 +136,11 @@ bool Core::DispatchOne(sim::Tick now) {
       bool correct = predictor_.PredictAndUpdate(u.pc, u.taken);
       if (!correct) {
         ++stats_.mispredicts;
-        if (config_.block_on_mispredict_resolution) {
-          fetch_blocked_on_seq_ = e.seq;
-        } else {
-          // Front-end refill bubble only; in-flight work keeps executing.
-          fetch_stalled_until_ =
-              std::max(fetch_stalled_until_,
-                       now + config_.branch.mispredict_penalty_cycles *
-                                 clock().period_ps());
-        }
+        // Front-end refill bubble only; in-flight work keeps executing.
+        fetch_stalled_until_ =
+            std::max(fetch_stalled_until_,
+                     now + config_.branch.mispredict_penalty_cycles *
+                               clock().period_ps());
       }
       break;
     }
@@ -216,12 +211,6 @@ bool Core::Tick() {
     last_retire_tick_ = now;
     ring_seq_[head.seq % kRingSize] = head.seq;
     ring_completion_[head.seq % kRingSize] = head.completion;
-    if (fetch_blocked_on_seq_ && *fetch_blocked_on_seq_ == head.seq) {
-      fetch_blocked_on_seq_.reset();
-      fetch_stalled_until_ =
-          head.completion +
-          config_.branch.mispredict_penalty_cycles * clock().period_ps();
-    }
     ++stats_.uops_retired;
     rob_.pop_front();
   }

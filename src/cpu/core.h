@@ -27,15 +27,12 @@ struct CoreConfig {
   uint32_t issue_width = 4;
   uint32_t retire_width = 4;
   uint32_t store_buffer_entries = 16;
+  /// A mispredicted branch costs a front-end refill bubble of
+  /// `branch.mispredict_penalty_cycles` at dispatch — the model for short
+  /// reconvergent hammocks (like a select loop's predicate test), where
+  /// wrong-path and correct-path work overlap and memory-level parallelism
+  /// survives the squash.
   BranchPredictorConfig branch;
-  /// Mispredict model. false (default): a mispredicted branch costs a
-  /// front-end refill bubble of `mispredict_penalty_cycles` at dispatch —
-  /// appropriate for short reconvergent hammocks (like a select loop's
-  /// predicate test), where wrong-path and correct-path work overlap and
-  /// memory-level parallelism survives the squash. true: dispatch blocks
-  /// until the branch resolves (plus the penalty) — the pessimistic model
-  /// where every mispredict drains the window; used as an ablation.
-  bool block_on_mispredict_resolution = false;
 };
 
 struct CoreStats {
@@ -131,7 +128,6 @@ class Core : public sim::TickingComponent {
   sim::Tick ring_completion_[kRingSize] = {};
   uint64_t ring_seq_[kRingSize] = {};
 
-  std::optional<uint64_t> fetch_blocked_on_seq_;
   sim::Tick fetch_stalled_until_ = 0;
   uint32_t outstanding_stores_ = 0;
   /// Stores rejected by the L1 awaiting retry; one persistent event retries

@@ -7,6 +7,15 @@
 
 namespace ndp::dram {
 
+namespace {
+
+/// Write-drain hysteresis: enter drain mode when the write queue reaches
+/// kWriteDrainHigh entries, leave it when it falls back to kWriteDrainLow.
+constexpr size_t kWriteDrainHigh = 48;
+constexpr size_t kWriteDrainLow = 16;
+
+}  // namespace
+
 MemoryController::MemoryController(sim::EventQueue* eq, Channel* channel,
                                    const AddressMapper* mapper,
                                    ControllerConfig config,
@@ -48,12 +57,12 @@ Status MemoryController::Enqueue(const Request& req) {
   NDP_ASSIGN_OR_RETURN(DramLocation loc, mapper_->Decode(req.addr));
   sim::Tick now = event_queue()->Now();
   if (req.is_write) {
-    if (write_q_.size() >= config_.write_queue_capacity) {
+    if (write_q_.size() >= kQueueCapacity) {
       return Status::ResourceExhausted("write queue full");
     }
     write_q_.push_back({req, loc, now});
   } else {
-    if (read_q_.size() >= config_.read_queue_capacity) {
+    if (read_q_.size() >= kQueueCapacity) {
       return Status::ResourceExhausted("read queue full");
     }
     read_q_.push_back({req, loc, now});
@@ -322,9 +331,9 @@ bool MemoryController::Tick() {
 
   // Write drain policy with hysteresis.
   if (write_drain_mode_) {
-    if (write_q_.size() <= config_.write_drain_low) write_drain_mode_ = false;
+    if (write_q_.size() <= kWriteDrainLow) write_drain_mode_ = false;
   } else {
-    if (write_q_.size() >= config_.write_drain_high ||
+    if (write_q_.size() >= kWriteDrainHigh ||
         (read_q_.empty() && !write_q_.empty())) {
       write_drain_mode_ = true;
     }

@@ -34,12 +34,6 @@ enum class PagePolicy : uint8_t {
 
 /// Tunable controller policy parameters.
 struct ControllerConfig {
-  size_t read_queue_capacity = 64;
-  size_t write_queue_capacity = 64;
-  /// Enter write-drain mode when the write queue reaches this fill level.
-  size_t write_drain_high = 48;
-  /// Leave write-drain mode when it falls back to this level.
-  size_t write_drain_low = 16;
   bool refresh_enabled = true;
   PagePolicy page_policy = PagePolicy::kOpen;
 };
@@ -70,10 +64,11 @@ class MemoryController : public sim::TickingComponent {
   /// full; the caller must retry later (MSHR-style backpressure).
   Status Enqueue(const Request& req);
 
-  bool CanAcceptRead() const { return read_q_.size() < config_.read_queue_capacity; }
-  bool CanAcceptWrite() const {
-    return write_q_.size() < config_.write_queue_capacity;
-  }
+  /// Entries in each of the read and write queues.
+  static constexpr size_t kQueueCapacity = 64;
+
+  bool CanAcceptRead() const { return read_q_.size() < kQueueCapacity; }
+  bool CanAcceptWrite() const { return write_q_.size() < kQueueCapacity; }
 
   /// Requests an ownership transfer of `rank` by reprogramming MR3. The
   /// controller precharges all banks of the rank, issues the MRS, then invokes

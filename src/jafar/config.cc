@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "jafar/jobs.h"
 #include "util/macros.h"
 
 namespace ndp::jafar {
@@ -18,15 +19,16 @@ DeviceConfig DeviceConfig::FromDatapath(const accel::DatapathSummary& datapath,
 
 namespace {
 
-/// Schedules the probe kernel on `resources`, widened to at least one
-/// multiplier: the baseline select datapath carries none, and the probe
-/// engine's hash lanes are exactly the hardware a probe-capable generation
-/// adds. Mirrors the select derivation — the rate is scheduled, never picked.
+/// Schedules the kProbeHashes-lane probe kernel on `resources`, widened to
+/// at least one multiplier: the baseline select datapath carries none, and
+/// the probe engine's hash lanes are exactly the hardware a probe-capable
+/// generation adds. Mirrors the select derivation — the rate is scheduled,
+/// never picked.
 Result<accel::DatapathSummary> ScheduleProbe(
-    const accel::DatapathResources& resources, uint32_t hash_count) {
+    const accel::DatapathResources& resources) {
   accel::DatapathResources probe_res = resources;
   probe_res.multipliers = std::max(1u, resources.multipliers);
-  accel::LoopKernel kernel = accel::MakeProbeKernel(hash_count);
+  accel::LoopKernel kernel = accel::MakeProbeKernel(kProbeHashes);
   NDP_ASSIGN_OR_RETURN(accel::ScheduleResult sched,
                        accel::ScheduleKernel(kernel, probe_res, 128));
   return accel::DatapathSummary::FromSchedule(kernel, sched);
@@ -42,7 +44,7 @@ Result<DeviceConfig> DeviceConfig::Derive(
   DeviceConfig cfg = FromDatapath(
       accel::DatapathSummary::FromSchedule(kernel, sched), timing);
   NDP_ASSIGN_OR_RETURN(accel::DatapathSummary probe,
-                       ScheduleProbe(resources, cfg.probe_hashes));
+                       ScheduleProbe(resources));
   cfg.probe_words_per_cycle = probe.words_per_cycle;
   cfg.probe_energy_per_word_fj = probe.energy_per_word_fj;
   return cfg;
@@ -71,7 +73,7 @@ Result<DeviceConfig> DeviceConfig::DeriveBank(
   cfg.bank_words_per_cycle = bank.words_per_cycle;
   cfg.bank_energy_per_word_fj = bank.energy_per_word_fj;
   NDP_ASSIGN_OR_RETURN(accel::DatapathSummary bank_probe,
-                       ScheduleProbe(bank_res, cfg.probe_hashes));
+                       ScheduleProbe(bank_res));
   cfg.bank_probe_words_per_cycle = bank_probe.words_per_cycle;
   cfg.bank_probe_energy_per_word_fj = bank_probe.energy_per_word_fj;
 

@@ -16,6 +16,15 @@
 
 namespace ndp::jafar {
 
+/// Fixed per-invocation latency in device cycles (command register writes,
+/// address setup).
+inline constexpr uint32_t kInvocationOverheadCycles = 64;
+
+/// Bitonic sorter block size in elements (§4 Sorting). 1024 x 8 B = 8 KB,
+/// exactly one DRAM row: a block is read, sorted in device SRAM, and written
+/// back as one sorted run.
+inline constexpr uint32_t kSortBlockElems = 1024;
+
 /// \brief Static configuration of one JAFAR unit (one per DIMM/rank).
 struct DeviceConfig {
   /// Which datapath generation this unit instantiates (see generation.h).
@@ -45,27 +54,18 @@ struct DeviceConfig {
   /// controller is idle (the §3.3 no-scheduler scenario).
   bool require_ownership = true;
 
-  /// Fixed per-invocation latency (command register writes, address setup).
-  uint32_t invocation_overhead_cycles = 64;
-
-  /// Bitonic sorter block size in elements (§4 Sorting). 1024 x 8 B = 8 KB,
-  /// exactly one DRAM row: a block is read, sorted in device SRAM, and
-  /// written back as one sorted run.
-  uint32_t sort_block_elems = 1024;
   /// Parallel compare-exchange units in the sorter network.
+  // ndp-lint: never-set-ok sort_test sweeps the sorter width (4 vs 64)
   uint32_t sort_comparators = 16;
 
   /// Hash-bucket SRAM of the grouped-aggregation engine (§4: hardware limits
   /// the bucket count; larger key domains need hierarchical passes).
+  // ndp-lint: never-set-ok groupby_test shrinks it to reach multi-pass cheaply
   uint32_t groupby_buckets = 256;
 
   // -- Semijoin probe engine (JSPIM-style; filled by Derive/DeriveBank from
-  //    the probe kernel schedule) -------------------------------------------
+  //    the schedule of MakeProbeKernel(kProbeHashes)) -----------------------
 
-  /// Bloom hash lanes the probe datapath instantiates. The derivation
-  /// schedules MakeProbeKernel(probe_hashes); a ProbeJob whose hash_count
-  /// differs is rejected at Device::Start.
-  uint32_t probe_hashes = 2;
   /// Join keys the probe datapath evaluates per JAFAR cycle (rank IO path).
   double probe_words_per_cycle = 0.0;
   /// Dynamic energy per probed key, femtojoules.
@@ -91,7 +91,7 @@ struct DeviceConfig {
   /// v2 datapath would serialize segment by segment.
   uint64_t scan_chunk_bytes = 0;
 
-  /// Device cycles to sort one block of `elems` (<= sort_block_elems)
+  /// Device cycles to sort one block of `elems` (<= kSortBlockElems)
   /// through the bitonic network: stages(n) = log2(n)*(log2(n)+1)/2, each
   /// stage performing n/2 compare-exchanges on sort_comparators units.
   uint64_t SortBlockCycles(uint32_t elems) const;

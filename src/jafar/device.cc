@@ -18,6 +18,8 @@ constexpr uint32_t kBurstBytes = 64;
 constexpr uint32_t kWordsPerBurst = kBurstBytes / 8;
 constexpr uint32_t kBitsPerBurst = kBurstBytes * 8;  // 512 bitmap bits / burst
 constexpr uint64_t BurstsFor(uint64_t n) { return (n + kBurstBytes - 1) / kBurstBytes; }
+static_assert(kSortBlockElems % kWordsPerBurst == 0,
+              "sort blocks must be whole bursts");
 }  // namespace
 
 Device::Device(dram::DramSystem* dram, uint32_t channel_index,
@@ -302,7 +304,7 @@ Status Device::Start(const JobDescriptor& job,
     return Status::OK();
   }
   ScheduleAtGuarded(
-      eq_->Now() + config_.invocation_overhead_cycles * config_.clock.period_ps(),
+      eq_->Now() + kInvocationOverheadCycles * config_.clock.period_ps(),
       [this] { std::visit([this](const auto& j) { Begin(j); }, *job_); });
   return Status::OK();
 }
@@ -450,10 +452,10 @@ Status Device::Validate(const ProbeJob& job, StreamSpec* spec) const {
   // chunks on page boundaries), so no masked merge is needed.
   *spec = {.rows = job.num_rows, .cols = {job.col_base}, .scan = true,
            .out = job.out_base};
-  if (job.hash_count != config_.probe_hashes) {
+  if (job.hash_count != kProbeHashes) {
     return Status::InvalidArgument(
         "hash_count does not match the derived probe datapath (" +
-        std::to_string(config_.probe_hashes) + " lanes)");
+        std::to_string(kProbeHashes) + " lanes)");
   }
   if (job.filter_words == 0 ||
       (job.filter_words & (job.filter_words - 1)) != 0) {
@@ -581,13 +583,10 @@ Device::BurstRun Device::WriteBack(const J&, bool final) {
 // Sort (§4 "Sorting": fixed-function bitonic block sorter)
 
 Status Device::Validate(const SortJob& job, StreamSpec* spec) const {
-  if (config_.sort_block_elems % kWordsPerBurst != 0) {
-    return Status::Unimplemented("sort blocks must be whole bursts");
-  }
   // A step is one block; its sorted run is written back once the network
   // finishes, and the next block streams after that write-back.
   *spec = {.rows = job.num_rows, .cols = {job.col_base},
-           .step_bursts = config_.sort_block_elems / kWordsPerBurst,
+           .step_bursts = kSortBlockElems / kWordsPerBurst,
            .writeback_after_engine = true};
   return CheckRegions({{"out_base", job.out_base, job.num_rows, 8}});
 }

@@ -30,6 +30,7 @@ inline constexpr sim::Tick kWatchdogPerRowPs = 10'000;
 
 struct DriverConfig {
   /// Invocation granularity: Figure 2's API is per virtual-memory page.
+  // ndp-lint: never-set-ok driver_test sweeps it (4 KB vs 32 KB pages)
   uint64_t page_bytes = 4096;
 
   // -- Recovery -------------------------------------------------------------

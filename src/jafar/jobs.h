@@ -121,6 +121,11 @@ struct GroupByJob {
   uint64_t out_base = 0;
 };
 
+/// Bloom hash lanes the probe datapath instantiates. DeviceConfig::Derive
+/// schedules MakeProbeKernel(kProbeHashes), and the runtime's filter builder
+/// hashes with the same lanes.
+inline constexpr uint32_t kProbeHashes = 2;
+
 /// \brief Semijoin probe (JSPIM-style join pushdown): stream the join-key
 /// column through `hash_count` multiply-shift Bloom hash lanes against a
 /// filter image preloaded into device SRAM from DRAM, and emit one candidate
@@ -133,7 +138,7 @@ struct ProbeJob {
   uint64_t out_base = 0;      ///< candidate bitmap, one bit per row
   uint64_t filter_base = 0;   ///< Bloom filter image in this device's rank
   uint64_t filter_words = 0;  ///< image size in 64-bit words (power of two)
-  uint32_t hash_count = 2;    ///< must match DeviceConfig::probe_hashes
+  uint32_t hash_count = kProbeHashes;  ///< Start rejects any other count
 };
 
 /// Finalizer of the probe datapath's multiply-shift lane h (host-side golden
@@ -148,7 +153,7 @@ uint64_t BloomBitIndex(uint64_t key, uint32_t hash_index,
                        uint64_t filter_words);
 
 /// \brief Sort (§4 "Sorting"): a fixed-function bitonic sorter over blocks of
-/// `DeviceConfig::sort_block_elems` elements ("ASIC sorters are generally
+/// `kSortBlockElems` elements ("ASIC sorters are generally
 /// costly in area, so implementations are typically limited to sorting a
 /// small number of elements at a time; larger datasets use divide and
 /// conquer"). The device emits sorted runs of one block each at out_base; run

@@ -159,7 +159,6 @@ TEST(ClientFleetTest, ClosedLoopAccountsEveryRequestExactlyOnce) {
   closed.deadline_ps = 0;
   FleetConfig fcfg;
   fcfg.reqs_per_us = 0.01;  // unused by closed-loop tenants, must be > 0
-  fcfg.think_ps = 1'000'000;
   fcfg.seed = 17;
   Stack s(col, fcfg, {closed});
   s.Run(300'000'000);

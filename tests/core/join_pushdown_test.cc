@@ -119,28 +119,14 @@ TEST(JoinPushdownTest, ProbeBitmapMatchesHostBloomEvaluation) {
 
 TEST(JoinPushdownTest, ProbeRejectsMalformedSubmissions) {
   db::Column col = RandomColumn(4'096, 102);
-  {
-    DimmArray array(dram::DramTiming::DDR3_1600(), 1, 1, Config());
-    NdpRuntime runtime(&array, RuntimeConfig{});
-    PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
-    // Image whose word count is not a power of two.
-    std::vector<uint64_t> lopsided(100, 0);
-    EXPECT_FALSE(runtime.SubmitProbe(placed, lopsided).ok());
-    // Empty image.
-    EXPECT_FALSE(runtime.SubmitProbe(placed, {}).ok());
-  }
-  {
-    // Hash-lane count that disagrees with the device's accel-derived
-    // probe_hashes: the modeled schedule would no longer match the
-    // functional filter, so the submission is rejected up front.
-    DimmArray array(dram::DramTiming::DDR3_1600(), 1, 1, Config());
-    RuntimeConfig cfg;
-    cfg.join_hashes = Config().probe_hashes + 1;
-    NdpRuntime runtime(&array, cfg);
-    PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
-    std::vector<uint64_t> image(1024, 0);
-    EXPECT_FALSE(runtime.SubmitProbe(placed, image).ok());
-  }
+  DimmArray array(dram::DramTiming::DDR3_1600(), 1, 1, Config());
+  NdpRuntime runtime(&array, RuntimeConfig{});
+  PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
+  // Image whose word count is not a power of two.
+  std::vector<uint64_t> lopsided(100, 0);
+  EXPECT_FALSE(runtime.SubmitProbe(placed, lopsided).ok());
+  // Empty image.
+  EXPECT_FALSE(runtime.SubmitProbe(placed, {}).ok());
 }
 
 // -- Hook oracles -------------------------------------------------------------
@@ -285,21 +271,6 @@ TEST(JoinPushdownTest, EtaStealingCutsZipf2ProbeMakespan) {
       << "x)";
   // The heavy-hitter detector flagged the overloaded lane at least once.
   EXPECT_GE(hh_flags_on, 1.0);
-}
-
-// -- Knobs --------------------------------------------------------------------
-
-TEST(JoinPushdownTest, ValidateRejectsBadJoinKnobs) {
-  RuntimeConfig cfg;
-  cfg.join_hashes = 0;
-  EXPECT_FALSE(cfg.Validate().ok());
-  cfg = RuntimeConfig{};
-  cfg.join_hashes = 9;
-  EXPECT_FALSE(cfg.Validate().ok());
-  cfg = RuntimeConfig{};
-  cfg.join_filter_kb = 12;  // not a power of two
-  EXPECT_FALSE(cfg.Validate().ok());
-  EXPECT_TRUE(RuntimeConfig{}.Validate().ok());
 }
 
 }  // namespace

@@ -48,7 +48,7 @@ TEST(LeaseControllerTest, GrowsTowardCapWhenChannelIdle) {
   EXPECT_GT(lc.qos_grows(), 0u);
   // Idle channel collapses the host window to its floor.
   EXPECT_EQ(lc.HostWindowBusCycles(lc.NextLeaseBusCycles()),
-            cfg.host_window_min_bus_cycles);
+            kHostWindowMinBusCycles);
 }
 
 TEST(LeaseControllerTest, ShrinksToFloorWhenOverBudget) {
@@ -56,7 +56,7 @@ TEST(LeaseControllerTest, ShrinksToFloorWhenOverBudget) {
   LeaseController lc(cfg);
   for (int i = 0; i < 32; ++i) lc.Observe(10'000, 9'000, 100);
   EXPECT_TRUE(lc.OverBudget());
-  EXPECT_EQ(lc.NextLeaseBusCycles(), cfg.lease_min_bus_cycles);
+  EXPECT_EQ(lc.NextLeaseBusCycles(), kLeaseMinBusCycles);
   EXPECT_GT(lc.qos_shrinks(), 0u);
   // Busy channel gets a window sized to keep the duty cycle within budget:
   // W >= L * (1 - beta) / beta.
@@ -91,9 +91,9 @@ TEST(LeaseControllerTest, TighterBudgetIsMonotone) {
     tight.qos_max_cpu_slowdown_pct =
         loose.qos_max_cpu_slowdown_pct * (0.6 + 0.3 * rng.NextDouble());
     tight.qos_max_stall_bus_cycles =
-        loose.lease_min_bus_cycles +
+        kLeaseMinBusCycles +
         rng.NextBounded(static_cast<uint32_t>(loose.qos_max_stall_bus_cycles -
-                                              loose.lease_min_bus_cycles + 1));
+                                              kLeaseMinBusCycles + 1));
     ASSERT_TRUE(loose.Validate().ok());
     ASSERT_TRUE(tight.Validate().ok());
 
@@ -121,9 +121,6 @@ TEST(LeaseControllerTest, TighterBudgetIsMonotone) {
 
 TEST(RuntimeConfigTest, ValidateRejectsBadKnobs) {
   RuntimeConfig cfg;
-  cfg.lease_min_bus_cycles = 0;
-  EXPECT_FALSE(cfg.Validate().ok());
-  cfg = RuntimeConfig{};
   cfg.qos_max_cpu_slowdown_pct = 5.0;  // budget fraction == idle threshold
   EXPECT_FALSE(cfg.Validate().ok());
   cfg = RuntimeConfig{};

@@ -25,9 +25,7 @@ TEST(BranchPredictorTest, LearnsAlwaysNotTaken) {
 }
 
 TEST(BranchPredictorTest, RandomBranchMispredictsHeavily) {
-  BranchPredictorConfig cfg;
-  cfg.history_bits = 0;  // bimodal: no history to (uselessly) exploit
-  BranchPredictor bp(cfg);
+  BranchPredictor bp(BranchPredictorConfig{});
   Rng rng(3);
   const int n = 20000;
   for (int i = 0; i < n; ++i) bp.PredictAndUpdate(0x400, rng.NextBool(0.5));
@@ -42,9 +40,7 @@ class SelectivityMispredictTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(SelectivityMispredictTest, RateBoundedByTwiceP1MinusP) {
   double p = GetParam();
-  BranchPredictorConfig cfg;
-  cfg.history_bits = 0;
-  BranchPredictor bp(cfg);
+  BranchPredictor bp(BranchPredictorConfig{});
   Rng rng(17);
   const int n = 50000;
   for (int i = 0; i < n; ++i) bp.PredictAndUpdate(0x400, rng.NextBool(p));

@@ -133,15 +133,12 @@ TEST_F(ControllerTest, BusyCountersMatchPaperDefinition) {
 }
 
 TEST_F(ControllerTest, QueueCapacityBackpressure) {
-  ControllerConfig cfg;
-  cfg.read_queue_capacity = 2;
-  Rebuild(cfg);
   Request r;
-  r.addr = 0;
-  ASSERT_TRUE(dram_->EnqueueRequest(r).ok());
-  r.addr = 64;
-  ASSERT_TRUE(dram_->EnqueueRequest(r).ok());
-  r.addr = 128;
+  for (size_t i = 0; i < MemoryController::kQueueCapacity; ++i) {
+    r.addr = i * 64;
+    ASSERT_TRUE(dram_->EnqueueRequest(r).ok());
+  }
+  r.addr = MemoryController::kQueueCapacity * 64;
   EXPECT_EQ(dram_->EnqueueRequest(r).code(), StatusCode::kResourceExhausted);
   EXPECT_FALSE(dram_->CanAccept(r));
 }

@@ -222,7 +222,7 @@ TEST_F(RecoveryTest, CorruptedProbeBitmapIsCaughtByWritebackChecksum) {
   constexpr uint64_t kRows = 8192;
   constexpr uint64_t kFilter = 10 << 20;
   constexpr uint64_t kFilterWords = 256;
-  const uint32_t hashes = device_->config().probe_hashes;
+  const uint32_t hashes = kProbeHashes;
   Rng rng(78);
   values_.resize(kRows);
   for (auto& v : values_) v = rng.NextInRange(0, 99999);

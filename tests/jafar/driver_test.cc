@@ -247,7 +247,7 @@ class DriverKindTest : public DriverTest,
         job.out_base = kOut;
         job.filter_base = kFilter;
         job.filter_words = 64;
-        job.hash_count = device_->config().probe_hashes;
+        job.hash_count = kProbeHashes;
         return job;
       }
     }

@@ -65,7 +65,7 @@ TEST_F(SortEngineTest, ProducesSortedRunsOfBlockSize) {
   job.out_base = 1 << 20;
   RunSort(job);
 
-  uint32_t block = cfg_.sort_block_elems;
+  uint32_t block = kSortBlockElems;
   for (uint64_t r = 0; r < rows; r += block) {
     std::vector<int64_t> run(block);
     dram_->backing_store().Read(job.out_base + r * 8, run.data(), block * 8);

@@ -251,9 +251,11 @@ void ScanKnobs(std::vector<SourceFile>& files, Index* idx) {
 /// statement: the last identifier before the first top-level '=', '[', ':',
 /// '{' or ';'. Functions and constructors (a '(' outside template
 /// arguments), operators, nested type definitions, aliases and access
-/// specifiers declare no data member.
+/// specifiers declare no data member. A non-static member of a `config`
+/// struct is also recorded as a ConfigField.
 void RecordMember(const std::vector<Tok>& toks, size_t begin, size_t end,
-                  const std::string& owner, Index* idx) {
+                  const std::string& owner, size_t file, bool config,
+                  Index* idx) {
   static const std::set<std::string> kNotAMember = {
       "struct", "class",  "enum",          "union",  "using",
       "typedef", "friend", "template",     "static_assert",
@@ -263,13 +265,15 @@ void RecordMember(const std::vector<Tok>& toks, size_t begin, size_t end,
       kNotAMember.count(toks[begin].text) > 0) {
     return;
   }
-  std::string name;
+  const Tok* name = nullptr;
+  bool is_static = false;
   int angle = 0;
   for (size_t k = begin; k < end; ++k) {
     const Tok& t = toks[k];
     if (t.kind == TokKind::kIdent) {
       if (t.text == "operator") return;
-      name = t.text;
+      if (t.text == "static") is_static = true;
+      name = &t;
       continue;
     }
     if (t.kind != TokKind::kPunct) continue;
@@ -283,7 +287,13 @@ void RecordMember(const std::vector<Tok>& toks, size_t begin, size_t end,
       break;
     }
   }
-  if (!name.empty()) idx->fields.insert(owner + "::" + name);
+  if (name == nullptr) return;
+  // A brace-initialized member is seen twice (at its '{' and its ';').
+  const bool fresh = idx->fields.insert(owner + "::" + name->text).second;
+  if (fresh && config && !is_static) {
+    idx->config_fields.push_back(
+        ConfigField{file, name->line, owner, name->text});
+  }
 }
 
 /// Walks the body of `owner` whose '{' is at `open`, one member statement
@@ -291,14 +301,15 @@ void RecordMember(const std::vector<Tok>& toks, size_t begin, size_t end,
 /// are skipped; nested types are recorded under their own name by the
 /// caller's scan.
 void ScanStructBody(const std::vector<Tok>& toks, size_t open,
-                    const std::string& owner, Index* idx) {
+                    const std::string& owner, size_t file, bool config,
+                    Index* idx) {
   int depth = 0;
   size_t stmt = open + 1;  // first token of the current member statement
   for (size_t k = open; k < toks.size(); ++k) {
     const Tok& t = toks[k];
     if (t.kind != TokKind::kPunct) continue;
     if (t.text == "{") {
-      if (depth++ == 1) RecordMember(toks, stmt, k, owner, idx);
+      if (depth++ == 1) RecordMember(toks, stmt, k, owner, file, config, idx);
     } else if (t.text == "}") {
       if (--depth == 0) return;
       // A function body ends its statement; a brace initializer is followed
@@ -307,7 +318,7 @@ void ScanStructBody(const std::vector<Tok>& toks, size_t open,
         stmt = k + 1;
       }
     } else if (depth == 1 && t.text == ";") {
-      RecordMember(toks, stmt, k, owner, idx);
+      RecordMember(toks, stmt, k, owner, file, config, idx);
       stmt = k + 1;
     } else if (depth == 1 && t.text == ":" && k == stmt + 1 &&
                toks[stmt].kind == TokKind::kIdent &&
@@ -319,8 +330,8 @@ void ScanStructBody(const std::vector<Tok>& toks, size_t open,
 }
 
 void ScanStructFields(std::vector<SourceFile>& files, Index* idx) {
-  for (SourceFile& f : files) {
-    const auto& toks = f.lex.tokens;
+  for (size_t fi = 0; fi < files.size(); ++fi) {
+    const auto& toks = files[fi].lex.tokens;
     for (size_t i = 0; i + 1 < toks.size(); ++i) {
       if (toks[i].kind != TokKind::kIdent ||
           (toks[i].text != "struct" && toks[i].text != "class")) {
@@ -351,10 +362,39 @@ void ScanStructFields(std::vector<SourceFile>& files, Index* idx) {
       }
       // Forward declarations and elaborated type specifiers have no body.
       if (j < toks.size() && IsPunct(toks[j], "{")) {
-        ScanStructBody(toks, j, owner, idx);
+        const bool config =
+            files[fi].top == "src" && owner.ends_with("Config");
+        ScanStructBody(toks, j, owner, fi, config, idx);
       }
     }
   }
+}
+
+/// Member writes outside tests/: an identifier reached through '.' or '->'
+/// and followed by '=', '+=' or '-=' (tokens, so a right-hand side on the
+/// next line still counts), plus every earlier link of the same member
+/// chain. A designated initializer `.f = v` has the same shape.
+void ScanWrites(const std::vector<SourceFile>& files,
+                const std::vector<SourceFile>& corpus, Index* idx) {
+  auto scan = [&](const SourceFile& f) {
+    if (f.top == "tests") return;
+    const auto& toks = f.lex.tokens;
+    for (size_t i = 1; i + 1 < toks.size(); ++i) {
+      const Tok& next = toks[i + 1];
+      if (toks[i].kind != TokKind::kIdent ||
+          !(IsPunct(next, "=") || IsPunct(next, "+=") || IsPunct(next, "-="))) {
+        continue;
+      }
+      for (size_t k = i; k >= 1 && toks[k].kind == TokKind::kIdent &&
+                         (IsPunct(toks[k - 1], ".") ||
+                          IsPunct(toks[k - 1], "->"));
+           k = k >= 2 ? k - 2 : 0) {
+        idx->written.insert(toks[k].text);
+      }
+    }
+  };
+  for (const SourceFile& f : files) scan(f);
+  for (const SourceFile& f : corpus) scan(f);
 }
 
 // -- function declarations and references (test-only) ------------------------
@@ -671,6 +711,7 @@ Index BuildIndex(std::vector<SourceFile>& files,
   ScanStats(files, &idx);
   ScanKnobs(files, &idx);
   ScanStructFields(files, &idx);
+  ScanWrites(files, corpus, &idx);
   ScanFunctions(files, corpus, &idx);
   ScanIncludes(files, &idx);
   ParseReadme(root / "README.md", &idx);

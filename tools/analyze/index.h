@@ -7,7 +7,8 @@
 //
 // Call corpus. The files under examples/ and perfbench/ are never rule-
 // checked, but they are programs that reach src/: their identifiers count as
-// references for the test-only pass, exactly like src/ and bench/ ones.
+// references for the test-only pass and writers for the never-set pass,
+// exactly like src/ and bench/ ones.
 //
 // Stats universe. Registration calls are token-scanned; a string literal
 // whose next token is '+' is a *dynamic* name and contributes its complete
@@ -85,6 +86,15 @@ struct FunctionDecl {
   std::string name;
 };
 
+/// A non-static data member of a src/ struct whose name ends in "Config":
+/// the settable values the never-set pass audits.
+struct ConfigField {
+  size_t file = 0;
+  size_t line = 0;
+  std::string owner;
+  std::string name;
+};
+
 /// One knob row of the README table (multi-knob cells are split).
 struct ReadmeKnob {
   std::string name;
@@ -111,6 +121,11 @@ struct Index {
   /// "Struct::member" for every data member declared in a scanned struct or
   /// class body (first declarator of each member declaration).
   std::set<std::string> fields;
+  std::vector<ConfigField> config_fields;
+  /// Every member name assigned outside tests/ (src/, bench/ and the call
+  /// corpus): `x.f =`, `p->f =`, a designated `.f =`, and each link of a
+  /// chained write, so `a.f.g =` writes both f and g.
+  std::set<std::string> written;
 
   std::vector<FunctionDecl> header_functions;
   /// Every identifier that occurs outside tests/ (src/, bench/ and the call

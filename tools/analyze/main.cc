@@ -6,9 +6,9 @@
 //   * the eleven seed rules run per file over lexed (comment/string-clean)
 //     lines — see rules_file.cc;
 //   * the whole-program passes (stats coherence, guarded-by, layer DAG,
-//     knob coherence, bounded queues, test-only) run over the cross-TU
-//     index — see passes.cc. examples/ and perfbench/ are read as a call
-//     corpus for test-only but never rule-checked;
+//     knob coherence, bounded queues, test-only, never-set) run over the
+//     cross-TU index — see passes.cc. examples/ and perfbench/ are read as
+//     a call corpus for test-only and never-set but never rule-checked;
 //   * two meta rules make the waiver ledger itself honest: every waiver
 //     needs a reason, and a waiver that suppresses nothing is a finding.
 //

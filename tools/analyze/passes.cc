@@ -626,6 +626,28 @@ void PassTestOnly(std::vector<SourceFile>& files, const Index& idx,
   }
 }
 
+// -- never-set ----------------------------------------------------------------
+
+/// A *Config field that no src/, bench/ or call-corpus program assigns is a
+/// constant wearing a knob's clothes: every run uses its default, so the
+/// branches it guards beyond that default are dead. Writes are matched by
+/// member name (like test-only's references), so a name two structs share is
+/// reached if either is written. Positional aggregate initialisation names no
+/// member and is not seen; the tree uses designated initializers instead.
+void PassNeverSet(std::vector<SourceFile>& files, const Index& idx,
+                  std::vector<Finding>* out) {
+  for (const ConfigField& cf : idx.config_fields) {
+    if (idx.written.count(cf.name) > 0) continue;
+    Emit(files[cf.file], cf.line, "never-set",
+         "config field '" + cf.owner + "::" + cf.name +
+             "' is assigned only by tests/ (or nowhere): no src/, bench/, "
+             "examples/ or perfbench/ code sets it; fold it into a named "
+             "constant next to its reader or waive a swept design parameter "
+             "with a reason",
+         out);
+  }
+}
+
 }  // namespace
 
 void RunPasses(std::vector<SourceFile>& files, const Index& idx,
@@ -636,6 +658,7 @@ void RunPasses(std::vector<SourceFile>& files, const Index& idx,
   PassKnobCoherence(files, idx, out);
   PassBoundedQueue(files, idx, out);
   PassTestOnly(files, idx, out);
+  PassNeverSet(files, idx, out);
 }
 
 void RunMetaPasses(std::vector<SourceFile>& files, std::vector<Finding>* out) {

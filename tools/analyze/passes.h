@@ -27,6 +27,12 @@
 //                       own declaration and definition; otherwise delete it
 //                       or waive a test-observability hook with a reason
 //                       (lower_snake_case accessors are exempt)
+//   never-set           a data member of a src/ struct named *Config must be
+//                       assigned by some file outside tests/ (x.f =, p->f =,
+//                       a designated .f =, or any link of a chained a.f.g =
+//                       write); otherwise fold it into a named constant or
+//                       waive a design parameter a test sweeps with a reason
+//                       (static members are not settable and are skipped)
 //
 // Meta rules (unwaivable, run last):
 //   waiver-reason       a waiver must say why the line is exempt

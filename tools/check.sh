@@ -6,13 +6,14 @@
 #                         analyze labels)
 #   2. ndp-analyze      — whole-program analysis of src/ bench/ tests/ (the
 #                         lexed file rules plus the cross-TU stats/guarded-by/
-#                         layer-DAG/knob/bounded-queue/test-only passes; also
-#                         a ctest, but run directly here so its findings print
-#                         even if the build of the test tree fails), then the
-#                         fixture corpus against its golden report.
-#                         examples/ and perfbench/ are read as call corpora
-#                         (a function they call is not test-only) but never
-#                         rule-checked
+#                         layer-DAG/knob/bounded-queue/test-only/never-set
+#                         passes; also a ctest, but run directly here so its
+#                         findings print even if the build of the test tree
+#                         fails), then the fixture corpus against its golden
+#                         report. examples/ and perfbench/ are read as call
+#                         corpora (a function they call is not test-only, a
+#                         config field they assign is not never-set) but
+#                         never rule-checked
 #   3. protocol build   — -DNDP_PROTOCOL_CHECK=ON: every DRAM command the
 #                         suite issues is audited against the DDR3 JEDEC
 #                         timing rules by the shadow checker
