@@ -11,9 +11,6 @@ namespace {
 /// Fraction of host requests that are writes.
 constexpr double kWriteFraction = 0.3;
 
-/// Mean think time between a closed-loop completion and the next request.
-constexpr sim::Tick kThinkPs = 2'000'000;
-
 /// Fleet select predicates are [lo, lo + kSpan - 1] with lo uniform over
 /// [kValueLo, kValueHi - kSpan].
 constexpr int64_t kValueLo = 0;
@@ -115,10 +112,9 @@ ClientFleet::ClientFleet(sim::EventQueue* eq, ServingIngress* ingress,
   stats_.resize(n);
   for (uint32_t t = 0; t < n; ++t) {
     // One PCG32 stream per tenant: tenant t's request sequence is invariant
-    // to every other tenant's loop type and to the overload response.
+    // to every other tenant's traffic and to the overload response.
     rngs_.emplace_back(config_.seed, /*stream=*/2 * uint64_t{t} + 1);
-    const TenantSpec& spec = ingress_->tenant(t);
-    if (spec.closed_loop_windows == 0) open_weight_total_ += spec.weight;
+    open_weight_total_ += ingress_->tenant(t).weight;
     if (stats.active()) {
       StatsScope ts = stats.Sub("tenant" + std::to_string(t));
       ts.Counter("issued", &stats_[t].issued);
@@ -135,12 +131,7 @@ ClientFleet::ClientFleet(sim::EventQueue* eq, ServingIngress* ingress,
 void ClientFleet::Start() {
   running_ = true;
   for (uint32_t t = 0; t < ingress_->num_tenants(); ++t) {
-    const TenantSpec& spec = ingress_->tenant(t);
-    if (spec.closed_loop_windows == 0) {
-      ScheduleOpenArrival(t);
-    } else {
-      for (uint32_t w = 0; w < spec.closed_loop_windows; ++w) IssueOne(t);
-    }
+    ScheduleOpenArrival(t);
   }
 }
 
@@ -187,16 +178,6 @@ void ClientFleet::ScheduleOpenArrival(uint32_t tenant) {
     if (!running_) return;
     IssueOne(tenant);
     ScheduleOpenArrival(tenant);
-  });
-}
-
-void ClientFleet::ScheduleThink(uint32_t tenant) {
-  if (!running_) return;
-  double u = rngs_[tenant].NextDouble();
-  double gap_ps = -std::log(1.0 - u) * static_cast<double>(kThinkPs);
-  eq_->ScheduleAfter(static_cast<sim::Tick>(gap_ps) + 1, [this, tenant] {
-    if (!running_) return;
-    IssueOne(tenant);
   });
 }
 
@@ -263,9 +244,6 @@ void ClientFleet::OnDone(uint32_t tenant, const ServingResult& res) {
       ++ts.failed;
       break;
   }
-  // Closed-loop tenants refill their window after a think pause; the pause
-  // (not recursion) is what breaks the synchronous-shed cycle.
-  if (ingress_->tenant(tenant).closed_loop_windows > 0) ScheduleThink(tenant);
 }
 
 }  // namespace ndp::core

@@ -92,15 +92,14 @@ struct FleetConfig {
   bool propagate_deadlines = true;
 };
 
-/// \brief Seeded open/closed-loop serving clients over a ServingIngress.
+/// \brief Seeded open-loop serving clients over a ServingIngress.
 ///
 /// One independent PCG32 stream per tenant, so the issued request sequence
 /// (tenants, tables, predicates, arrival ticks) is a pure function of
 /// (FleetConfig, TenantSpec list) — the reproducibility tests pin this via
-/// issue_digest(). Open-loop tenants arrive Poisson at a weight-proportional
-/// share of reqs_per_us and do not slow down when shed (that is what makes
-/// overload possible); closed-loop tenants keep a fixed window outstanding
-/// with exponential think time, the classic self-throttling client.
+/// issue_digest(). Tenants arrive Poisson at a weight-proportional share of
+/// reqs_per_us and do not slow down when shed (that is what makes overload
+/// possible).
 class ClientFleet {
  public:
   /// Per-tenant outcome accounting (registered under "<scope>.tenant<i>.").
@@ -143,7 +142,6 @@ class ClientFleet {
 
  private:
   void ScheduleOpenArrival(uint32_t tenant);
-  void ScheduleThink(uint32_t tenant);
   void IssueOne(uint32_t tenant);
   void OnDone(uint32_t tenant, const ServingResult& res);
   void Mix(uint64_t* digest, uint64_t v);

@@ -66,14 +66,11 @@ struct IngressConfig {
 };
 
 /// One serving tenant: its QoS class, open-loop arrival weight (ClientFleet),
-/// optional closed-loop window, and per-request deadline (the SLO).
+/// and per-request deadline (the SLO).
 struct TenantSpec {
   std::string name;
   JobPriority priority = JobPriority::kBatch;
   double weight = 1.0;
-  /// 0: open-loop (Poisson arrivals at weight-proportional rate). >0: closed
-  /// loop with this many outstanding requests and exponential think time.
-  uint32_t closed_loop_windows = 0;
   /// Relative deadline applied to every request, ps after arrival.
   sim::Tick deadline_ps = 500'000'000;
 };

@@ -32,15 +32,14 @@ struct PlatformConfig {
   accel::DatapathResources jafar_datapath;  ///< for DeviceConfig::Derive
   /// Which JAFAR datapath generation the DIMM carries: v1_rank_io (the
   /// paper's rank-level comparator, the default) or v2_bank_level
-  /// (Membrane-style per-bank filtering). SystemModel overlays the
-  /// NDP_DEVICE_GEN environment knob on top (strict parse, like the fault
-  /// plan) and picks the matching DeviceConfig deriver.
+  /// (Membrane-style per-bank filtering). SystemModel picks the matching
+  /// DeviceConfig deriver.
   jafar::DeviceGeneration device_gen = jafar::DeviceGeneration::kV1RankIo;
   jafar::DriverConfig driver;               ///< page size, watchdog, retries
 
   /// Fault-injection campaign (src/fault). Defaults to inactive (all-zero
-  /// rates); benches and tests set it programmatically, and SystemModel
-  /// overlays the NDP_FAULT_* environment on top (see FaultPlan::FromEnv).
+  /// rates); benches and tests set it programmatically. SystemModel dies on
+  /// a plan that fails FaultPlan::Validate, active or not.
   fault::FaultPlan fault_plan;
 
   /// Table 1, left column: one 1 GHz out-of-order core, 64 kB L1 + 128 kB L2,

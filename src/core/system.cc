@@ -18,14 +18,9 @@ SystemModel::SystemModel(PlatformConfig config) : config_(std::move(config)) {
       config_.frontside_ps, root.Sub("cpu"));
   core_ = std::make_unique<cpu::Core>(&eq_, config_.core, hierarchy_->top(),
                                       root.Sub("cpu").Sub("core"));
-  // Overlay the NDP_DEVICE_GEN knob (strict parse: a typo must fail loudly,
-  // not silently run the wrong hardware), then derive the device timing with
-  // the generation's deriver — v2 additionally schedules the select kernel on
-  // the narrowed per-bank resources to get the bank comparator's rate.
-  Result<jafar::DeviceGeneration> gen =
-      jafar::DeviceGenerationFromEnv(config_.device_gen);
-  NDP_CHECK_MSG(gen.ok(), gen.status().ToString().c_str());
-  config_.device_gen = gen.ValueOrDie();
+  // Derive the device timing with the generation's deriver — v2 additionally
+  // schedules the select kernel on the narrowed per-bank resources to get the
+  // bank comparator's rate.
   device_config_ =
       (config_.device_gen == jafar::DeviceGeneration::kV2BankLevel
            ? jafar::DeviceConfig::DeriveBank(config_.dram_timing,
@@ -44,14 +39,14 @@ SystemModel::SystemModel(PlatformConfig config) : config_(std::move(config)) {
   core_scope.Counter("degraded_mode", &degraded_mode_);
   core_scope.Counter("pushdown_probes", &pushdown_probes_);
 
-  // Overlay the NDP_FAULT_* environment on the programmatic plan, and attach
-  // an injector to the device only when some rate is nonzero — a system with
-  // an inactive plan takes no RNG draws and stays byte-identical to a
-  // fault-free build.
-  Result<fault::FaultPlan> plan = fault::FaultPlan::FromEnv(config_.fault_plan);
-  NDP_CHECK_MSG(plan.ok(), plan.status().ToString().c_str());
-  if (plan.ValueOrDie().active()) {
-    injector_ = std::make_unique<fault::FaultInjector>(plan.ValueOrDie(),
+  // Reject an invalid plan even when it is inactive (a NaN or negative rate
+  // reads as inactive), and attach an injector to the device only when some
+  // rate is nonzero — a system with an inactive plan takes no RNG draws and
+  // stays byte-identical to a fault-free build.
+  NDP_CHECK_MSG(config_.fault_plan.Validate().ok(),
+                "PlatformConfig::fault_plan has a rate outside [0, 1]");
+  if (config_.fault_plan.active()) {
+    injector_ = std::make_unique<fault::FaultInjector>(config_.fault_plan,
                                                        root.Sub("fault"));
     device_->set_fault_injector(injector_.get());
   }

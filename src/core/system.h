@@ -114,8 +114,8 @@ class SystemModel {
   bool degraded_mode() const { return degraded_mode_ != 0; }
 
   /// Seeded fault source attached to the JAFAR device, or null when the
-  /// configured FaultPlan (PlatformConfig + NDP_FAULT_* env) is inactive or
-  /// fault injection is compiled out.
+  /// configured PlatformConfig::fault_plan is inactive or fault injection is
+  /// compiled out.
   fault::FaultInjector* fault_injector() { return injector_.get(); }
 
   /// gem5-style statistics dump: a sorted walk of the whole registry as

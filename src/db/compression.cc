@@ -55,54 +55,4 @@ bool ForEncodedColumn::CodeRangeFor(int64_t value_lo, int64_t value_hi,
   return lo <= hi;
 }
 
-Pred ForEncodedColumn::RewritePredicate(const Pred& pred) const {
-  // Normalize every operator into a [lo, hi] value range, then shift.
-  int64_t vlo = 0, vhi = 0;
-  switch (pred.op) {
-    case Pred::Op::kBetween: vlo = pred.lo; vhi = pred.hi; break;
-    case Pred::Op::kEq: vlo = vhi = pred.lo; break;
-    case Pred::Op::kLe: vlo = std::numeric_limits<int64_t>::min(); vhi = pred.lo; break;
-    case Pred::Op::kLt:
-      vlo = std::numeric_limits<int64_t>::min();
-      vhi = pred.lo == std::numeric_limits<int64_t>::min()
-                ? pred.lo
-                : pred.lo - 1;
-      break;
-    case Pred::Op::kGe: vlo = pred.lo; vhi = std::numeric_limits<int64_t>::max(); break;
-    case Pred::Op::kGt:
-      vlo = pred.lo == std::numeric_limits<int64_t>::max()
-                ? pred.lo
-                : pred.lo + 1;
-      vhi = std::numeric_limits<int64_t>::max();
-      break;
-    case Pred::Op::kNe:
-      // Not range-expressible; evaluate != in the code domain directly.
-      return Pred::Ne(Rebase(pred.lo, base_));
-  }
-  int64_t clo, chi;
-  if (!CodeRangeFor(vlo, vhi, &clo, &chi)) {
-    return Pred::Between(1, 0);  // canonical empty range
-  }
-  return Pred::Between(clo, chi);
-}
-
-PositionList ForEncodedColumn::Select(QueryContext* ctx,
-                                      const Pred& value_pred) const {
-  Pred code_pred = RewritePredicate(value_pred);
-  PositionList out;
-  uint64_t base_addr =
-      ctx->trace ? ctx->trace->AllocRegion(SizeBytes(), "for_codes") : 0;
-  for (size_t i = 0; i < codes_.size(); ++i) {
-    if (ctx->trace) {
-      ctx->trace->Compute(5);
-      ctx->trace->Load(base_addr + i * 4);
-    }
-    if (code_pred.Eval(static_cast<int64_t>(codes_[i]))) {
-      out.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  ctx->Record("for_select", codes_.size(), out.size());
-  return out;
-}
-
 }  // namespace ndp::db

@@ -3,15 +3,14 @@
 // integers using dictionary compression"). Frame-of-reference (FOR) encoding
 // rebases a column's values against their minimum and stores 32-bit deltas —
 // halving the bytes a scan must move, whether that scan runs on the CPU or
-// on JAFAR's packed-32-bit datapath. Predicates are rewritten into the
-// encoded domain so filters run directly on compressed data.
+// on JAFAR's packed-32-bit datapath. CodeRangeFor maps a value range into
+// the encoded domain so filters run directly on compressed data.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "db/column.h"
-#include "db/operators.h"
 #include "util/status.h"
 
 namespace ndp::db {
@@ -33,19 +32,10 @@ class ForEncodedColumn {
   /// Decodes one value.
   int64_t Decode(size_t i) const { return base_ + codes_[i]; }
 
-  /// Rewrites a predicate on values into one on codes. Predicates that can
-  /// never match (range entirely below/above the frame) return a canonical
-  /// empty predicate; clamping handles partial overlap.
-  Pred RewritePredicate(const Pred& pred) const;
-
   /// Inclusive [lo, hi] bounds in the CODE domain for a value-domain range
   /// select; returns false if no code can match.
   bool CodeRangeFor(int64_t value_lo, int64_t value_hi, int64_t* code_lo,
                     int64_t* code_hi) const;
-
-  /// CPU select over the encoded data (predicate evaluated on codes).
-  // ndp-lint: test-only-ok compression_test checks it against ScanSelect
-  PositionList Select(QueryContext* ctx, const Pred& value_pred) const;
 
  private:
   ForEncodedColumn(int64_t base, int64_t max_code,

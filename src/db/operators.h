@@ -16,7 +16,6 @@
 #include "db/column.h"
 #include "db/trace.h"
 #include "util/bitvector.h"
-#include "util/stats_registry.h"
 #include "util/status.h"
 
 namespace ndp::db {
@@ -32,6 +31,7 @@ struct Pred {
     return Pred{Op::kBetween, lo, hi};
   }
   static Pred Eq(int64_t v) { return Pred{Op::kEq, v, v}; }
+  // ndp-lint: test-only-ok completes the Pred factory set tests use
   static Pred Ne(int64_t v) { return Pred{Op::kNe, v, v}; }
   static Pred Lt(int64_t v) { return Pred{Op::kLt, v, 0}; }
   static Pred Gt(int64_t v) { return Pred{Op::kGt, v, 0}; }
@@ -102,19 +102,8 @@ struct QueryContext {
   NdpSemiJoinHook ndp_semi_join;       ///< optional semijoin probe pushdown
   NdpGroupByHook ndp_group_by;         ///< optional group-by pushdown
   std::vector<OperatorStats> stats;
-  /// Optional registry scope; when active, every Record() also bumps
-  /// "<prefix>.<op>.{calls,rows_in,rows_out}" registry counters so query
-  /// executions show up in snapshot deltas alongside hardware counters.
-  StatsScope stats_scope;
 
   void Record(std::string op, uint64_t in, uint64_t out) {
-    if (stats_scope.active()) {
-      // ndp: stats-scope(scan_select|scan_select_batch|refine|gather|hash_join|aggregate|group_aggregate|merge_runs|zonemap_select|for_select)
-      StatsScope op_scope = stats_scope.Sub(op);
-      *op_scope.registry()->OwnedCounter(op_scope.Path("calls")) += 1;
-      *op_scope.registry()->OwnedCounter(op_scope.Path("rows_in")) += in;
-      *op_scope.registry()->OwnedCounter(op_scope.Path("rows_out")) += out;
-    }
     stats.push_back(OperatorStats{std::move(op), in, out});
   }
 };

@@ -41,37 +41,4 @@ std::vector<uint32_t> ZoneMap::CandidateBlocks(const Pred& pred) const {
   return out;
 }
 
-PositionList ZoneMap::Select(QueryContext* ctx, const Column& col,
-                             const Pred& pred) const {
-  PositionList out;
-  uint64_t col_base = 0, out_base = 0, zone_base = 0;
-  if (ctx->trace) {
-    col_base = ctx->trace->LayoutColumn(col);
-    out_base = ctx->trace->AllocRegion(col.size() * 4, "positions");
-    zone_base = ctx->trace->AllocRegion(num_blocks() * 16, "zonemap");
-  }
-  for (size_t b = 0; b < num_blocks(); ++b) {
-    if (ctx->trace) {
-      // One zone check: load min/max pair, two compares.
-      ctx->trace->Compute(3);
-      ctx->trace->Load(zone_base + b * 16);
-    }
-    if (!BlockMayMatch(b, pred)) continue;
-    size_t begin = b * block_rows_;
-    size_t end = std::min(col.size(), begin + block_rows_);
-    for (size_t i = begin; i < end; ++i) {
-      if (ctx->trace) {
-        ctx->trace->Compute(5);
-        ctx->trace->Load(col_base + i * 8);
-      }
-      if (pred.Eval(col[i])) {
-        out.push_back(static_cast<uint32_t>(i));
-        if (ctx->trace) ctx->trace->Store(out_base + out.size() * 4);
-      }
-    }
-  }
-  ctx->Record("zonemap_select", col.size(), out.size());
-  return out;
-}
-
 }  // namespace ndp::db

@@ -38,12 +38,6 @@ class ZoneMap {
                            static_cast<double>(num_blocks());
   }
 
-  /// Zone-map-accelerated select: scans only candidate blocks. Produces the
-  /// same positions as ScanSelect; records per-block traffic when tracing.
-  // ndp-lint: test-only-ok fallback_test checks it against ScanSelect
-  PositionList Select(QueryContext* ctx, const Column& col,
-                      const Pred& pred) const;
-
  private:
   uint32_t block_rows_;
   std::vector<int64_t> mins_;

@@ -3,11 +3,9 @@
 // FaultInjector turns it into seeded PCG32 draw streams, so two simulations
 // configured with the same plan inject byte-identical fault sequences.
 //
-// Plans come from three places, in priority order:
-//   1. programmatic  — benches and tests fill the struct directly (e.g.
-//      PlatformConfig::fault_plan), which is also thread-safe for ParallelSweep;
-//   2. NDP_FAULT_PLAN=<file.json> — a JSON object with the field names below;
-//   3. NDP_FAULT_* environment variables — per-field overrides, applied last.
+// Plans are built in code: benches and tests fill the struct directly (e.g.
+// PlatformConfig::fault_plan, as abl_faults does), which is also thread-safe
+// for ParallelSweep.
 //
 // All probabilities are per draw site: ecc_* per DRAM read burst, hang/stall
 // per device job (stall re-drawn per burst), corrupt per bitmap flush, drop
@@ -16,9 +14,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
-#include "util/json.h"
 #include "util/status.h"
 
 namespace ndp::fault {
@@ -58,19 +54,6 @@ struct FaultPlan {
 
   /// Validates that every rate is a probability in [0, 1].
   Status Validate() const;
-
-  /// Parses a plan from a JSON object (field names match the members:
-  /// "seed", "ecc_ce_per_burst", ... ). Unknown fields are rejected.
-  static Result<FaultPlan> FromJson(const json::Value& v);
-
-  /// Overlays the NDP_FAULT_* environment onto `base`:
-  ///   NDP_FAULT_PLAN=<path to JSON file> (applied first),
-  ///   NDP_FAULT_SEED, NDP_FAULT_ECC_CE, NDP_FAULT_ECC_UE, NDP_FAULT_HANG,
-  ///   NDP_FAULT_STALL, NDP_FAULT_CORRUPT, NDP_FAULT_DROP.
-  /// Returns `base` unchanged when none are set; malformed values are an
-  /// InvalidArgument error (silent misconfiguration would invalidate runs).
-  static Result<FaultPlan> FromEnv(FaultPlan base);
-  static Result<FaultPlan> FromEnv();
 };
 
 }  // namespace ndp::fault

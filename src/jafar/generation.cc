@@ -1,7 +1,5 @@
 #include "jafar/generation.h"
 
-#include <cstdlib>
-
 namespace ndp::jafar {
 
 const char* DeviceGenerationToString(DeviceGeneration gen) {
@@ -19,18 +17,6 @@ Result<DeviceGeneration> ParseDeviceGeneration(const std::string& name) {
   if (name == "v2_bank_level") return DeviceGeneration::kV2BankLevel;
   return Status::InvalidArgument("unknown device generation '" + name +
                                  "' (valid: " + DeviceGenerationNames() + ")");
-}
-
-Result<DeviceGeneration> DeviceGenerationFromEnv(DeviceGeneration fallback) {
-  const char* raw = std::getenv("NDP_DEVICE_GEN");
-  if (raw == nullptr || *raw == '\0') return fallback;
-  auto parsed = ParseDeviceGeneration(raw);
-  if (!parsed.ok()) {
-    return Status::InvalidArgument("NDP_DEVICE_GEN='" + std::string(raw) +
-                                   "' is not a device generation (valid: " +
-                                   DeviceGenerationNames() + ")");
-  }
-  return parsed;
 }
 
 }  // namespace ndp::jafar

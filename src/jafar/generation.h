@@ -1,9 +1,9 @@
 // Device generations. The JAFAR shell (job admission, driver protocol,
 // watchdog/retry/checksum, runtime lanes) is generation-neutral; what differs
 // between generations is the datapath — where the comparators sit and which
-// DRAM command flow feeds them. The generation is a first-class config knob
-// (NDP_DEVICE_GEN) that flows from PlatformConfig/RuntimeConfig down to the
-// Device constructor and up to the pushdown cost model.
+// DRAM command flow feeds them. The generation is a first-class config field
+// that flows from PlatformConfig/RuntimeConfig down to the Device constructor
+// and up to the pushdown cost model.
 #pragma once
 
 #include <cstdint>
@@ -32,10 +32,5 @@ const char* DeviceGenerationNames();
 /// Strict parse: exactly one of the valid names, else InvalidArgument whose
 /// message lists them.
 Result<DeviceGeneration> ParseDeviceGeneration(const std::string& name);
-
-/// Reads NDP_DEVICE_GEN. Unset -> `fallback`; set to an unknown string ->
-/// InvalidArgument listing the valid names (strict-parse style: a typo must
-/// never silently fall back).
-Result<DeviceGeneration> DeviceGenerationFromEnv(DeviceGeneration fallback);
 
 }  // namespace ndp::jafar

@@ -59,6 +59,7 @@ class Value {
   bool is_array() const { return kind_ == Kind::kArray; }
   bool is_object() const { return kind_ == Kind::kObject; }
 
+  // ndp-lint: test-only-ok json_test reads parsed numbers through it
   double AsNumber() const { return num_; }
   const std::string& AsString() const { return str_; }
 

@@ -88,17 +88,6 @@ Status StatsRegistry::RegisterHistogram(std::string path,
   return Add(std::move(path), Stat{Source{HistSource{hist}}, false});
 }
 
-uint64_t* StatsRegistry::OwnedCounter(const std::string& path) {
-  auto it = owned_.find(path);
-  if (it != owned_.end()) return it->second.get();
-  auto cell = std::make_unique<uint64_t>(0);
-  uint64_t* raw = cell.get();
-  NDP_CHECK_MSG(RegisterCounter(path, raw).ok(),
-                "OwnedCounter path collides with a registered stat");
-  owned_.emplace(path, std::move(cell));
-  return raw;
-}
-
 StatsSnapshot StatsRegistry::Snapshot() const {
   StatsSnapshot snap;
   auto& out = snap.mutable_entries();

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -96,12 +95,6 @@ class StatsRegistry {
   /// <path>.mean/.p50/.p90/.p99 (gauges) in snapshots and dumps.
   Status RegisterHistogram(std::string path, const Histogram* hist);
 
-  /// Registry-owned counter for dynamically named stats (e.g. per-operator
-  /// database counters): creates the cell on first use, returns the same
-  /// cell on every later call with the same path. Dies if `path` is already
-  /// taken by a non-owned stat.
-  uint64_t* OwnedCounter(const std::string& path);
-
   // ndp-lint: test-only-ok stats_coverage_test pins the registered paths
   bool Contains(const std::string& path) const { return stats_.count(path) > 0; }
   size_t size() const { return stats_.size(); }
@@ -136,7 +129,6 @@ class StatsRegistry {
   Status Add(std::string path, Stat stat);
 
   std::map<std::string, Stat> stats_;
-  std::map<std::string, std::unique_ptr<uint64_t>> owned_;
 };
 
 /// \brief A registry handle carrying a path prefix; components register
@@ -149,15 +141,11 @@ class StatsScope {
       : registry_(registry), prefix_(std::move(prefix)) {}
 
   bool active() const { return registry_ != nullptr; }
-  StatsRegistry* registry() const { return registry_; }
   const std::string& prefix() const { return prefix_; }
 
   /// Child scope: "<prefix>.<name>".
   StatsScope Sub(std::string_view name) const {
     return StatsScope(registry_, Path(name));
-  }
-  std::string Path(std::string_view name) const {
-    return prefix_.empty() ? std::string(name) : prefix_ + "." + std::string(name);
   }
 
   // Registration helpers. Component stat names are compile-time constants, so
@@ -171,6 +159,10 @@ class StatsScope {
   void Histogram(std::string_view name, const ndp::Histogram* hist) const;
 
  private:
+  std::string Path(std::string_view name) const {
+    return prefix_.empty() ? std::string(name) : prefix_ + "." + std::string(name);
+  }
+
   StatsRegistry* registry_ = nullptr;
   std::string prefix_;
 };

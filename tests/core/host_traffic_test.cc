@@ -1,6 +1,6 @@
 // ClientFleet tests: seeded-stream reproducibility (the digests), deadline
-// propagation vs the naive control mode, open-loop weight splitting,
-// closed-loop accounting, and oracle mismatch detection.
+// propagation vs the naive control mode, open-loop weight splitting and
+// per-request accounting, and oracle mismatch detection.
 #include "core/host_traffic.h"
 
 #include <gtest/gtest.h>
@@ -148,27 +148,11 @@ TEST(ClientFleetTest, OpenLoopWeightSplitsArrivals) {
   ASSERT_GT(l, 0u);
   // 3:1 expected split; Poisson noise leaves plenty of room around 2:1.
   EXPECT_GT(h, 2 * l);
-}
-
-TEST(ClientFleetTest, ClosedLoopAccountsEveryRequestExactlyOnce) {
-  db::Column col = RandomColumn(4096);
-  TenantSpec closed;
-  closed.name = "closed";
-  closed.priority = JobPriority::kInteractive;
-  closed.closed_loop_windows = 3;
-  closed.deadline_ps = 0;
-  FleetConfig fcfg;
-  fcfg.reqs_per_us = 0.01;  // unused by closed-loop tenants, must be > 0
-  fcfg.seed = 17;
-  Stack s(col, fcfg, {closed});
-  s.Run(300'000'000);
-  const ClientFleet::TenantStats& ts = s.fleet.tenant_stats(0);
-  // The window refills after each completion, so the loop keeps going...
-  EXPECT_GT(ts.issued, 3u);
-  // ...and after the drain every issued request has exactly one terminal
-  // outcome: the self-throttling client never loses or double-counts one.
-  EXPECT_EQ(ts.issued, ts.goodput + ts.shed + ts.late + ts.failed);
-  EXPECT_GT(ts.goodput, 0u);
+  // After the drain every issued request has exactly one terminal outcome.
+  for (uint32_t t = 0; t < 2; ++t) {
+    const ClientFleet::TenantStats& ts = s.fleet.tenant_stats(t);
+    EXPECT_EQ(ts.issued, ts.goodput + ts.shed + ts.late + ts.failed) << t;
+  }
 }
 
 TEST(ClientFleetTest, OracleDisagreementCountsMismatches) {

@@ -26,21 +26,22 @@ TEST(ZoneMapTest, BlockMinMax) {
 }
 
 TEST(ZoneMapTest, PruningIsConservative) {
-  // Property: a pruned block must contain no qualifying value; Select()
-  // must equal ScanSelect exactly.
+  // Property: a pruned block must contain no qualifying value, and
+  // CandidateBlocks() lists exactly the blocks BlockMayMatch() keeps.
   Rng rng(3);
   std::vector<int64_t> values(20000);
   for (auto& v : values) v = rng.NextInRange(0, 999);
   std::sort(values.begin(), values.end());
   Column col = MakeColumn(values);
   ZoneMap zm(col, 512);
-  QueryContext ctx;
   for (const Pred& pred :
        {Pred::Between(100, 200), Pred::Eq(500), Pred::Lt(50), Pred::Gt(950),
         Pred::Le(0), Pred::Ge(999), Pred::Ne(values[0])}) {
-    auto expected = ScanSelect(&ctx, col, pred);
-    auto got = zm.Select(&ctx, col, pred);
-    EXPECT_EQ(got, expected);
+    std::vector<uint32_t> kept;
+    for (size_t b = 0; b < zm.num_blocks(); ++b) {
+      if (zm.BlockMayMatch(b, pred)) kept.push_back(static_cast<uint32_t>(b));
+    }
+    EXPECT_EQ(zm.CandidateBlocks(pred), kept);
     // Cross-check BlockMayMatch against a per-block oracle.
     for (size_t b = 0; b < zm.num_blocks(); ++b) {
       bool any = false;
@@ -76,27 +77,7 @@ TEST(ZoneMapTest, PartialLastBlock) {
   ASSERT_EQ(zm.num_blocks(), 2u);
   EXPECT_EQ(zm.block_min(1), 5);
   EXPECT_EQ(zm.block_max(1), 5);
-  QueryContext ctx;
-  EXPECT_EQ(zm.Select(&ctx, col, Pred::Ge(5)), (PositionList{4}));
-}
-
-TEST(ZoneMapTest, TraceRecordsOnlyCandidateBlocks) {
-  std::vector<int64_t> values(4096);
-  for (size_t i = 0; i < values.size(); ++i) {
-    values[i] = static_cast<int64_t>(i);  // perfectly clustered
-  }
-  Column col = MakeColumn(values);
-  ZoneMap zm(col, 512);
-  TraceRecorder trace;
-  QueryContext ctx;
-  ctx.trace = &trace;
-  (void)zm.Select(&ctx, col, Pred::Between(0, 511));  // first block only
-  size_t loads = 0;
-  for (const auto& ev : trace.events()) {
-    loads += ev.kind == cpu::TraceEvent::Kind::kLoad;
-  }
-  // 8 zone-map loads + 512 value loads (1 candidate block of 8).
-  EXPECT_EQ(loads, 8u + 512u);
+  EXPECT_EQ(zm.CandidateBlocks(Pred::Ge(5)), (std::vector<uint32_t>{1}));
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include "core/pushdown.h"
 #include "core/system.h"
-#include "db/zonemap.h"
 #include "util/rng.h"
 
 namespace ndp::core {
@@ -113,16 +112,15 @@ TEST(FallbackTest, RepeatedFailuresOpenTheCircuitBreaker) {
   EXPECT_NE(dump.find("system.core.pushdown_probes"), std::string::npos);
 }
 
-TEST(FallbackTest, MidScanFailureAgreesWithZoneMapNoDoubleCounting) {
+TEST(FallbackTest, MidScanFailureAgreesWithPlainScanNoDoubleCounting) {
   // A multi-page select where some pages succeed before one fails past its
   // retry budget: the accumulated partial matches must be discarded, and the
-  // CPU fallback must agree exactly with the zone-map scan of the same
+  // CPU fallback must agree exactly with a hook-less scan of the same
   // predicate (the partial-result double-count would show up here).
   db::Column col = MakeColumn(8192, 43);
   db::Pred pred = db::Pred::Between(100, 499);
-  db::ZoneMap zones(col, /*block_rows=*/1024);
-  db::QueryContext zctx;
-  db::PositionList zone_result = zones.Select(&zctx, col, pred);
+  db::QueryContext plain;
+  db::PositionList expected = db::ScanSelect(&plain, col, pred);
 
   PlatformConfig config = PlatformConfig::Gem5();
   // Seed chosen so the device stream's first hang lands on the fifth page
@@ -135,8 +133,8 @@ TEST(FallbackTest, MidScanFailureAgreesWithZoneMapNoDoubleCounting) {
   ctx.ndp_select = sys.MakePushdownHook();
 
   db::PositionList got = db::ScanSelect(&ctx, col, pred);
-  EXPECT_EQ(got, zone_result);
-  EXPECT_EQ(ctx.stats.back().rows_out, zone_result.size());
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(ctx.stats.back().rows_out, expected.size());
 
   // The failure really was mid-scan: some pages completed before the fatal
   // one (partial accumulation happened and was then discarded).

@@ -1,4 +1,4 @@
-// Device-generation tests (NDP_DEVICE_GEN; v1: the scan kinds on the
+// Device-generation tests (v1: the scan kinds on the
 // Device::Step stream loop, v2: Device::BankScan).
 //
 //   * Equivalence: the v2 bank-level datapath must be functionally identical
@@ -12,9 +12,9 @@
 //     fault plans, folded into one golden hash (completions, DeviceStats,
 //     writeback checksum, output bytes, simulated time, stats dump). A
 //     sequencing change in jafar::Device moves it.
-//   * Strict config parsing: NDP_DEVICE_GEN accepts exactly the published
-//     generation names; a typo is an error listing them, never a silent
-//     fallback.
+//   * Strict name parsing: ParseDeviceGeneration (what NDP_DEVICE_GEN goes
+//     through in the bench harness) accepts exactly the published generation
+//     names; a typo is an error listing them, never a silent fallback.
 //   * Determinism: for BOTH generations, a partitioned run's full stats dump
 //     plus final simulated time is byte-identical across two runs on freshly
 //     built arrays. The v2 command flow (ARM/DISARM, accumulator drains on
@@ -27,7 +27,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -50,28 +49,6 @@
 
 namespace ndp {
 namespace {
-
-/// RAII env override; restores the previous value (or unset state) on exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_, old_;
-  bool had_old_ = false;
-};
 
 db::Column RandomColumn(size_t n, uint64_t seed) {
   db::Column col = db::Column::Int64("v");
@@ -580,29 +557,23 @@ TEST_F(DeviceDigestTest, EveryJobKindOnBothGenerationsMatchesGolden) {
   EXPECT_EQ(hash_, 0x3861ba1f6f876982ull);
 }
 
-// -- Strict NDP_DEVICE_GEN parsing --------------------------------------------
+// -- Strict generation-name parsing ------------------------------------------
+// bench::EnvGenerations parses NDP_DEVICE_GEN with ParseDeviceGeneration.
 
 TEST(DevGenConfigTest, EnvAcceptsPublishedNamesOnly) {
-  {
-    ScopedEnv env("NDP_DEVICE_GEN", "v1_rank_io");
-    auto gen = jafar::DeviceGenerationFromEnv(
-        jafar::DeviceGeneration::kV2BankLevel);
-    ASSERT_TRUE(gen.ok());
-    EXPECT_EQ(gen.value(), jafar::DeviceGeneration::kV1RankIo);
-  }
-  {
-    ScopedEnv env("NDP_DEVICE_GEN", "v2_bank_level");
-    auto gen =
-        jafar::DeviceGenerationFromEnv(jafar::DeviceGeneration::kV1RankIo);
-    ASSERT_TRUE(gen.ok());
-    EXPECT_EQ(gen.value(), jafar::DeviceGeneration::kV2BankLevel);
+  auto v1 = jafar::ParseDeviceGeneration("v1_rank_io");
+  ASSERT_TRUE(v1.ok());
+  EXPECT_EQ(v1.value(), jafar::DeviceGeneration::kV1RankIo);
+  auto v2 = jafar::ParseDeviceGeneration("v2_bank_level");
+  ASSERT_TRUE(v2.ok());
+  EXPECT_EQ(v2.value(), jafar::DeviceGeneration::kV2BankLevel);
+  for (const char* near_miss : {"", "v1", "V1_RANK_IO", " v1_rank_io"}) {
+    EXPECT_FALSE(jafar::ParseDeviceGeneration(near_miss).ok()) << near_miss;
   }
 }
 
 TEST(DevGenConfigTest, UnknownNameFailsListingValidOnes) {
-  ScopedEnv env("NDP_DEVICE_GEN", "v3_vault_level");
-  auto gen =
-      jafar::DeviceGenerationFromEnv(jafar::DeviceGeneration::kV1RankIo);
+  auto gen = jafar::ParseDeviceGeneration("v3_vault_level");
   ASSERT_FALSE(gen.ok());
   // The error must name the valid generations — a typo'd knob that silently
   // fell back would invalidate a whole sweep.

@@ -103,16 +103,6 @@ TEST(StatsRegistryTest, HistogramExpandsToPercentilesAndWindowedSums) {
   EXPECT_DOUBLE_EQ(delta.Value("h.sum"), 1000.5);
 }
 
-TEST(StatsRegistryTest, OwnedCounterIsStableAcrossLookups) {
-  StatsRegistry reg;
-  uint64_t* a = reg.OwnedCounter("db.scan.rows");
-  *a += 5;
-  uint64_t* b = reg.OwnedCounter("db.scan.rows");
-  EXPECT_EQ(a, b);
-  *b += 2;
-  EXPECT_EQ(reg.Snapshot().Count("db.scan.rows"), 7u);
-}
-
 TEST(StatsRegistryTest, ReadValueResolvesScalarsAndHistogramSubpaths) {
   StatsRegistry reg;
   uint64_t counter = 7;

@@ -106,7 +106,7 @@ void ScanStats(std::vector<SourceFile>& files, Index* idx) {
       const bool leaf_call =
           (member && (id == "Counter" || id == "Gauge" || id == "Histogram")) ||
           id == "RegisterCounter" || id == "RegisterGauge" ||
-          id == "RegisterHistogram" || id == "OwnedCounter";
+          id == "RegisterHistogram";
       const bool read_call =
           member && (id == "ReadValue" || id == "Value" || id == "Count" ||
                      id == "Contains" || id == "Has");

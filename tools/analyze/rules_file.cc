@@ -118,7 +118,7 @@ void CheckStatsPath(SourceFile& f, std::vector<Finding>* out) {
         (member && (id == "Counter" || id == "Gauge" || id == "Histogram" ||
                     id == "Sub")) ||
         id == "RegisterCounter" || id == "RegisterGauge" ||
-        id == "RegisterHistogram" || id == "OwnedCounter";
+        id == "RegisterHistogram";
     if (!reg_call) continue;
     if (toks[i + 1].text != "(" || toks[i + 2].kind != TokKind::kString) {
       continue;
