@@ -2,25 +2,19 @@
 //
 // Each sweep point builds its own SystemModel + EventQueue, so points share no
 // mutable state and every point's simulation is bit-identical no matter how
-// many worker threads run it or in what order the pool picks points up.
-// Results are collected into a vector indexed by point and printed by the
-// caller in point order after the join, so stdout is also byte-identical
-// across thread counts (the property the BENCH determinism check relies on).
+// many threads run it or in what order they claim points. Results are
+// collected into a vector indexed by point and printed by the caller in point
+// order after the join, so stdout is also byte-identical across thread counts
+// (the property the BENCH determinism check relies on).
 //
-// Workers are hoisted into a process-wide persistent pool (SweepPool): a
-// bench driver runs many sweeps back to back, and re-spawning a thread per
-// sweep per worker dominated small sweeps' wall clock. The pool spawns each
-// worker lazily on the first sweep that needs it and parks workers on a
-// condition variable between sweeps; SweepPool::threads_spawned() exposes the
-// lifetime spawn count so a regression test can pin "many sweeps, one spawn
-// per worker".
+// Every sweep spawns its own threads and joins them before it returns: a bench
+// program runs one sweep of points that each simulate for milliseconds to
+// seconds, so spawning a handful of threads per sweep costs nothing it could
+// measure, and a sweep nested inside a point just spawns threads of its own.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -28,8 +22,8 @@
 
 namespace ndp::bench {
 
-/// Worker-thread count for sweeps: NDP_BENCH_THREADS if set (0 means serial,
-/// i.e. 1), else the hardware concurrency.
+/// Thread count for sweeps: NDP_BENCH_THREADS if set (0 means serial, i.e.
+/// 1), else the hardware concurrency.
 inline unsigned SweepThreads() {
   uint64_t n = EnvU64("NDP_BENCH_THREADS", 0);
   if (n == 0) {
@@ -39,139 +33,28 @@ inline unsigned SweepThreads() {
   return static_cast<unsigned>(n);
 }
 
-/// \brief Process-wide persistent worker pool behind ParallelSweep.
-///
-/// One sweep runs at a time (Run serializes internally); workers persist
-/// across sweeps and across differing worker counts — a sweep that wants W
-/// workers wakes the first W, any further parked workers sit the round out.
-class SweepPool {
- public:
-  static SweepPool& Instance() {
-    static SweepPool pool;
-    return pool;
-  }
-
-  /// Runs `body(i)` for every i in [0, num_points), claimed dynamically, on
-  /// `num_workers` pool workers plus the calling thread. Returns after every
-  /// point completed.
-  void Run(size_t num_points, unsigned num_workers,
-           const std::function<void(size_t)>& body) {
-    std::unique_lock<std::mutex> run_lock(run_mu_);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      while (threads_.size() < num_workers) {
-        threads_.emplace_back([this, id = threads_.size()] { WorkerMain(id); });
-        ++threads_spawned_;
-      }
-      body_ = &body;
-      next_point_ = 0;
-      num_points_ = num_points;
-      active_workers_ = num_workers;
-      workers_left_ = num_workers;
-      ++generation_;
-    }
-    work_cv_.notify_all();
-    DrainPoints(body, num_points);  // the caller works too — no idle thread
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return workers_left_ == 0; });
-    body_ = nullptr;
-  }
-
-  /// Lifetime worker-spawn count (monotone). A driver that runs N sweeps at a
-  /// fixed worker count W must observe exactly max-W spawns in total — the
-  /// thread-churn regression test pins this.
-  uint64_t threads_spawned() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return threads_spawned_;
-  }
-
-  ~SweepPool() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutdown_ = true;
-      ++generation_;
-    }
-    work_cv_.notify_all();
-    // Teardown: every worker has observed shutdown_ under mu_ above, and no
-    // other thread can touch the process-lifetime singleton while it
-    // destructs; joining must not hold mu_ (the workers still lock it).
-    // ndp-lint: guarded-by-ok single-threaded teardown, join cannot hold mu_
-    for (std::thread& t : threads_) t.join();
-  }
-
- private:
-  SweepPool() = default;
-
-  /// The sweep description travels by value: callers snapshot body/num_points
-  /// under mu_ (or own them, in Run), so the drain loop itself touches no
-  /// guarded state — only the atomic point ticket.
-  void DrainPoints(const std::function<void(size_t)>& body, size_t num_points) {
-    for (size_t i = next_point_.fetch_add(1); i < num_points;
-         i = next_point_.fetch_add(1)) {
-      body(i);
-    }
-  }
-
-  void WorkerMain(size_t id) {
-    uint64_t seen = 0;
-    for (;;) {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return generation_ != seen || shutdown_; });
-      if (shutdown_) return;
-      seen = generation_;
-      if (id >= active_workers_) continue;  // this round wants fewer workers
-      const std::function<void(size_t)>& body = *body_;
-      const size_t num_points = num_points_;
-      lock.unlock();
-      DrainPoints(body, num_points);
-      lock.lock();
-      if (--workers_left_ == 0) done_cv_.notify_all();
-    }
-  }
-
-  mutable std::mutex mu_;
-  std::mutex run_mu_;  ///< serializes sweeps (nested calls run inline instead)
-  std::condition_variable work_cv_, done_cv_;
-  std::vector<std::thread> threads_;  // ndp: guarded-by(mu_)
-  const std::function<void(size_t)>* body_ = nullptr;  // ndp: guarded-by(mu_)
-  std::atomic<size_t> next_point_{0};
-  size_t num_points_ = 0;      // ndp: guarded-by(mu_)
-  size_t active_workers_ = 0;  // ndp: guarded-by(mu_)
-  size_t workers_left_ = 0;    // ndp: guarded-by(mu_)
-  uint64_t generation_ = 0;    // ndp: guarded-by(mu_)
-  uint64_t threads_spawned_ = 0;  // ndp: guarded-by(mu_)
-  bool shutdown_ = false;      // ndp: guarded-by(mu_)
-};
-
-namespace internal {
-/// True while this thread is executing a sweep point: a nested ParallelSweep
-/// (a point that itself sweeps) must run inline rather than deadlock waiting
-/// for the pool it is currently occupying.
-inline thread_local bool in_sweep_point = false;
-}  // namespace internal
-
-/// Runs `fn(point_index)` for every index in [0, num_points) across
-/// `num_threads` workers and returns the results in point order. `fn` must be
-/// self-contained per point: it builds its own model state and returns a
-/// result value; it must not touch shared mutable state (stdout included —
-/// print from the returned results instead).
+/// Runs `fn(point_index)` for every index in [0, num_points) on
+/// min(num_threads, num_points) threads (the caller is one of them), which
+/// claim points from one shared ticket, and returns the results in point
+/// order. `fn` must be self-contained per point: it builds its own model state
+/// and returns a result value; it must not touch shared mutable state (stdout
+/// included — print from the returned results instead).
 template <typename Result, typename Fn>
 std::vector<Result> ParallelSweep(size_t num_points, Fn&& fn,
                                   unsigned num_threads = SweepThreads()) {
   std::vector<Result> results(num_points);
-  if (num_points == 0) return results;
-  if (num_threads <= 1 || internal::in_sweep_point) {
-    for (size_t i = 0; i < num_points; ++i) results[i] = fn(i);
-    return results;
-  }
-  if (num_threads > num_points) num_threads = static_cast<unsigned>(num_points);
-  std::function<void(size_t)> body = [&](size_t i) {
-    internal::in_sweep_point = true;
-    results[i] = fn(i);
-    internal::in_sweep_point = false;
+  std::atomic<size_t> next_point{0};
+  auto drain = [&] {
+    for (size_t i = next_point++; i < num_points; i = next_point++) {
+      results[i] = fn(i);
+    }
   };
-  // The caller participates, so the pool only needs num_threads - 1 workers.
-  SweepPool::Instance().Run(num_points, num_threads - 1, body);
+  std::vector<std::thread> threads;
+  for (size_t t = 1; t < num_threads && t < num_points; ++t) {
+    threads.emplace_back(drain);
+  }
+  drain();
+  for (std::thread& t : threads) t.join();
   return results;
 }
 

@@ -147,8 +147,10 @@ class MemoryController : public sim::TickingComponent {
   uint32_t refresh_rank_ = 0;
   /// Persistent wake-up for the next refresh deadline; rescheduling it is
   /// allocation-free (one of these exists for the controller's lifetime).
+  /// Background: refresh recurs forever, so a run waiting on nothing else is
+  /// stuck.
   sim::MemberEventNode<MemoryController, &MemoryController::RefreshWake>
-      refresh_wake_{this};
+      refresh_wake_{this, /*background=*/true};
 
   // Busy-time accounting (transition-timestamp based, exact).
   ControllerCounters counters_;

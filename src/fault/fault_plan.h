@@ -4,8 +4,8 @@
 // configured with the same plan inject byte-identical fault sequences.
 //
 // Plans are built in code: benches and tests fill the struct directly (e.g.
-// PlatformConfig::fault_plan, as abl_faults does), which is also thread-safe
-// for ParallelSweep.
+// PlatformConfig::fault_plan, as abl_faults does). A plan is plain data, so
+// each point of a parallel bench sweep carries its own copy.
 //
 // All probabilities are per draw site: ecc_* per DRAM read burst, hang/stall
 // per device job (stall re-drawn per burst), corrupt per bitmap flush, drop

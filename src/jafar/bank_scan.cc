@@ -117,8 +117,7 @@ void Device::BankScan::RunSegment(const Segment& seg) {
 void Device::BankScan::ArmSegment(dram::DramLocation loc, uint64_t first_burst,
                                   uint32_t nbursts) {
   // ARM requires a closed bank (the comparator taps the sense amps across a
-  // fresh activation). A leftover open row — host traffic in polite mode —
-  // gets precharged first.
+  // fresh activation). A leftover open row gets precharged first.
   if (dev_->channel().rank(dev_->rank_index_).bank(loc.bank).has_open_row()) {
     dram::Command pre{dram::CommandType::kPrecharge, dev_->rank_index_, loc.bank};
     dev_->IssueWhenReady(
@@ -155,10 +154,11 @@ void Device::BankScan::Reactivate(dram::DramLocation loc, uint64_t first_burst,
       /*defer_to_refresh=*/false);
 }
 
-// A third party opened the bank between scheduling and issue (polite-mode
-// host traffic): close it and try the activation again. The forced PRE may
-// drain accumulated bits early; that splits one drain into two but changes
-// nothing functionally — the accumulator is drained bitwise-incrementally.
+// A third party opened the bank between scheduling and issue: close it and
+// try the activation again. v2 runs only under rank ownership, so this is a
+// guard no run is known to reach. The forced PRE may drain accumulated bits
+// early; that splits one drain into two but changes nothing functionally —
+// the accumulator is drained bitwise-incrementally.
 void Device::BankScan::ArmOrReopen(dram::DramLocation loc, uint64_t first_burst,
                                    uint32_t idx, uint32_t nbursts) {
   dram::Command pre{dram::CommandType::kPrecharge, dev_->rank_index_, loc.bank};

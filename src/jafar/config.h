@@ -51,7 +51,9 @@ struct DeviceConfig {
 
   /// When true, JAFAR requires MR3/MPR rank ownership before running; when
   /// false it runs "politely", issuing commands only while the host memory
-  /// controller is idle (the §3.3 no-scheduler scenario).
+  /// controller is idle (the §3.3 no-scheduler scenario). A v2 bank-level
+  /// device rejects every job unless this is true: its armed-bank waves
+  /// cannot yield to host traffic mid-wave.
   bool require_ownership = true;
 
   /// Parallel compare-exchange units in the sorter network.

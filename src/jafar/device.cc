@@ -269,6 +269,11 @@ void Device::BurstChain(dram::CommandType type, BurstRun run,
 Status Device::Start(const JobDescriptor& job,
                      std::function<void(const Completion&)> on_done) {
   if (busy_) return Status::DeviceBusy("a job is already executing");
+  if (bank_scan_ && !config_.require_ownership) {
+    return Status::InvalidArgument(
+        "a bank-level (v2) device needs rank ownership: polite mode would "
+        "back off mid-wave with banks armed");
+  }
   if (config_.require_ownership &&
       channel().rank(rank_index_).owner() != dram::RankOwner::kAccelerator) {
     return Status::FailedPrecondition(

@@ -61,6 +61,11 @@ class EventNode {
   Tick when() const { return when_; }
 
  protected:
+  /// A background node (periodic upkeep such as DRAM refresh) never keeps a
+  /// run loop alive on its own: RunUntilTrue gives up once only background
+  /// nodes are pending.
+  explicit EventNode(bool background) : background_(background) {}
+
   /// Runs when simulated time reaches when(). The node is unscheduled before
   /// Fire() is invoked, so it may immediately reschedule itself.
   virtual void Fire() = 0;
@@ -71,6 +76,7 @@ class EventNode {
   uint64_t seq_ = 0;
   EventNode* next_ = nullptr;  ///< slot chain / free-list link
   bool scheduled_ = false;
+  bool background_ = false;
 };
 
 /// \brief Timing-wheel event queue with deterministic FIFO tie-breaking.
@@ -103,6 +109,7 @@ class EventQueue {
     node->scheduled_ = true;
     node->next_ = nullptr;
     ++num_pending_;
+    num_background_ += node->background_;
     if (num_pending_ == 1) {
       solo_ = node;  // fast path: sole pending event bypasses the wheel
       return;
@@ -120,6 +127,7 @@ class EventQueue {
     NDP_CHECK_MSG(node->scheduled_, "cancelling an unscheduled event node");
     node->scheduled_ = false;
     --num_pending_;
+    num_background_ -= node->background_;
     if (solo_ == node) {
       solo_ = nullptr;
       return;
@@ -157,6 +165,8 @@ class EventQueue {
 
   bool empty() const { return num_pending_ == 0; }
   size_t size() const { return num_pending_; }
+  /// True when nothing but background nodes is pending.
+  bool foreground_empty() const { return num_pending_ == num_background_; }
 
   /// Lifetime count of events executed (Step() completions) — the per-
   /// partition `sim.part<k>.events` counter in partitioned runs.
@@ -212,13 +222,16 @@ class EventQueue {
     return n;
   }
 
-  /// Runs until `pred()` is true or the queue empties. Returns whether the
-  /// predicate was satisfied. Templated so the per-event predicate check is a
-  /// direct (inlinable) call, not a std::function dispatch.
+  /// Runs until `pred()` is true or only background events remain (a run
+  /// that is waiting on nothing but refresh is stuck, not slow). Returns
+  /// whether the predicate was satisfied. Templated so the per-event
+  /// predicate check is a direct (inlinable) call, not a std::function
+  /// dispatch.
   template <typename Pred>
   bool RunUntilTrue(Pred&& pred) {
     while (!pred()) {
-      if (!Step()) return pred();
+      if (foreground_empty()) return pred();
+      Step();
     }
     return true;
   }
@@ -381,6 +394,7 @@ class EventQueue {
     }
     node->scheduled_ = false;
     --num_pending_;
+    num_background_ -= node->background_;
     return node;
   }
 
@@ -427,6 +441,7 @@ class EventQueue {
   Tick now_ = 0;
   uint64_t next_seq_ = 0;
   size_t num_pending_ = 0;
+  size_t num_background_ = 0;  ///< pending background nodes
   uint64_t executed_events_ = 0;
   Tick last_executed_ps_ = 0;
   uint32_t partition_id_ = kNoPartition;

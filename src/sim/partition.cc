@@ -39,6 +39,11 @@ Tick PartitionSet::MinNextEventTime() {
   return e;
 }
 
+bool PartitionSet::ForegroundEmpty() const {
+  return std::all_of(queues_.begin(), queues_.end(),
+                     [](const auto& q) { return q->foreground_empty(); });
+}
+
 void PartitionSet::DrainPorts() {
   const uint32_t k = num_partitions();
   for (uint32_t dst = 0; dst < k; ++dst) {

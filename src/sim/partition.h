@@ -73,16 +73,15 @@ class PartitionSet {
   void RunUntil(Tick until);
 
   /// Runs epochs until `pred()` holds (evaluated only at barriers, after the
-  /// port drain) or every wheel and port is empty. Returns whether the
-  /// predicate was satisfied.
+  /// port drain) or every port is empty and every wheel holds only background
+  /// events. Returns whether the predicate was satisfied.
   template <typename Pred>
   bool RunUntilTrue(Pred&& pred) {
     for (;;) {
       DrainPorts();
       if (pred()) return true;
-      Tick e = MinNextEventTime();
-      if (e == EventNode::kNever) return pred();
-      RunEpoch(e + lookahead_);
+      if (ForegroundEmpty()) return pred();
+      RunEpoch(MinNextEventTime() + lookahead_);
     }
   }
 
@@ -98,6 +97,8 @@ class PartitionSet {
 
   /// Earliest pending event across all partitions; kNever when idle.
   Tick MinNextEventTime();
+  /// True when every wheel holds only background events (ports not checked).
+  bool ForegroundEmpty() const;
   /// Delivers all ported messages in (dst, src, FIFO) order.
   void DrainPorts();
   /// One conservative window: every partition runs to `t_end` - 1, then the

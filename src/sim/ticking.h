@@ -84,7 +84,8 @@ class TickingComponent {
 template <typename T, void (T::*Method)()>
 class MemberEventNode final : public EventNode {
  public:
-  explicit MemberEventNode(T* obj) : obj_(obj) {}
+  explicit MemberEventNode(T* obj, bool background = false)
+      : EventNode(background), obj_(obj) {}
 
  protected:
   void Fire() override { (obj_->*Method)(); }

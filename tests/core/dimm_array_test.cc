@@ -32,6 +32,22 @@ TEST(DimmArrayTest, BuildsOneDevicePerRank) {
   }
 }
 
+TEST(DimmArrayTest, RunUntilTrueGivesUpWhenOnlyRefreshRemains) {
+  // Refresh recurs forever, so a wait for anything else on an idle array is
+  // stuck and must say so. The cap keeps a kernel that runs refresh anyway
+  // from hanging: the predicate turns true on its kCap-th call.
+  constexpr uint64_t kCap = 10'000;
+  for (bool partitioned : {false, true}) {
+    DimmArray array(dram::DramTiming::DDR3_1600(), 2, 1, Config(),
+                    /*rows_per_bank=*/8192, partitioned);
+    ASSERT_TRUE(array.dram().controller(0).config().refresh_enabled);
+    uint64_t calls = 0;
+    EXPECT_FALSE(array.RunUntilTrue([&] { return ++calls >= kCap; }))
+        << "partitioned=" << partitioned;
+    EXPECT_LT(calls, kCap) << "partitioned=" << partitioned;
+  }
+}
+
 TEST(DimmArrayTest, PartitionsCoverAllRows) {
   DimmArray array(dram::DramTiming::DDR3_1600(), 4, 1, Config());
   db::Column col = RandomColumn(100000);

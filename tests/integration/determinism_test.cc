@@ -5,6 +5,7 @@
 // any worker-thread count (the property that makes the parallel benches'
 // output byte-identical across NDP_BENCH_THREADS settings).
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -127,6 +128,31 @@ TEST(DeterminismTest, ParallelSweepIsThreadCountInvariant) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i], parallel[i]) << "sweep point " << i;
+  }
+}
+
+TEST(ParallelSweepTest, ResultsAreInPointOrderRegardlessOfClaimOrder) {
+  const size_t n = 257;  // not a multiple of any thread count
+  std::vector<size_t> out = bench::ParallelSweep<size_t>(
+      n, [](size_t i) { return i * 3 + 1; }, /*num_threads=*/5);
+  ASSERT_EQ(out.size(), n);
+  for (size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], i * 3 + 1);
+}
+
+TEST(ParallelSweepTest, NestedSweepSpawnsItsOwnThreads) {
+  // A sweep point that itself sweeps runs a whole sweep of its own: its
+  // threads claim the inner points and are joined before the point returns.
+  std::vector<uint64_t> out = bench::ParallelSweep<uint64_t>(
+      6,
+      [](size_t i) {
+        std::vector<uint64_t> inner = bench::ParallelSweep<uint64_t>(
+            4, [i](size_t j) { return static_cast<uint64_t>(i * 10 + j); },
+            /*num_threads=*/4);
+        return std::accumulate(inner.begin(), inner.end(), uint64_t{0});
+      },
+      /*num_threads=*/3);
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], 4 * static_cast<uint64_t>(i) * 10 + 0 + 1 + 2 + 3);
   }
 }
 

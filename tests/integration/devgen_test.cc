@@ -8,10 +8,10 @@
 //     Device of each generation runs a row-store, a packed 32-bit select and
 //     a Bloom probe job, with each generation's duration pinned.
 //   * Device digest: every job kind on a bare device of each generation, with
-//     refresh on, in polite mode beside host traffic and under two seeded
-//     fault plans, folded into one golden hash (completions, DeviceStats,
-//     writeback checksum, output bytes, simulated time, stats dump). A
-//     sequencing change in jafar::Device moves it.
+//     refresh on, in polite mode beside host traffic (v1 only: v2 rejects
+//     it) and under two seeded fault plans, folded into one golden hash
+//     (completions, DeviceStats, writeback checksum, output bytes, simulated
+//     time, stats dump). A sequencing change in jafar::Device moves it.
 //   * Strict name parsing: ParseDeviceGeneration (what NDP_DEVICE_GEN goes
 //     through in the bench harness) accepts exactly the published generation
 //     names; a typo is an error listing them, never a silent fallback.
@@ -502,10 +502,12 @@ class DeviceDigestTest : public ::testing::Test {
         done = c;
       });
       Mix(static_cast<uint64_t>(st.code()));
+      // Stepped by hand, not RunUntilTrue: a stuck job leaves only refresh
+      // pending, and the digest pins the run to its full deadline.
       const sim::Tick deadline = rig.eq.Now() + kDeadlinePs;
-      rig.eq.RunUntilTrue([&] {
-        return called || !rig.device->busy() || rig.eq.Now() >= deadline;
-      });
+      while (!called && rig.device->busy() && rig.eq.Now() < deadline &&
+             rig.eq.Step()) {
+      }
       rig.device->AbortJob();  // no-op unless stalled, hung or late
       Mix(called);
       Mix(static_cast<uint64_t>(done.status.code()));
@@ -551,10 +553,25 @@ TEST_F(DeviceDigestTest, EveryJobKindOnBothGenerationsMatchesGolden) {
                                          &faults, &other}) {
       RunRig(gen, /*elem_bytes=*/8, /*polite=*/false, plan);
       RunRig(gen, /*elem_bytes=*/4, /*polite=*/false, plan);
+      // v2 rejects polite mode at Start, so its rows hash the rejection.
       RunRig(gen, /*elem_bytes=*/8, /*polite=*/true, plan);
     }
   }
-  EXPECT_EQ(hash_, 0x3861ba1f6f876982ull);
+  EXPECT_EQ(hash_, 0x886aedc8280b00b7ull);
+}
+
+// A v2 device's armed-bank waves cannot yield the rank mid-wave, so polite
+// mode (no rank ownership) would back off forever; Start refuses it instead.
+using DeviceOwnershipTest = DeviceDigestTest;
+
+TEST_F(DeviceOwnershipTest, BankLevelRejectsEveryJobWithoutRankOwnership) {
+  Rig rig(jafar::DeviceGeneration::kV2BankLevel, /*elem_bytes=*/8,
+          /*polite=*/true, /*plan=*/nullptr);
+  for (const jafar::JobDescriptor& job : Jobs()) {
+    Status st = rig.device->Start(job, nullptr);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_FALSE(rig.device->busy());
+  }
 }
 
 // -- Strict generation-name parsing ------------------------------------------

@@ -1,11 +1,7 @@
 // ndp-analyze fixture: a bench-side caller of the other rules' header
 // fixtures, so test-only fires only where its own fixtures mean it to.
 namespace ndp::fixture {
-int CallHeaderFixtures(GuardedFire* f, GuardedWaive* w) {
-  f->Bump();
-  f->Locked();
-  f->Required();
-  w->Bump();
+int CallHeaderFixtures() {
   return LayerFire() + LayerWaive() + GuardlessHeader() +
          WaivedGuardlessHeader();
 }

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "sim/ticking.h"
+
 namespace ndp::sim {
 namespace {
 
@@ -82,6 +84,39 @@ TEST(EventQueueTest, RunUntilTrueReportsFailureOnDrain) {
   bool satisfied = eq.RunUntilTrue([] { return false; });
   EXPECT_FALSE(satisfied);
   EXPECT_TRUE(eq.empty());
+}
+
+/// Background upkeep that reschedules itself forever, like a refresh wake.
+struct Upkeep {
+  explicit Upkeep(EventQueue* q) : eq(q) { eq->Schedule(100, &node); }
+  ~Upkeep() {
+    if (node.scheduled()) eq->Cancel(&node);
+  }
+  void Fire() {
+    ++fired;
+    eq->Schedule(eq->Now() + 100, &node);
+  }
+  EventQueue* eq;
+  int fired = 0;
+  MemberEventNode<Upkeep, &Upkeep::Fire> node{this, /*background=*/true};
+};
+
+TEST(EventQueueTest, RunUntilTrueStopsWhenOnlyBackgroundEventsRemain) {
+  EventQueue eq;
+  Upkeep upkeep(&eq);
+  bool ran = false;
+  eq.ScheduleAt(250, [&] { ran = true; });
+  // Background events interleave with foreground ones in time order, but
+  // once the last foreground event ran the wait is over.
+  EXPECT_FALSE(eq.RunUntilTrue([] { return false; }));
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(upkeep.fired, 2);
+  EXPECT_EQ(eq.Now(), 250u);
+  EXPECT_TRUE(upkeep.node.scheduled());
+  EXPECT_TRUE(eq.foreground_empty());
+  EXPECT_FALSE(eq.empty());
+  // A satisfied predicate still wins over an all-background queue.
+  EXPECT_TRUE(eq.RunUntilTrue([] { return true; }));
 }
 
 TEST(EventQueueDeathTest, SchedulingIntoThePastAborts) {

@@ -5,8 +5,8 @@
 //
 //   * the eleven seed rules run per file over lexed (comment/string-clean)
 //     lines — see rules_file.cc;
-//   * the whole-program passes (stats coherence, guarded-by, layer DAG,
-//     knob coherence, bounded queues, test-only, never-set) run over the
+//   * the whole-program passes (stats coherence, layer DAG, knob
+//     coherence, bounded queues, test-only, never-set) run over the
 //     cross-TU index — see passes.cc. examples/ and perfbench/ are read as
 //     a call corpus for test-only and never-set but never rule-checked;
 //   * two meta rules make the waiver ledger itself honest: every waiver

@@ -10,10 +10,6 @@ namespace ndp::analyze {
 
 namespace {
 
-bool IsPunct(const Tok& t, const char* text) {
-  return t.kind == TokKind::kPunct && t.text == text;
-}
-
 // -- stats coherence ----------------------------------------------------------
 
 const std::set<std::string> kHistSubleaves = {"count", "sum",  "mean",
@@ -141,204 +137,6 @@ void PassStatsCoherence(std::vector<SourceFile>& files, const Index& idx,
              "or asserts it by name; wire it up (tests/util/"
              "stats_coverage_test.cc pins the documented surface) or drop it",
          out);
-  }
-}
-
-// -- guarded-by ---------------------------------------------------------------
-
-struct GuardedField {
-  std::string name;
-  std::string mutex;
-  size_t file = 0;
-  size_t decl_line = 0;  ///< the annotated declaration (exempt from checks)
-};
-
-/// The trailing identifier of a mutex expression: "p->mu_" → "mu_".
-std::string TailName(const std::string& expr) {
-  size_t cut = expr.find_last_of(".>:");
-  return cut == std::string::npos ? expr : expr.substr(cut + 1);
-}
-
-/// Extracts the field name declared on the annotation's line (or the line
-/// below, for an annotation written above the declaration).
-bool FieldOnLine(const SourceFile& f, size_t line, std::string* name) {
-  static const std::regex kDecl(
-      R"(([A-Za-z_][A-Za-z0-9_]*)\s*(?:=[^;]*|\{[^;]*\})?\s*;)");
-  if (line == 0 || line > f.lex.code.size()) return false;
-  std::smatch m;
-  if (!std::regex_search(f.lex.code[line - 1], m, kDecl)) return false;
-  *name = m[1].str();
-  return true;
-}
-
-void CheckGuardedUses(std::vector<SourceFile>& files, size_t target,
-                      const std::vector<GuardedField>& fields,
-                      std::vector<Finding>* out) {
-  SourceFile& f = files[target];
-  const auto& toks = f.lex.tokens;
-
-  std::vector<const Annotation*> reqs;
-  for (const Annotation& a : f.annotations) {
-    if (a.kind == "requires") reqs.push_back(&a);
-  }
-  std::sort(reqs.begin(), reqs.end(),
-            [](const Annotation* a, const Annotation* b) {
-              return a->line < b->line;
-            });
-  size_t next_req = 0;
-
-  struct Lock {
-    std::string mutex;
-    std::string var;
-    int depth;
-  };
-  int depth = 0;
-  std::vector<Lock> active;
-  std::map<std::string, std::string> lock_vars;  // var → mutex tail
-  std::set<std::pair<size_t, std::string>> emitted;
-
-  for (size_t i = 0; i < toks.size(); ++i) {
-    const Tok& t = toks[i];
-    if (t.kind == TokKind::kPunct) {
-      if (t.text == "{") {
-        ++depth;
-        while (next_req < reqs.size() && reqs[next_req]->line <= t.line) {
-          active.push_back({TailName(reqs[next_req]->arg), "", depth});
-          ++next_req;
-        }
-      } else if (t.text == "}") {
-        --depth;
-        active.erase(std::remove_if(active.begin(), active.end(),
-                                    [&](const Lock& l) {
-                                      return l.depth > depth;
-                                    }),
-                     active.end());
-      }
-      continue;
-    }
-    if (t.kind != TokKind::kIdent) continue;
-
-    if (t.text == "lock_guard" || t.text == "unique_lock" ||
-        t.text == "scoped_lock") {
-      size_t j = i + 1;
-      if (j < toks.size() && IsPunct(toks[j], "<")) {
-        int td = 1;
-        ++j;
-        while (j < toks.size() && td > 0) {
-          if (IsPunct(toks[j], "<")) ++td;
-          else if (IsPunct(toks[j], ">")) --td;
-          else if (IsPunct(toks[j], ">>")) td -= 2;
-          ++j;
-        }
-      }
-      std::string var;
-      if (j < toks.size() && toks[j].kind == TokKind::kIdent) {
-        var = toks[j].text;
-        ++j;
-      }
-      if (j < toks.size() && (IsPunct(toks[j], "(") || IsPunct(toks[j], "{"))) {
-        int d = 1;
-        std::string tail;
-        for (++j; j < toks.size() && d > 0; ++j) {
-          const Tok& a = toks[j];
-          if (a.kind == TokKind::kPunct) {
-            if (a.text == "(" || a.text == "{") ++d;
-            else if (a.text == ")" || a.text == "}") {
-              if (--d == 0) break;
-            } else if (a.text == "," && d == 1) {
-              if (!tail.empty()) active.push_back({tail, var, depth});
-              if (!var.empty() && !tail.empty()) lock_vars[var] = tail;
-              tail.clear();
-            }
-          } else if (a.kind == TokKind::kIdent) {
-            tail = a.text;
-          }
-        }
-        if (!tail.empty()) {
-          active.push_back({tail, var, depth});
-          if (!var.empty()) lock_vars[var] = tail;
-        }
-        i = j;
-      }
-      continue;
-    }
-
-    if ((t.text == "unlock" || t.text == "lock") && i >= 2 &&
-        IsPunct(toks[i - 1], ".") && toks[i - 2].kind == TokKind::kIdent &&
-        lock_vars.count(toks[i - 2].text) > 0 && i + 1 < toks.size() &&
-        IsPunct(toks[i + 1], "(")) {
-      const std::string& var = toks[i - 2].text;
-      if (t.text == "unlock") {
-        active.erase(std::remove_if(active.begin(), active.end(),
-                                    [&](const Lock& l) { return l.var == var; }),
-                     active.end());
-      } else {
-        active.push_back({lock_vars[var], var, depth});
-      }
-      continue;
-    }
-
-    for (const GuardedField& gf : fields) {
-      if (t.text != gf.name) continue;
-      if (target == gf.file && t.line == gf.decl_line) continue;
-      const bool held = std::any_of(
-          active.begin(), active.end(),
-          [&](const Lock& l) { return l.mutex == gf.mutex; });
-      if (held) continue;
-      if (!emitted.insert({t.line, gf.name}).second) continue;
-      Emit(f, t.line, "guarded-by",
-           "field '" + gf.name + "' is guarded by '" + gf.mutex +
-               "' (annotation in " + files[gf.file].rel +
-               ") but accessed without it held; take the lock, annotate the "
-               "function with // ndp: requires(" + gf.mutex +
-               "), or waive with the synchronization argument",
-           out);
-    }
-  }
-}
-
-void PassGuardedBy(std::vector<SourceFile>& files, std::vector<Finding>* out) {
-  // Collect annotated fields per file, then check each declaring file and
-  // its .h/.cc sibling (the lexical scope where a member can be touched).
-  std::map<std::string, size_t> by_rel;
-  for (size_t i = 0; i < files.size(); ++i) by_rel[files[i].rel] = i;
-
-  std::map<size_t, std::vector<GuardedField>> per_file;
-  for (size_t fi = 0; fi < files.size(); ++fi) {
-    for (const Annotation& a : files[fi].annotations) {
-      if (a.kind != "guarded-by") continue;
-      GuardedField gf;
-      gf.mutex = TailName(a.arg);
-      gf.file = fi;
-      if (FieldOnLine(files[fi], a.line, &gf.name)) {
-        gf.decl_line = a.line;
-      } else if (FieldOnLine(files[fi], a.line + 1, &gf.name)) {
-        gf.decl_line = a.line + 1;
-      } else {
-        Emit(files[fi], a.line, "guarded-by",
-             "guarded-by annotation does not sit on (or above) a parseable "
-             "field declaration",
-             out);
-        continue;
-      }
-      per_file[fi].push_back(std::move(gf));
-    }
-  }
-
-  for (auto& [fi, fields] : per_file) {
-    std::set<size_t> targets = {fi};
-    const std::string& rel = files[fi].rel;
-    std::string sibling;
-    if (rel.size() > 2 && rel.rfind(".h") == rel.size() - 2) {
-      sibling = rel.substr(0, rel.size() - 2) + ".cc";
-    } else if (rel.size() > 3 && rel.rfind(".cc") == rel.size() - 3) {
-      sibling = rel.substr(0, rel.size() - 3) + ".h";
-    }
-    auto it = by_rel.find(sibling);
-    if (it != by_rel.end()) targets.insert(it->second);
-    for (size_t target : targets) {
-      CheckGuardedUses(files, target, fields, out);
-    }
   }
 }
 
@@ -653,7 +451,6 @@ void PassNeverSet(std::vector<SourceFile>& files, const Index& idx,
 void RunPasses(std::vector<SourceFile>& files, const Index& idx,
                std::vector<Finding>* out) {
   PassStatsCoherence(files, idx, out);
-  PassGuardedBy(files, out);
   PassLayerDag(files, idx, out);
   PassKnobCoherence(files, idx, out);
   PassBoundedQueue(files, idx, out);

@@ -5,10 +5,6 @@
 //                       "prefix"+i dynamic scopes, histogram subleaves)
 //   stats-dead          a registered leaf never named by any non-registration
 //                       string literal anywhere in the corpus is dead weight
-//   guarded-by          fields annotated "// ndp: guarded-by(m)" may only be
-//                       touched while m is lexically held (lock_guard/
-//                       unique_lock/scoped_lock scopes, .unlock()/.lock(),
-//                       "// ndp: requires(m)" function annotations)
 //   layer-dag           #include edges must respect util → sim →
 //                       dram/accel/fault → jafar → cpu/db → core, with an
 //                       explicit allowlist for sanctioned back-edges

@@ -9,7 +9,7 @@ namespace {
 
 const std::regex kWaiver(R"(ndp-lint:\s*([a-z][a-z0-9-]*)-ok)");
 const std::regex kAnnotation(
-    R"(ndp:\s*(guarded-by|requires|stats-scope|bounded-by)\s*\(([^)]*)\))");
+    R"(ndp:\s*(stats-scope|bounded-by)\s*\(([^)]*)\))");
 const std::regex kWord(R"([A-Za-z]{2,})");
 
 /// Parses every waiver and annotation out of one comment.

@@ -10,10 +10,11 @@
 //                 mandatory (the waiver-reason meta rule fires without it),
 //                 and a waiver that never suppressed anything is itself a
 //                 finding (stale-waiver) — `used` tracks that.
-//   annotations   "// ndp: guarded-by(<mutex>)"    field is guarded by mutex
-//                 "// ndp: requires(<mutex>)"      next function body holds it
-//                 "// ndp: stats-scope(a|b|c)"     a dynamic Sub() only ever
+//   annotations   "// ndp: stats-scope(a|b|c)"     a dynamic Sub() only ever
 //                                                  produces these segments
+//                 "// ndp: bounded-by(S::field)"   a growable ingress-path
+//                                                  container is capped by
+//                                                  that config field
 #pragma once
 
 #include <filesystem>
@@ -33,7 +34,7 @@ struct Waiver {
 
 struct Annotation {
   size_t line = 0;   ///< 1-based line of the annotation comment
-  std::string kind;  ///< guarded-by | requires | stats-scope
+  std::string kind;  ///< stats-scope | bounded-by
   std::string arg;   ///< the text inside the parentheses
 };
 

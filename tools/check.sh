@@ -5,8 +5,8 @@
 #   1. default build    — full ctest suite (unit + bench_smoke + lint +
 #                         analyze labels)
 #   2. ndp-analyze      — whole-program analysis of src/ bench/ tests/ (the
-#                         lexed file rules plus the cross-TU stats/guarded-by/
-#                         layer-DAG/knob/bounded-queue/test-only/never-set
+#                         lexed file rules plus the cross-TU stats/layer-DAG/
+#                         knob/bounded-queue/test-only/never-set
 #                         passes; also a ctest, but run directly here so its
 #                         findings print even if the build of the test tree
 #                         fails), then the fixture corpus against its golden
@@ -27,10 +27,10 @@
 #                         cancellation, deadline-culled slots) are where
 #                         lifetime bugs would hide
 #   5. tsan build       — -DNDP_SANITIZE=thread: the fault + runtime +
-#                         devgen + serving + join + unit suites under TSan
-#                         (ParallelSweep shares columns across workers), then
-#                         the pdes suite, whose persistent SweepPool worker
-#                         handshake is the threaded code TSan exists to audit
+#                         devgen + serving + join + unit suites under TSan;
+#                         the unit suite's ParallelSweep tests are the only
+#                         threaded code (sweep threads share columns and
+#                         the point ticket)
 #   6. clang-tidy       — only if clang-tidy is on PATH (the pinned CI image
 #                         ships gcc only)
 #
@@ -86,9 +86,6 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}"
 step "ctest (${PREFIX}-tsan: faults + runtime + devgen + serving + join + unit under TSan)"
 ctest --test-dir "${PREFIX}-tsan" -j "${JOBS}" \
   -L 'unit|faults|runtime|devgen|serving|join' --output-on-failure
-
-step "ctest (${PREFIX}-tsan: pdes under TSan)"
-ctest --test-dir "${PREFIX}-tsan" -j "${JOBS}" -L pdes --output-on-failure
 
 if command -v clang-tidy >/dev/null 2>&1; then
   step "clang-tidy"
