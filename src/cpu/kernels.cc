@@ -117,22 +117,34 @@ bool ReplayStream::Next(Uop* uop) {
     }
     if (access_pending_) {
       access_pending_ = false;
-      const TraceEvent& ev = (*events_)[i_ - 1];
       Uop u;
-      u.type = ev.kind == TraceEvent::Kind::kLoad ? UopType::kLoad
-                                                  : UopType::kStore;
-      u.addr = ev.value;
+      u.type = pending_.kind == TraceEvent::Kind::kLoad ? UopType::kLoad
+                                                        : UopType::kStore;
+      u.addr = pending_.value;
       *uop = u;
       return true;
     }
-    if (i_ >= events_->size()) return false;
-    const TraceEvent& ev = (*events_)[i_++];
-    if (ev.kind == TraceEvent::Kind::kCompute) {
-      compute_left_ = ev.value;
+    if (run_left_ > 0) {
+      --run_left_;
+      pending_ = history_.Predict(run_period_);
+    } else if (i_ < events_->size()) {
+      const TraceEvent& ev = (*events_)[i_++];
+      if (ev.kind == TraceEvent::Kind::kCompute) {
+        compute_left_ = ev.value;
+        continue;
+      }
+      if (ev.kind == TraceEvent::Kind::kRun) {
+        run_left_ = ev.value;
+        run_period_ = ev.compute;
+        continue;
+      }
+      pending_ = ev;
     } else {
-      compute_left_ = ev.compute;
-      access_pending_ = true;
+      return false;
     }
+    history_.Push(pending_);
+    compute_left_ = pending_.compute;
+    access_pending_ = true;
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "cpu/uop.h"
@@ -227,12 +228,15 @@ class MergeSortStream : public LoopStream {
   uint32_t passes_ = 0;
 };
 
-/// One event of a recorded operator trace (see db::TraceRecorder), packed
-/// into one 64-bit word. A kLoad/kStore carries its address in `value` and
-/// the ALU µops that run before it in `compute`; a standalone kCompute
-/// carries a µop count in `value` (used when a gap overflows `compute`).
+/// One record of a recorded operator trace (see db::TraceRecorder), packed
+/// into one 64-bit word. A kLoad/kStore is one access: its address in
+/// `value` and the ALU µops that run before it in `compute`. A standalone
+/// kCompute carries a µop count in `value` (used when a gap overflows
+/// `compute`). A kRun stands for `value` accesses, each of which repeats the
+/// access `compute` positions earlier in the decoded stream (see
+/// TraceHistory::Predict).
 struct TraceEvent {
-  enum class Kind : uint8_t { kCompute, kLoad, kStore };
+  enum class Kind : uint8_t { kCompute, kLoad, kStore, kRun };
   static constexpr uint64_t kMaxValue = (uint64_t{1} << 46) - 1;
   static constexpr uint64_t kMaxCompute = (uint64_t{1} << 16) - 1;
 
@@ -243,11 +247,53 @@ struct TraceEvent {
     NDP_CHECK(c <= kMaxCompute);
   }
 
+  friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
+
   Kind kind : 2;
-  uint64_t value : 46;    ///< µop count for kCompute, address otherwise
-  uint64_t compute : 16;  ///< µops before a kLoad/kStore; 0 for kCompute
+  uint64_t value : 46;    ///< µop count for kCompute, run length for kRun,
+                          ///< address otherwise
+  uint64_t compute : 16;  ///< µops before a kLoad/kStore, period of a kRun;
+                          ///< 0 for kCompute
 };
 static_assert(sizeof(TraceEvent) == 8);
+
+/// \brief The last accesses of a trace, as both its encoder
+/// (db::TraceRecorder) and its decoder (ReplayStream) see them, so the two
+/// cannot disagree on what a kRun record expands to.
+class TraceHistory {
+ public:
+  /// The run periods the encoder tries, shortest first: a plain scan, two
+  /// interleaved lanes (load + store), and four (a gather's loads + store).
+  static constexpr uint32_t kRunPeriods[] = {1, 2, 4};
+
+  /// Appends one decoded kLoad/kStore.
+  void Push(const TraceEvent& access) { ring_[head_++ % kSize] = access; }
+
+  /// The access that repeats the one `k` back: same kind and compute gap,
+  /// its address advanced by that access's own stride, a[-k] + (a[-k] -
+  /// a[-2k]), in uint64 and then modulo the 46-bit field (the bit-field
+  /// store truncates). Slots not yet pushed hold a kCompute of value 0: a
+  /// prediction from one equals no access, and a missing a[-2k] reads as 0.
+  TraceEvent Predict(uint32_t k) const {
+    TraceEvent next = Back(k);
+    next.value = next.value + (next.value - Back(2 * k).value);
+    return next;
+  }
+
+ private:
+  static constexpr uint32_t kSize = 8;
+  static_assert(2 * kRunPeriods[std::size(kRunPeriods) - 1] <= kSize);
+
+  /// The access `k` back, k in [1, kSize]; any other k wraps the ring.
+  const TraceEvent& Back(uint32_t k) const {
+    return ring_[(head_ - k) % kSize];
+  }
+
+  static constexpr TraceEvent kNone{TraceEvent::Kind::kCompute, 0};
+  TraceEvent ring_[kSize] = {kNone, kNone, kNone, kNone,
+                             kNone, kNone, kNone, kNone};
+  uint32_t head_ = 0;
+};
 
 /// \brief Concatenates child streams back to back (e.g., per-block scans of a
 /// zone-map-pruned select). Does not own the children.
@@ -280,8 +326,12 @@ class ReplayStream : public UopStream {
  private:
   const std::vector<TraceEvent>* events_;
   size_t i_ = 0;
+  TraceHistory history_;
+  uint64_t run_left_ = 0;  ///< accesses of the open kRun not yet decoded
+  uint32_t run_period_ = 0;
   uint64_t compute_left_ = 0;
-  bool access_pending_ = false;  ///< events_[i_ - 1] runs once its gap drains
+  TraceEvent pending_{TraceEvent::Kind::kCompute, 0};
+  bool access_pending_ = false;  ///< pending_ runs once its gap drains
 };
 
 }  // namespace ndp::cpu

@@ -5,10 +5,15 @@
 // that is replayed through the simulated Xeon-class memory system while the
 // paper's RC_busy / WC_busy counters are sampled.
 //
-// Record format: one 8-byte cpu::TraceEvent per sampled access, carrying its
-// 46-bit address and, in a 16-bit field, the compute gap that precedes it. A
-// gap too large for that field is written as one standalone kCompute event
-// before the access. Replay expands both forms to the same µop stream.
+// Record format: 8-byte cpu::TraceEvents. A plain kLoad/kStore is one
+// sampled access, carrying its 46-bit address and, in a 16-bit field, the
+// compute gap that precedes it. A gap too large for that field is written as
+// one standalone kCompute record before the access. A kRun record stands for
+// a count of accesses that each repeat the access k positions earlier (same
+// kind and gap, address advanced by that access's own stride), k in {1, 2, 4}:
+// a scan or a gather loop is a few records, not one per access. Encoder and
+// decoder share cpu::TraceHistory, and replay expands every form to the same
+// per-access µop stream.
 #pragma once
 
 #include <cstdint>
@@ -101,15 +106,35 @@ class TraceRecorder {
   }
 
   /// Folds the pending compute gap into the access; a gap wider than the
-  /// record's compute field goes out first as a standalone kCompute.
+  /// record's compute field goes out first as a standalone kCompute, which
+  /// also closes any open run. The access then extends the open kRun, starts
+  /// a run at the first period that predicts it, or goes out as a plain
+  /// record.
   void Emit(cpu::TraceEvent::Kind kind, uint64_t addr) {
+    using cpu::TraceEvent;
     uint64_t gap = pending_compute_;
     pending_compute_ = 0;
-    if (gap > cpu::TraceEvent::kMaxCompute) {
-      events_.emplace_back(cpu::TraceEvent::Kind::kCompute, gap);
+    if (gap > TraceEvent::kMaxCompute) {
+      events_.emplace_back(TraceEvent::Kind::kCompute, gap);
       gap = 0;
     }
-    events_.emplace_back(kind, addr, gap);
+    const TraceEvent access(kind, addr, gap);
+    TraceEvent* run = events_.empty() ? nullptr : &events_.back();
+    if (run != nullptr && run->kind == TraceEvent::Kind::kRun &&
+        run->value < TraceEvent::kMaxValue &&
+        history_.Predict(run->compute) == access) {
+      ++run->value;
+    } else {
+      TraceEvent record = access;
+      for (uint32_t k : cpu::TraceHistory::kRunPeriods) {
+        if (history_.Predict(k) == access) {
+          record = TraceEvent(TraceEvent::Kind::kRun, 1, k);
+          break;
+        }
+      }
+      events_.push_back(record);
+    }
+    history_.Push(access);
   }
 
   uint32_t sample_period_;
@@ -119,6 +144,7 @@ class TraceRecorder {
   uint64_t pending_compute_ = 0;
   uint64_t total_accesses_ = 0;
   std::unordered_map<const Column*, uint64_t> layout_;
+  cpu::TraceHistory history_;
   std::vector<cpu::TraceEvent> events_;
 };
 

@@ -147,26 +147,6 @@ void Device::BankScan::Reactivate(dram::DramLocation loc, uint64_t first_burst,
       [this, loc, first_burst, idx, nbursts](sim::Tick) {
         ReadNext(loc, first_burst, idx, nbursts);
       },
-      /*on_stale=*/
-      [this, loc, first_burst, idx, nbursts] {
-        ArmOrReopen(loc, first_burst, idx, nbursts);
-      },
-      /*defer_to_refresh=*/false);
-}
-
-// A third party opened the bank between scheduling and issue: close it and
-// try the activation again. v2 runs only under rank ownership, so this is a
-// guard no run is known to reach. The forced PRE may drain accumulated bits
-// early; that splits one drain into two but changes nothing functionally —
-// the accumulator is drained bitwise-incrementally.
-void Device::BankScan::ArmOrReopen(dram::DramLocation loc, uint64_t first_burst,
-                                   uint32_t idx, uint32_t nbursts) {
-  dram::Command pre{dram::CommandType::kPrecharge, dev_->rank_index_, loc.bank};
-  dev_->IssueWhenReady(
-      pre,
-      [this, loc, first_burst, idx, nbursts](sim::Tick) {
-        Reactivate(loc, first_burst, idx, nbursts);
-      },
       /*on_stale=*/nullptr, /*defer_to_refresh=*/false);
 }
 
@@ -208,11 +188,7 @@ void Device::BankScan::ReadNext(dram::DramLocation loc, uint64_t first_burst,
                                   words;
         ReadNext(loc, first_burst, idx + 1, nbursts);
       },
-      /*on_stale=*/
-      [this, loc, first_burst, idx, nbursts] {
-        Reactivate(loc, first_burst, idx, nbursts);
-      },
-      /*defer_to_refresh=*/false);
+      /*on_stale=*/nullptr, /*defer_to_refresh=*/false);
 }
 
 void Device::BankScan::DrainSegment(dram::DramLocation loc) {

@@ -41,8 +41,6 @@ class Device::BankScan {
                   uint32_t nbursts);
   void Reactivate(dram::DramLocation loc, uint64_t first_burst, uint32_t idx,
                   uint32_t nbursts);
-  void ArmOrReopen(dram::DramLocation loc, uint64_t first_burst, uint32_t idx,
-                   uint32_t nbursts);
   void ReadNext(dram::DramLocation loc, uint64_t first_burst, uint32_t idx,
                 uint32_t nbursts);
   void DrainSegment(dram::DramLocation loc);

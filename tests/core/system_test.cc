@@ -137,12 +137,37 @@ TEST(SystemModelTest, FoldedTraceReplaysLikeItsExpansion) {
   ctx.trace = &trace;
   (void)db::tpch::RunQ6(&ctx, &catalog);
 
+  // Decode by hand: a kRun's i-th access repeats the access k back (k the
+  // run's period) with its stride, a[-k] + (a[-k] - a[-2k]); an access
+  // before the first reads as address 0.
+  using Kind = cpu::TraceEvent::Kind;
+  std::vector<cpu::TraceEvent> accesses;
   std::vector<cpu::TraceEvent> expanded;
-  for (const cpu::TraceEvent& ev : trace.events()) {
-    if (ev.compute > 0) {
-      expanded.emplace_back(cpu::TraceEvent::Kind::kCompute, ev.compute);
+  auto expand = [&expanded](const cpu::TraceEvent& access) {
+    if (access.compute > 0) {
+      expanded.emplace_back(Kind::kCompute, access.compute);
     }
-    expanded.emplace_back(ev.kind, ev.value);
+    expanded.emplace_back(access.kind, access.value);
+  };
+  for (const cpu::TraceEvent& ev : trace.events()) {
+    if (ev.kind == Kind::kCompute) {
+      expanded.push_back(ev);
+    } else if (ev.kind == Kind::kRun) {
+      const size_t k = ev.compute;
+      for (uint64_t i = 0; i < ev.value; ++i) {
+        const size_t n = accesses.size();
+        ASSERT_TRUE(k >= 1 && n >= k) << "period " << k << " at " << n;
+        const cpu::TraceEvent& prev = accesses[n - k];
+        const uint64_t before = n >= 2 * k ? accesses[n - 2 * k].value : 0;
+        accesses.emplace_back(
+            prev.kind, (2 * prev.value - before) & cpu::TraceEvent::kMaxValue,
+            prev.compute);
+        expand(accesses.back());
+      }
+    } else {
+      accesses.push_back(ev);
+      expand(ev);
+    }
   }
   ASSERT_GT(expanded.size(), trace.events().size());
 

@@ -269,6 +269,27 @@ TEST(ReplayStreamTest, FoldedComputeReplaysLikeStandaloneCompute) {
   EXPECT_EQ(ua.back().addr, TraceEvent::kMaxValue);
 }
 
+TEST(ReplayStreamTest, RunRepeatsTheAccessOnePeriodBackWithItsStride) {
+  using Kind = TraceEvent::Kind;
+  const std::vector<TraceEvent> events = {
+      {Kind::kLoad, 0x1000, 2},  {Kind::kStore, 0x9000},
+      {Kind::kLoad, 0x1008, 2},  {Kind::kStore, 0x8ff0},
+      {Kind::kRun, 3, 2},  // load, store, load at period 2
+      {Kind::kCompute, 1}, {Kind::kRun, 1, 2},  // and the store
+  };
+  ReplayStream s(&events);
+  std::vector<std::pair<UopType, uint64_t>> got;
+  for (const Uop& u : Drain(&s)) got.emplace_back(u.type, u.addr);
+  const auto A = UopType::kAlu, L = UopType::kLoad, S = UopType::kStore;
+  const std::vector<std::pair<UopType, uint64_t>> want = {
+      {A, 0}, {A, 0}, {L, 0x1000}, {S, 0x9000},
+      {A, 0}, {A, 0}, {L, 0x1008}, {S, 0x8ff0},
+      {A, 0}, {A, 0}, {L, 0x1010}, {S, 0x8fe0},
+      {A, 0}, {A, 0}, {L, 0x1018},
+      {A, 0}, {S, 0x8fd0}};
+  EXPECT_EQ(got, want);
+}
+
 TEST(TraceEventDeathTest, OversizedComputeAbortsInsteadOfTruncating) {
   EXPECT_DEATH(TraceEvent(TraceEvent::Kind::kLoad, 0, uint64_t{1} << 16),
                "kMaxCompute");

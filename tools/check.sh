@@ -22,7 +22,8 @@
 #                         (-L runtime), the device-generation suite
 #                         (-L devgen), the serving-ingress suite
 #                         (-L serving), the join-pushdown suite (-L join),
-#                         and unit tests under ASan+UBSan;
+#                         the partitioned-core suite (-L pdes), and unit
+#                         tests under ASan+UBSan;
 #                         recovery paths (aborts, retries, epoch-guarded
 #                         cancellation, deadline-culled slots) are where
 #                         lifetime bugs would hide
@@ -75,9 +76,9 @@ step "configure + build (${PREFIX}-asan, NDP_SANITIZE=address,undefined)"
 cmake -B "${PREFIX}-asan" -S . -DNDP_SANITIZE=address,undefined >/dev/null
 cmake --build "${PREFIX}-asan" -j "${JOBS}"
 
-step "ctest (${PREFIX}-asan: faults + runtime + devgen + serving + join + unit under ASan/UBSan)"
+step "ctest (${PREFIX}-asan: faults + runtime + devgen + serving + join + pdes + unit under ASan/UBSan)"
 ctest --test-dir "${PREFIX}-asan" -j "${JOBS}" \
-  -L 'unit|faults|runtime|devgen|serving|join' --output-on-failure
+  -L 'unit|faults|runtime|devgen|serving|join|pdes' --output-on-failure
 
 step "configure + build (${PREFIX}-tsan, NDP_SANITIZE=thread)"
 cmake -B "${PREFIX}-tsan" -S . -DNDP_SANITIZE=thread >/dev/null
