@@ -171,8 +171,8 @@ Result<PlacedColumn> DimmArray::PlaceColumn(const db::Column& col,
           part.out_base,
           AllocOnDevice(d, ((part.rows + 7) / 8 + 4095) & ~uint64_t{4095},
                         4096));
-      dram_->backing_store().Write(part.col_base, col.data() + row,
-                                   part.rows * 8);
+      dram_->backing_store().Map(part.col_base, col.buffer(), col.data() + row,
+                                 part.rows * 8);
     }
     placed.parts.push_back(part);
     row += part.rows;

@@ -110,8 +110,9 @@ class DimmArray {
                                  uint64_t align = 4096);
 
   /// Lays `col` out across the device ranks per SplitRows (device i gets the
-  /// i-th contiguous slice) and copies the slice data into the backing
-  /// store. The runtime places many columns side by side.
+  /// i-th contiguous slice) and maps the slice data into the backing store
+  /// (BackingStore::Map: whole pages view the column's own buffer). The
+  /// runtime places many columns side by side.
   Result<PlacedColumn> PlaceColumn(const db::Column& col,
                                    const std::vector<double>& weights = {});
 

@@ -443,12 +443,17 @@ Result<NdpRuntime::JobId> NdpRuntime::Submit(const PlacedColumn& col,
 }
 
 Result<PlacedColumn*> NdpRuntime::EnsurePlaced(const db::Column& col) {
+  // The entry holds the buffer it placed, so a column at this address that
+  // holds another buffer (built at a recycled address, or written since and
+  // so detached) cannot be mistaken for it: it is placed afresh.
   auto it = placed_.find(&col);
-  if (it != placed_.end()) return &it->second;
+  if (it != placed_.end() && it->second.buffer.get() == &col.values()) {
+    return &it->second.placed;
+  }
   NDP_ASSIGN_OR_RETURN(PlacedColumn placed, array_->PlaceColumn(col));
-  auto [ins, ok] = placed_.emplace(&col, std::move(placed));
-  NDP_CHECK(ok);
-  return &ins->second;
+  ColumnPlacement& entry = placed_[&col];
+  entry = {col.buffer(), std::move(placed)};
+  return &entry.placed;
 }
 
 // -- Queue / dispatch ---------------------------------------------------------

@@ -415,8 +415,13 @@ class NdpRuntime {
   /// land here and hooks take theirs out (TakeResult).
   // ndp-lint: bounded-queue-ok grows only with public Submit* calls, whose caller reads result(id); the serving ingress and the db hooks keep nothing here
   std::map<JobId, JobResult> results_;
+  /// A hook's placement of one column, with the values buffer it placed.
+  struct ColumnPlacement {
+    std::shared_ptr<const db::Column::Buffer> buffer;
+    PlacedColumn placed;
+  };
   // ndp-lint: bounded-queue-ok one placement per distinct column a hook pushed down, not per request
-  std::map<const db::Column*, PlacedColumn> placed_;
+  std::map<const db::Column*, ColumnPlacement> placed_;
   JobId next_job_id_ = 1;
   uint64_t next_chunk_seq_ = 1;
   uint32_t active_jobs_ = 0;

@@ -63,11 +63,16 @@ uint64_t SystemModel::Allocate(uint64_t bytes, uint64_t align) {
 }
 
 uint64_t SystemModel::PinColumn(const db::Column& col) {
+  // The entry holds the buffer it pinned, so a column at this address that
+  // holds another buffer (built at a recycled address, or written since and
+  // so detached) cannot be mistaken for it: it is pinned afresh.
   auto it = pinned_.find(&col);
-  if (it != pinned_.end()) return it->second;
+  if (it != pinned_.end() && it->second.buffer.get() == &col.values()) {
+    return it->second.base;
+  }
   uint64_t base = Allocate(col.SizeBytes());
-  dram_->backing_store().Write(base, col.data(), col.SizeBytes());
-  pinned_.emplace(&col, base);
+  dram_->backing_store().Map(base, col.buffer(), col.data(), col.SizeBytes());
+  pinned_[&col] = {col.buffer(), base};
   return base;
 }
 

@@ -39,9 +39,9 @@ class SystemModel {
   /// rank 0). Page-aligned by default.
   uint64_t Allocate(uint64_t bytes, uint64_t align = 4096);
 
-  /// Ensures `col`'s values are resident in the backing store; returns the
-  /// physical base address (stable per column; "pinned", §4 Memory
-  /// Management).
+  /// Ensures `col`'s values are mapped into the backing store; returns the
+  /// physical base address (stable per column while it holds the same
+  /// values buffer; "pinned", §4 Memory Management).
   uint64_t PinColumn(const db::Column& col);
 
   struct CpuRunResult {
@@ -154,7 +154,12 @@ class SystemModel {
   uint32_t consecutive_failures_ = 0;
 
   uint64_t next_alloc_ = 0;
-  std::unordered_map<const db::Column*, uint64_t> pinned_;
+  /// A pinned column's base, with the values buffer it pinned.
+  struct Pin {
+    std::shared_ptr<const db::Column::Buffer> buffer;
+    uint64_t base = 0;
+  };
+  std::unordered_map<const db::Column*, Pin> pinned_;
 };
 
 }  // namespace ndp::core

@@ -3,11 +3,19 @@
 // using dictionary compression", paper §4 "Data Types"). All values are
 // exposed to operators as int64 codes, which is exactly what makes them
 // JAFAR-compatible.
+//
+// A column's values live in a copy-on-write buffer: copying a column shares
+// it, and the first write through a column whose buffer is shared (with a
+// copy, or with a backing store that maps it as device memory) detaches that
+// column onto its own copy. So a placed column is held once, and writing to
+// the column after placement never changes what the device reads.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/macros.h"
@@ -23,6 +31,8 @@ enum class ColumnType : uint8_t {
 /// \brief One column of a table.
 class Column {
  public:
+  using Buffer = std::vector<int64_t>;
+
   static Column Int64(std::string name) {
     return Column(std::move(name), ColumnType::kInt64);
   }
@@ -30,20 +40,47 @@ class Column {
     return Column(std::move(name), ColumnType::kDictionary);
   }
 
+  Column(const Column&) = default;
+  Column& operator=(const Column&) = default;
+  /// A moved-from column is empty.
+  Column(Column&& o) noexcept
+      : name_(std::move(o.name_)),
+        type_(o.type_),
+        data_(std::exchange(o.data_, EmptyBuffer())),
+        dict_(std::move(o.dict_)),
+        dict_index_(std::move(o.dict_index_)) {}
+  Column& operator=(Column&& o) noexcept {
+    name_ = std::move(o.name_);
+    type_ = o.type_;
+    data_ = std::exchange(o.data_, EmptyBuffer());
+    dict_ = std::move(o.dict_);
+    dict_index_ = std::move(o.dict_index_);
+    return *this;
+  }
+
   const std::string& name() const { return name_; }
   ColumnType type() const { return type_; }
-  size_t size() const { return data_.size(); }
+  size_t size() const { return data_->size(); }
 
-  int64_t operator[](size_t i) const { return data_[i]; }
-  const int64_t* data() const { return data_.data(); }
-  const std::vector<int64_t>& values() const { return data_; }
+  int64_t operator[](size_t i) const { return (*data_)[i]; }
+  const int64_t* data() const { return data_->data(); }
+  const std::vector<int64_t>& values() const { return *data_; }
+  /// The values buffer itself, for holders that must keep it alive (a
+  /// backing store mapping it). The column never writes to a buffer it
+  /// shares: it detaches first.
+  std::shared_ptr<const Buffer> buffer() const { return data_; }
 
-  void Append(int64_t v) { data_.push_back(v); }
+  void Append(int64_t v) { Mutable().push_back(v); }
   void Set(size_t i, int64_t v) {
-    NDP_CHECK(i < data_.size());
-    data_[i] = v;
+    NDP_CHECK(i < data_->size());
+    Mutable()[i] = v;
   }
-  void Reserve(size_t n) { data_.reserve(n); }
+  void Reserve(size_t n) { Mutable().reserve(n); }
+  /// Replaces the values with `values`, which become the column's own
+  /// buffer: a bulk load without Append's per-value check for sharing.
+  void Assign(std::vector<int64_t> values) {
+    data_ = std::make_shared<Buffer>(std::move(values));
+  }
 
   /// Returns the dictionary code for `s`, interning it if absent. Append the
   /// code to store the string.
@@ -68,7 +105,7 @@ class Column {
   // ndp-lint: test-only-ok tests decode dictionary codes
   const std::string& StringAt(size_t row) const {
     NDP_CHECK(type_ == ColumnType::kDictionary);
-    int64_t code = data_[row];
+    int64_t code = (*data_)[row];
     NDP_CHECK(code >= 0 && static_cast<size_t>(code) < dict_.size());
     return dict_[static_cast<size_t>(code)];
   }
@@ -79,15 +116,30 @@ class Column {
   }
 
   size_t dictionary_size() const { return dict_.size(); }
-  size_t SizeBytes() const { return data_.size() * sizeof(int64_t); }
+  size_t SizeBytes() const { return data_->size() * sizeof(int64_t); }
 
  private:
   Column(std::string name, ColumnType type)
-      : name_(std::move(name)), type_(type) {}
+      : name_(std::move(name)), type_(type), data_(EmptyBuffer()) {}
+
+  /// The one empty buffer every new or moved-from column starts out sharing.
+  static std::shared_ptr<Buffer> EmptyBuffer() {
+    static const std::shared_ptr<Buffer> empty = std::make_shared<Buffer>();
+    return empty;
+  }
+
+  /// The buffer, detached onto a copy of its own first if anyone shares it.
+  /// use_count() is a relaxed read: a holder on another thread must have
+  /// dropped its reference before a join or lock that orders it before this
+  /// write, as any cross-thread hand-off must.
+  Buffer& Mutable() {
+    if (data_.use_count() != 1) data_ = std::make_shared<Buffer>(*data_);
+    return *data_;
+  }
 
   std::string name_;
   ColumnType type_;
-  std::vector<int64_t> data_;
+  std::shared_ptr<Buffer> data_;  ///< never null
   std::vector<std::string> dict_;
   std::unordered_map<std::string, int64_t> dict_index_;
 };

@@ -59,6 +59,9 @@ int64_t DayNumber(int year, int month, int day) {
 
 void Generate(const TpchConfig& config, Catalog* catalog) {
   Rng rng(config.seed);
+  // Values are built in plain vectors and handed to their columns whole
+  // (Column::Assign), which skips Append's per-value check for a shared
+  // buffer: no column of a catalog being generated is shared.
 
   // ---- customer -----------------------------------------------------------
   Table* customer = catalog->AddTable("customer");
@@ -68,24 +71,27 @@ void Generate(const TpchConfig& config, Catalog* catalog) {
   Column* c_acctbal = customer->AddColumn(Column::Int64("c_acctbal"));
   Column* c_phone_cc = customer->AddColumn(Column::Int64("c_phone_cc"));
   const uint64_t ncust = config.num_customers();
-  for (Column* col : {c_custkey, c_mktsegment, c_acctbal, c_phone_cc}) {
-    col->Reserve(ncust);
-  }
+  std::vector<int64_t> custkeys(ncust), segments(ncust), acctbals(ncust),
+      phone_ccs(ncust);
   // Segment codes follow first appearance, as interning each row would.
   int64_t segment_code[kNumMktSegments];
   std::fill(std::begin(segment_code), std::end(segment_code), -1);
   for (uint64_t c = 0; c < ncust; ++c) {
-    c_custkey->Append(static_cast<int64_t>(c + 1));
+    custkeys[c] = static_cast<int64_t>(c + 1);
     const uint32_t segment = rng.NextBounded(kNumMktSegments);
     if (segment_code[segment] < 0) {
       segment_code[segment] = c_mktsegment->InternString(kMktSegments[segment]);
     }
-    c_mktsegment->Append(segment_code[segment]);
+    segments[c] = segment_code[segment];
     // acctbal in [-999.99, 9999.99], stored in cents.
-    c_acctbal->Append(rng.NextInRange(-99999, 999999));
+    acctbals[c] = rng.NextInRange(-99999, 999999);
     // Phone country code: TPC-H uses 10..34.
-    c_phone_cc->Append(rng.NextInRange(10, 34));
+    phone_ccs[c] = rng.NextInRange(10, 34);
   }
+  c_custkey->Assign(std::move(custkeys));
+  c_mktsegment->Assign(std::move(segments));
+  c_acctbal->Assign(std::move(acctbals));
+  c_phone_cc->Assign(std::move(phone_ccs));
 
   // ---- orders --------------------------------------------------------------
   Table* orders = catalog->AddTable("orders");
@@ -99,19 +105,18 @@ void Generate(const TpchConfig& config, Catalog* catalog) {
   const int64_t last_orderdate = DayNumber(1998, 8, 2);
   // One third of customers never place orders (required for Q22's anti-join).
   const uint64_t ordering_customers = std::max<uint64_t>(1, ncust * 2 / 3);
-  for (Column* col :
-       {o_orderkey, o_custkey, o_orderdate, o_totalprice, o_shippriority}) {
-    col->Reserve(norders);
-  }
+  std::vector<int64_t> orderkeys(norders), order_custkeys(norders),
+      orderdates(norders);
   for (uint64_t o = 0; o < norders; ++o) {
-    o_orderkey->Append(static_cast<int64_t>(o + 1));
-    o_custkey->Append(
-        static_cast<int64_t>(rng.NextBounded(
-            static_cast<uint32_t>(ordering_customers)) + 1));
-    o_orderdate->Append(rng.NextInRange(0, last_orderdate));
-    o_totalprice->Append(0);  // backfilled from lineitem below
-    o_shippriority->Append(0);
+    orderkeys[o] = static_cast<int64_t>(o + 1);
+    order_custkeys[o] = static_cast<int64_t>(
+        rng.NextBounded(static_cast<uint32_t>(ordering_customers)) + 1);
+    orderdates[o] = rng.NextInRange(0, last_orderdate);
   }
+  o_orderkey->Assign(std::move(orderkeys));
+  o_custkey->Assign(std::move(order_custkeys));
+  o_orderdate->Assign(std::move(orderdates));
+  o_shippriority->Assign(std::vector<int64_t>(norders, 0));
 
   // ---- lineitem -------------------------------------------------------------
   Table* lineitem = catalog->AddTable("lineitem");
@@ -144,10 +149,12 @@ void Generate(const TpchConfig& config, Catalog* catalog) {
     max_lines = std::accumulate(zipf_lines.begin(), zipf_lines.end(),
                                 uint64_t{0});
   }
-  for (Column* col : {l_orderkey, l_quantity, l_extendedprice, l_discount,
-                      l_tax, l_returnflag, l_linestatus, l_shipdate,
-                      l_commitdate, l_receiptdate}) {
-    col->Reserve(max_lines);
+  std::vector<int64_t> line_orderkeys, quantities, prices, discounts, taxes,
+      returnflags, linestatuses, shipdates, commitdates, receiptdates;
+  for (std::vector<int64_t>* v :
+       {&line_orderkeys, &quantities, &prices, &discounts, &taxes, &returnflags,
+        &linestatuses, &shipdates, &commitdates, &receiptdates}) {
+    v->reserve(max_lines);
   }
   std::vector<int64_t> order_totals(norders, 0);
   for (uint64_t o = 0; o < norders; ++o) {
@@ -164,28 +171,36 @@ void Generate(const TpchConfig& config, Catalog* catalog) {
       int64_t commitdate = orderdate + rng.NextInRange(30, 90);
       int64_t receiptdate = shipdate + rng.NextInRange(1, 30);
 
-      l_orderkey->Append(static_cast<int64_t>(o + 1));
-      l_quantity->Append(quantity);
-      l_extendedprice->Append(price);
-      l_discount->Append(discount);
-      l_tax->Append(tax);
+      line_orderkeys.push_back(static_cast<int64_t>(o + 1));
+      quantities.push_back(quantity);
+      prices.push_back(price);
+      discounts.push_back(discount);
+      taxes.push_back(tax);
       if (receiptdate <= current_date) {
-        l_returnflag->Append(rng.NextBool(0.5) ? flag_a : flag_r);
+        returnflags.push_back(rng.NextBool(0.5) ? flag_a : flag_r);
       } else {
-        l_returnflag->Append(flag_n);
+        returnflags.push_back(flag_n);
       }
-      l_linestatus->Append(shipdate > current_date ? status_o : status_f);
-      l_shipdate->Append(shipdate);
-      l_commitdate->Append(commitdate);
-      l_receiptdate->Append(receiptdate);
+      linestatuses.push_back(shipdate > current_date ? status_o : status_f);
+      shipdates.push_back(shipdate);
+      commitdates.push_back(commitdate);
+      receiptdates.push_back(receiptdate);
       total += price;
     }
     order_totals[o] = total;
   }
-  // Backfill o_totalprice (approximation: sum of extended prices).
-  for (uint64_t o = 0; o < norders; ++o) {
-    o_totalprice->Set(o, order_totals[o]);
-  }
+  l_orderkey->Assign(std::move(line_orderkeys));
+  l_quantity->Assign(std::move(quantities));
+  l_extendedprice->Assign(std::move(prices));
+  l_discount->Assign(std::move(discounts));
+  l_tax->Assign(std::move(taxes));
+  l_returnflag->Assign(std::move(returnflags));
+  l_linestatus->Assign(std::move(linestatuses));
+  l_shipdate->Assign(std::move(shipdates));
+  l_commitdate->Assign(std::move(commitdates));
+  l_receiptdate->Assign(std::move(receiptdates));
+  // o_totalprice approximates TPC-H's as the sum of extended prices.
+  o_totalprice->Assign(std::move(order_totals));
 
   NDP_CHECK(customer->Validate().ok());
   NDP_CHECK(orders->Validate().ok());

@@ -501,19 +501,25 @@ uint64_t Device::FillBitmap(uint64_t last, Pass pass) {
   return r - cursor_rows_;
 }
 
+template <typename T>
+const T* Device::FetchRows(uint64_t base, uint64_t last, std::vector<T>* buf) {
+  buf->resize(std::min(last - cursor_rows_,
+                       config_.output_buffer_bits - pending_bit_count_));
+  dram_->backing_store().Read(base + cursor_rows_ * sizeof(T), buf->data(),
+                              buf->size() * sizeof(T));
+  return buf->data();
+}
+
 uint64_t Device::Fold(const SelectJob& job, uint64_t last) {
-  const dram::BackingStore& store = dram_->backing_store();
-  const bool packed = config_.elem_bytes == 4;  // sign-extended 32-bit halves
+  if (config_.elem_bytes == 4) {  // sign-extended 32-bit halves
+    const int32_t* v = FetchRows(job.col_base, last, &fold_halves_);
+    return FillBitmap(last, [&](uint64_t r) {
+      return EvalCompare(job.op, v[r - cursor_rows_], job.range_low, job.range_high);
+    });
+  }
+  const int64_t* v = FetchRows(job.col_base, last, &fold_words_);
   return FillBitmap(last, [&](uint64_t r) {
-    int64_t v;
-    if (packed) {
-      int32_t half;
-      store.Read(job.col_base + r * 4, &half, 4);
-      v = half;
-    } else {
-      v = static_cast<int64_t>(store.Read64(job.col_base + r * 8));
-    }
-    return EvalCompare(job.op, v, job.range_low, job.range_high);
+    return EvalCompare(job.op, v[r - cursor_rows_], job.range_low, job.range_high);
   });
 }
 
@@ -530,11 +536,11 @@ uint64_t Device::Fold(const RowStoreJob& job, uint64_t last) {
 }
 
 uint64_t Device::Fold(const ProbeJob& job, uint64_t last) {
-  const dram::BackingStore& store = dram_->backing_store();
+  const int64_t* keys = FetchRows(job.col_base, last, &fold_words_);
   // Bloom membership: every hash lane's bit for the key is set in the probe
   // SRAM (no false negatives by construction).
   return FillBitmap(last, [&](uint64_t r) {
-    const uint64_t key = store.Read64(job.col_base + r * 8);
+    const uint64_t key = static_cast<uint64_t>(keys[r - cursor_rows_]);
     for (uint32_t h = 0; h < job.hash_count; ++h) {
       uint64_t bit = BloomBitIndex(key, h, job.filter_words);
       if (((probe_sram_[bit / 64] >> (bit % 64)) & 1) == 0) return false;

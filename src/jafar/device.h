@@ -221,6 +221,11 @@ class Device {
   /// stopping once the output buffer is full; returns the rows buffered.
   template <typename Pass>
   uint64_t FillBitmap(uint64_t last, Pass pass);
+  /// Reads the column at `base` (elements of type T) for the rows
+  /// FillBitmap(last) will take into `buf`, with one store read; element i
+  /// of the result is row cursor_rows_ + i.
+  template <typename T>
+  const T* FetchRows(uint64_t base, uint64_t last, std::vector<T>* buf);
   /// Calls `fold(r)` for every row up to `last` whose `bitmap` bit is set
   /// (every row without a bitmap); returns the rows streamed.
   template <typename F>
@@ -324,6 +329,8 @@ class Device {
   StreamSpec stream_;
   std::vector<int64_t> groupby_sram_;  ///< per bucket {aggregate, count}
   std::vector<uint64_t> probe_sram_;  ///< Bloom image latched by Begin(ProbeJob)
+  std::vector<int64_t> fold_words_;   ///< a scan step's rows (FetchRows)
+  std::vector<int32_t> fold_halves_;  ///< the same, packed 32-bit elements
 
   uint64_t cursor_rows_ = 0;       ///< rows processed so far
   uint64_t bitmap_rows_ = 0;       ///< rows whose pre-filter bits are fetched

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace ndp::core {
@@ -166,6 +170,45 @@ TEST(DimmArrayTest, PlaceColumnMoreDevicesThanRows) {
   EXPECT_EQ(total, 10u);
   auto result = array.RunParallelSelect(placed, 0, 999999).ValueOrDie();
   EXPECT_EQ(result.matches, 10u);
+}
+
+TEST(DimmArrayTest, DeviceDataOutlivesWritesToAndTheEndOfItsColumn) {
+  DimmArray array(dram::DramTiming::DDR3_1600(), 4, 1, Config());
+  array.AcquireAllOwnership();
+  auto col = std::make_unique<db::Column>(RandomColumn(50'021, 13));
+  const std::vector<int64_t> original = col->values();
+  PlacedColumn placed = array.PlaceColumn(*col).ValueOrDie();
+  for (size_t i = 0; i < col->size(); ++i) col->Set(i, 0);
+  col->Append(1);
+  col.reset();  // under ASan, a view of a freed buffer would fault here on
+  auto result = array.RunParallelSelect(placed, 250'000, 750'000).ValueOrDie();
+  uint64_t oracle = 0;
+  for (size_t i = 0; i < original.size(); ++i) {
+    oracle += original[i] >= 250'000 && original[i] <= 750'000;
+    EXPECT_EQ(result.bitmap.Get(i),
+              original[i] >= 250'000 && original[i] <= 750'000);
+  }
+  EXPECT_EQ(result.matches, oracle);
+}
+
+TEST(DimmArrayTest, PlaceColumnViewsTheColumnInsteadOfCopyingIt) {
+  DimmArray array(dram::DramTiming::DDR3_1600(), 4, 1, Config());
+  db::Column col = RandomColumn(1u << 20, 14);
+  // Ragged weights, so parts end inside a page.
+  PlacedColumn placed =
+      array.PlaceColumn(col, {1.0, 1.0 / 2, 1.0 / 3, 1.0 / 4}).ValueOrDie();
+  const dram::BackingStore& store = array.dram().backing_store();
+  EXPECT_LE(store.resident_pages(), 2 * placed.parts.size());
+  EXPECT_GE(store.mapped_pages(),
+            col.SizeBytes() / dram::BackingStore::kPageSize -
+                placed.parts.size());
+  for (const DevicePlacement& part : placed.parts) {
+    std::vector<int64_t> got(part.rows);
+    store.Read(part.col_base, got.data(), part.rows * 8);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(),
+                           col.values().begin() + part.first_row))
+        << "device " << part.device;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -265,6 +266,37 @@ TEST(NdpRuntimeTest, PushdownHookFeedsPlanExecution) {
   db::PositionList cpu =
       ScanSelect(&cpu_ctx, col, db::Pred::Between(0, 99'999));
   EXPECT_EQ(ndp, cpu);
+}
+
+TEST(NdpRuntimeTest, PushdownHookReplacesAColumnWrittenAfterPlacement) {
+  DimmArray array(dram::DramTiming::DDR3_1600(), 2, 1, Config());
+  NdpRuntime runtime(&array, RuntimeConfig{});
+  db::Column col = RandomColumn(20'000, 62);
+  db::QueryContext ctx;
+  ctx.ndp_select = runtime.MakePushdownHook();
+  db::QueryContext cpu_ctx;
+  const db::Pred pred = db::Pred::Between(0, 99'999);
+  EXPECT_EQ(ScanSelect(&ctx, col, pred), ScanSelect(&cpu_ctx, col, pred));
+  for (size_t i = 0; i < col.size(); i += 3) col.Set(i, 42);
+  for (int64_t i = 0; i < 500; ++i) col.Append(i * 7);
+  EXPECT_EQ(ScanSelect(&ctx, col, pred), ScanSelect(&cpu_ctx, col, pred));
+}
+
+TEST(NdpRuntimeTest, PushdownHookPlacesAColumnAtARecycledAddress) {
+  DimmArray array(dram::DramTiming::DDR3_1600(), 2, 1, Config());
+  NdpRuntime runtime(&array, RuntimeConfig{});
+  db::QueryContext ctx;
+  ctx.ndp_select = runtime.MakePushdownHook();
+  db::QueryContext cpu_ctx;
+  const db::Pred pred = db::Pred::Between(0, 99'999);
+  std::optional<db::Column> slot;
+  slot.emplace(RandomColumn(20'000, 63));
+  const db::Column* first = &*slot;
+  EXPECT_EQ(ScanSelect(&ctx, *slot, pred), ScanSelect(&cpu_ctx, *slot, pred));
+  slot.reset();
+  slot.emplace(RandomColumn(20'000, 64));
+  ASSERT_EQ(&*slot, first);  // the same address, another column
+  EXPECT_EQ(ScanSelect(&ctx, *slot, pred), ScanSelect(&cpu_ctx, *slot, pred));
 }
 
 TEST(NdpRuntimeTest, PreemptedBatchChunkKeepsItsBitmap) {

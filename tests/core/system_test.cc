@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "db/tpch.h"
 #include "db/tpch_queries.h"
 #include "db/trace.h"
@@ -59,6 +61,42 @@ TEST(SystemModelTest, PinColumnIsIdempotentAndLoadsData) {
                   base1 + i * 8)),
               col[i]);
   }
+}
+
+uint64_t Oracle(const db::Column& col, int64_t lo, int64_t hi) {
+  uint64_t n = 0;
+  for (size_t i = 0; i < col.size(); ++i) n += col[i] >= lo && col[i] <= hi;
+  return n;
+}
+
+TEST(SystemModelTest, PinColumnRepinsAColumnWrittenAfterItsFirstPin) {
+  SystemModel sys(PlatformConfig::Gem5());
+  db::Column col = RandomColumn(8192, 5);
+  const uint64_t base = sys.PinColumn(col);
+  EXPECT_EQ(sys.RunJafarSelect(col, 0, 99'999).ValueOrDie().matches,
+            Oracle(col, 0, 99'999));
+  for (size_t i = 0; i < col.size(); i += 2) col.Set(i, 50'000);
+  for (int64_t i = 0; i < 1000; ++i) col.Append(i);
+  EXPECT_NE(sys.PinColumn(col), base);
+  EXPECT_EQ(sys.RunJafarSelect(col, 0, 99'999).ValueOrDie().matches,
+            Oracle(col, 0, 99'999));
+  // The first pin's device data still holds the values it was pinned with.
+  EXPECT_NE(static_cast<int64_t>(sys.dram().backing_store().Read64(base)),
+            50'000);
+}
+
+TEST(SystemModelTest, PinColumnRepinsAColumnAtARecycledAddress) {
+  SystemModel sys(PlatformConfig::Gem5());
+  std::optional<db::Column> slot;
+  slot.emplace(RandomColumn(8192, 6));
+  const db::Column* first = &*slot;
+  EXPECT_EQ(sys.RunJafarSelect(*slot, 0, 99'999).ValueOrDie().matches,
+            Oracle(*slot, 0, 99'999));
+  slot.reset();
+  slot.emplace(RandomColumn(8192, 7));
+  ASSERT_EQ(&*slot, first);  // the same address, another column
+  EXPECT_EQ(sys.RunJafarSelect(*slot, 0, 99'999).ValueOrDie().matches,
+            Oracle(*slot, 0, 99'999));
 }
 
 TEST(SystemModelTest, CpuAndJafarSelectAgreeFunctionally) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "db/table.h"
 
 namespace ndp::db {
@@ -23,6 +27,65 @@ TEST(ColumnTest, SetMutates) {
   c.Append(1);
   c.Set(0, 42);
   EXPECT_EQ(c[0], 42);
+}
+
+TEST(ColumnTest, CopySharesTheBufferAndAWriteDetachesIt) {
+  Column a = Column::Int64("x");
+  for (int64_t v = 0; v < 100; ++v) a.Append(v);
+  Column b = a;
+  EXPECT_EQ(b.data(), a.data());  // one buffer, two columns
+  EXPECT_EQ(a.buffer().use_count(), 3);  // a, b and the returned pointer
+  b.Set(7, -1);
+  EXPECT_NE(b.data(), a.data());
+  EXPECT_EQ(a[7], 7);
+  EXPECT_EQ(b[7], -1);
+  // Append and Reserve detach a shared buffer the same way.
+  Column c = a;
+  c.Append(100);
+  EXPECT_EQ(a.size(), 100u);
+  EXPECT_EQ(c.size(), 101u);
+  Column d = a;
+  d.Reserve(1000);
+  EXPECT_NE(d.data(), a.data());
+  EXPECT_EQ(d.values(), a.values());
+  // Assign replaces only its own column's buffer.
+  Column e = a;
+  e.Assign({5, 6});
+  EXPECT_EQ(e.values(), (std::vector<int64_t>{5, 6}));
+  EXPECT_EQ(a.size(), 100u);
+}
+
+TEST(ColumnTest, HeldBufferOutlivesWritesAndTheColumn) {
+  auto c = std::make_unique<Column>(Column::Int64("x"));
+  for (int64_t v = 0; v < 10; ++v) c->Append(v);
+  std::shared_ptr<const std::vector<int64_t>> held = c->buffer();
+  const int64_t* held_data = held->data();
+  c->Set(0, 99);  // shared with `held`: detaches
+  c->Append(10);
+  EXPECT_EQ((*held)[0], 0);
+  EXPECT_EQ(held->size(), 10u);
+  EXPECT_EQ(held->data(), held_data);
+  c.reset();
+  EXPECT_EQ((*held)[9], 9);
+}
+
+TEST(ColumnTest, AnUnsharedBufferIsWrittenInPlace) {
+  Column c = Column::Int64("x");
+  c.Append(1);
+  const int64_t* before = c.data();
+  c.Set(0, 2);
+  EXPECT_EQ(c.data(), before);
+}
+
+TEST(ColumnTest, MovedFromColumnIsEmpty) {
+  Column a = Column::Int64("x");
+  a.Append(3);
+  Column b = std::move(a);
+  EXPECT_EQ(b[0], 3);
+  EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  a.Append(4);
+  EXPECT_EQ(a[0], 4);
+  EXPECT_EQ(b.size(), 1u);
 }
 
 TEST(ColumnTest, DictionaryInternsAndDecodes) {

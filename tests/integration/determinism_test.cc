@@ -12,6 +12,7 @@
 #include "bench/bench_util.h"
 #include "bench/parallel_sweep.h"
 #include "core/api.h"
+#include "core/dimm_array.h"
 #include "gtest/gtest.h"
 
 namespace ndp {
@@ -128,6 +129,31 @@ TEST(DeterminismTest, ParallelSweepIsThreadCountInvariant) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i], parallel[i]) << "sweep point " << i;
+  }
+}
+
+TEST(ParallelSweepTest, SweepThreadsPlaceOneSharedColumn) {
+  // Every point maps the same column's buffer into its own array's backing
+  // store: the buffer's reference count is the one thing the threads share.
+  const db::Column col = bench::UniformColumn(64 * 1024);
+  const jafar::DeviceConfig config =
+      jafar::DeviceConfig::Derive(dram::DramTiming::DDR3_1600(),
+                                  accel::DatapathResources{})
+          .ValueOrDie();
+  auto run_point = [&](size_t i) {
+    core::DimmArray array(dram::DramTiming::DDR3_1600(), 2, 1, config);
+    array.AcquireAllOwnership();
+    core::PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
+    const int64_t hi = 100'000 * static_cast<int64_t>(i + 1);
+    return array.RunParallelSelect(placed, 0, hi).ValueOrDie().matches;
+  };
+  std::vector<uint64_t> matches =
+      bench::ParallelSweep<uint64_t>(4, run_point, /*num_threads=*/4);
+  for (size_t i = 0; i < matches.size(); ++i) {
+    const int64_t hi = 100'000 * static_cast<int64_t>(i + 1);
+    uint64_t oracle = 0;
+    for (int64_t v : col.values()) oracle += v >= 0 && v <= hi;
+    EXPECT_EQ(matches[i], oracle) << "point " << i;
   }
 }
 
