@@ -89,15 +89,15 @@ void HostTrafficGen::TryEnqueue(uint64_t addr, bool is_write,
     ++completed_;
     latency_.Add(static_cast<double>(done - first_attempt_ps));
   };
-  if (!controller_->Enqueue(req).ok()) {
-    // Queue full: hold the request in the "MSHR" and retry. Latency keeps
-    // accruing from the first attempt — backpressure is stall the CPU sees.
-    ++retries_;
-    eq_->ScheduleAfter(config_.retry_backoff_ps,
-                       [this, addr, is_write, first_attempt_ps] {
-                         TryEnqueue(addr, is_write, first_attempt_ps);
-                       });
-  }
+  Status s = controller_->Enqueue(req);
+  if (s.ok()) return;
+  NDP_CHECK(s.code() == StatusCode::kResourceExhausted);
+  // Queue full: the request waits in the "MSHR" for a freed slot. Latency
+  // keeps accruing from the first attempt — backpressure is stall the CPU sees.
+  ++retries_;
+  controller_->WaitForSpace(is_write, [this, addr, is_write, first_attempt_ps] {
+    TryEnqueue(addr, is_write, first_attempt_ps);
+  });
 }
 
 // -- ClientFleet --------------------------------------------------------------

@@ -24,10 +24,6 @@ struct HostTrafficConfig {
   double reqs_per_us = 50.0;
   /// PCG32 seed; the only randomness in a runtime experiment.
   uint64_t seed = 1;
-  /// Back-off before re-attempting a request the controller refused
-  /// (MSHR-style backpressure), in picoseconds.
-  // ndp-lint: never-set-ok saturation test needs 500 ns (10 ns runs > 5 min)
-  sim::Tick retry_backoff_ps = 10'000;
 };
 
 /// \brief Seeded open-loop cache-line traffic over caller-provided regions.
@@ -51,6 +47,7 @@ class HostTrafficGen {
 
   uint64_t issued() const { return issued_; }
   uint64_t completed() const { return completed_; }
+  /// Requests the controller refused; each waits for a freed slot once.
   uint64_t backpressure_retries() const { return retries_; }
   /// Request completion latency (enqueue attempt to last data beat), ps.
   const Histogram& latency() const { return latency_; }

@@ -7,6 +7,7 @@
 
 #include "cpu/mem_if.h"
 #include "dram/dram_system.h"
+#include "util/macros.h"
 
 namespace ndp::cpu {
 
@@ -32,21 +33,25 @@ class DramPort : public MemSink {
     if (frontside_ps_ == 0) {
       return dram_->EnqueueRequest(req).ok();
     }
-    dram_->event_queue()->ScheduleAfter(frontside_ps_, [this, req]() mutable {
-      // The queue had room when checked; a race with other agents in the same
-      // window can overflow it, in which case we retry every 1 ns.
-      RetryEnqueue(req);
-    });
+    dram_->event_queue()->ScheduleAfter(frontside_ps_, Deliver{this, req});
     return true;
   }
 
  private:
-  void RetryEnqueue(dram::Request req) {
-    if (dram_->EnqueueRequest(req).ok()) return;
-    dram_->event_queue()->ScheduleAfter(1000, [this, req]() mutable {
-      RetryEnqueue(req);
-    });
-  }
+  /// Hands a request to its controller at the end of the frontside window.
+  /// The queue had room when checked; if another agent filled it within the
+  /// window, the request waits for the controller's next freed slot.
+  struct Deliver {
+    DramPort* port;
+    dram::Request req;
+    void operator()() const {
+      Status s = port->dram_->EnqueueRequest(req);
+      if (s.ok()) return;
+      NDP_CHECK(s.code() == StatusCode::kResourceExhausted);
+      uint32_t c = port->dram_->mapper().Decode(req.addr).ValueOrDie().channel;
+      port->dram_->controller(c).WaitForSpace(req.is_write, *this);
+    }
+  };
 
   dram::DramSystem* dram_;
   sim::Tick frontside_ps_;

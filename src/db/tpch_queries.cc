@@ -26,22 +26,21 @@ std::vector<Q1Row> RunQ1(QueryContext* ctx, Catalog* catalog) {
   auto rf = Gather(ctx, li.Col("l_returnflag"), pos);
   auto ls = Gather(ctx, li.Col("l_linestatus"), pos);
 
-  // Derived measures (disc in percent, tax in percent; results in cents).
-  std::vector<int64_t> keys(pos.size()), disc_price(pos.size()),
-      charge(pos.size());
+  // Derived measures, in place: rf becomes the group key, disc the discounted
+  // price, tax the charge (disc and tax in percent; results in cents).
   for (size_t i = 0; i < pos.size(); ++i) {
-    keys[i] = PackQ1Key(rf[i], ls[i]);
-    disc_price[i] = price[i] * (100 - disc[i]) / 100;
-    charge[i] = disc_price[i] * (100 + tax[i]) / 100;
+    rf[i] = PackQ1Key(rf[i], ls[i]);
+    disc[i] = price[i] * (100 - disc[i]) / 100;
+    tax[i] = disc[i] * (100 + tax[i]) / 100;
   }
   if (ctx->trace) ctx->trace->Compute(pos.size() * 6);
 
   std::vector<AggSpec> specs = {
-      {AggFn::kSum, &qty},        {AggFn::kSum, &price},
-      {AggFn::kSum, &disc_price}, {AggFn::kSum, &charge},
+      {AggFn::kSum, &qty},  {AggFn::kSum, &price},
+      {AggFn::kSum, &disc}, {AggFn::kSum, &tax},
       {AggFn::kCount, nullptr},
   };
-  auto groups = GroupAggregate(ctx, keys, specs);
+  auto groups = GroupAggregate(ctx, rf, specs);
 
   const Column& rf_col = li.Col("l_returnflag");
   const Column& ls_col = li.Col("l_linestatus");

@@ -54,19 +54,13 @@ MemoryController::~MemoryController() {
 }
 
 Status MemoryController::Enqueue(const Request& req) {
+  std::deque<QueuedRequest>& q = req.is_write ? write_q_ : read_q_;
+  if (q.size() >= kQueueCapacity) {
+    return Status::ResourceExhausted("queue full");  // fits the inline buffer
+  }
   NDP_ASSIGN_OR_RETURN(DramLocation loc, mapper_->Decode(req.addr));
   sim::Tick now = event_queue()->Now();
-  if (req.is_write) {
-    if (write_q_.size() >= kQueueCapacity) {
-      return Status::ResourceExhausted("write queue full");
-    }
-    write_q_.push_back({req, loc, now});
-  } else {
-    if (read_q_.size() >= kQueueCapacity) {
-      return Status::ResourceExhausted("read queue full");
-    }
-    read_q_.push_back({req, loc, now});
-  }
+  q.push_back({req, loc, now});
   NoteQueueStateChange(now);
   Wake();
   return Status::OK();
@@ -296,10 +290,7 @@ bool MemoryController::ServeQueue(std::deque<QueuedRequest>* q, bool is_write,
     if (bank.has_open_row() && bank.open_row() == qr.loc.row) {
       bool completed = false;
       if (IssueForRequest(&qr, is_write, now, &completed)) {
-        if (completed) {
-          q->erase(q->begin() + static_cast<long>(i));
-          NoteQueueStateChange(now);
-        }
+        if (completed) Dequeue(q, i, is_write, now);
         return true;
       }
     }
@@ -310,15 +301,23 @@ bool MemoryController::ServeQueue(std::deque<QueuedRequest>* q, bool is_write,
     if (rank.owner() != RankOwner::kHost) continue;
     bool completed = false;
     if (IssueForRequest(&qr, is_write, now, &completed)) {
-      if (completed) {
-        q->erase(q->begin() + static_cast<long>(i));
-        NoteQueueStateChange(now);
-      }
+      if (completed) Dequeue(q, i, is_write, now);
       return true;
     }
     break;  // strict FCFS progress beyond row hits
   }
   return false;
+}
+
+void MemoryController::Dequeue(std::deque<QueuedRequest>* q, size_t i,
+                               bool is_write, sim::Tick now) {
+  q->erase(q->begin() + static_cast<long>(i));
+  NoteQueueStateChange(now);
+  auto& waiters = is_write ? write_waiters_ : read_waiters_;
+  if (waiters.empty()) return;
+  std::function<void()> retry = std::move(waiters.front());
+  waiters.pop_front();
+  retry();  // its Enqueue re-arms the tick from inside Tick(), which is safe
 }
 
 bool MemoryController::Tick() {

@@ -61,8 +61,16 @@ class MemoryController : public sim::TickingComponent {
   ~MemoryController() override;
 
   /// Enqueues a request. Fails with ResourceExhausted when the target queue is
-  /// full; the caller must retry later (MSHR-style backpressure).
+  /// full (checked before the address is decoded, so a refusal is cheap); the
+  /// caller then waits for space (MSHR-style backpressure).
   Status Enqueue(const Request& req);
+
+  /// Calls `retry` once, from inside the tick where a request leaves the
+  /// write (`is_write`) or read queue, so its Enqueue takes the freed slot.
+  /// Waiters on one queue are woken in FIFO order, one per freed slot.
+  void WaitForSpace(bool is_write, std::function<void()> retry) {
+    (is_write ? write_waiters_ : read_waiters_).push_back(std::move(retry));
+  }
 
   /// Entries in each of the read and write queues.
   static constexpr size_t kQueueCapacity = 64;
@@ -122,6 +130,9 @@ class MemoryController : public sim::TickingComponent {
   /// Closed-page policy: precharges open banks no queued request needs.
   bool TryCloseIdleRows(sim::Tick now);
   bool ServeQueue(std::deque<QueuedRequest>* q, bool is_write, sim::Tick now);
+  /// Removes the completed (*q)[i] and wakes the queue's oldest waiter.
+  void Dequeue(std::deque<QueuedRequest>* q, size_t i, bool is_write,
+               sim::Tick now);
   bool IssueForRequest(QueuedRequest* qr, bool is_write, sim::Tick now,
                        bool* completed);
 
@@ -139,6 +150,7 @@ class MemoryController : public sim::TickingComponent {
   std::deque<QueuedRequest> read_q_;
   std::deque<QueuedRequest> write_q_;
   std::deque<MrsOp> mrs_q_;
+  std::deque<std::function<void()>> read_waiters_, write_waiters_;
 
   bool write_drain_mode_ = false;
   bool has_open_rows_hint_ = false;  ///< closed-page: rows still to close

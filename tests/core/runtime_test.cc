@@ -204,12 +204,11 @@ TEST(NdpRuntimeTest, BatchJobsCompleteUnderSaturatingHostTraffic) {
 
   // CPU traffic saturating the one channel, over its own region. The rate
   // sits just above the channel's service rate: utilization pins at ~1.0
-  // while the backlog (and thus retry-event volume) grows only slowly.
+  // while the backlog of refused requests grows only slowly.
   uint64_t region = array.AllocOnDevice(0, 1u << 20).ValueOrDie();
   HostTrafficConfig tc;
   tc.reqs_per_us = 280.0;
   tc.seed = 7;
-  tc.retry_backoff_ps = 500'000;  // 500 ns between backpressure retries
   HostTrafficGen traffic(&array.eq(), &array.dram().controller(0), tc);
   traffic.AddRegion(region, 1u << 20);
   traffic.Start();
@@ -226,6 +225,13 @@ TEST(NdpRuntimeTest, BatchJobsCompleteUnderSaturatingHostTraffic) {
   EXPECT_GT(array.stats().ReadValue("array.runtime.admission_defers"), 0.0);
   EXPECT_GT(runtime.controller(0).qos_shrinks(), 0u);
   EXPECT_GT(traffic.completed(), 0u);
+  // Forward progress: a refused request waits for a freed slot and is
+  // re-offered exactly once, so refusals never outnumber requests, and every
+  // request, refused or not, completes once the generator stops.
+  EXPECT_GT(traffic.backpressure_retries(), 0u);
+  EXPECT_LE(traffic.backpressure_retries(), traffic.issued());
+  EXPECT_TRUE(array.eq().RunUntilTrue(
+      [&] { return traffic.completed() == traffic.issued(); }));
 }
 
 TEST(NdpRuntimeTest, DeterministicAcrossRuns) {

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "cpu/dram_port.h"
 #include "dram/dram_system.h"
 
 namespace ndp::dram {
@@ -139,8 +140,71 @@ TEST_F(ControllerTest, QueueCapacityBackpressure) {
     ASSERT_TRUE(dram_->EnqueueRequest(r).ok());
   }
   r.addr = MemoryController::kQueueCapacity * 64;
-  EXPECT_EQ(dram_->EnqueueRequest(r).code(), StatusCode::kResourceExhausted);
+  Status full = dram_->EnqueueRequest(r);
+  EXPECT_EQ(full.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(full.message(), "queue full");  // no allocation per refusal
   EXPECT_FALSE(dram_->CanAccept(r));
+  // The write queue is separate, and an address past the installed capacity
+  // still fails as out of range at the controller.
+  r.is_write = true;
+  EXPECT_TRUE(dram_->controller(0).Enqueue(r).ok());
+  r.addr = dram_->organization().TotalBytes();
+  EXPECT_EQ(dram_->controller(0).Enqueue(r).code(), StatusCode::kOutOfRange);
+}
+
+TEST_F(ControllerTest, WaitersTakeFreedSlotsInFifoOrder) {
+  MemoryController& mc = dram_->controller(0);
+  Request r;
+  for (size_t i = 0; i < MemoryController::kQueueCapacity; ++i) {
+    r.addr = i * 64;
+    ASSERT_TRUE(mc.Enqueue(r).ok());
+  }
+  ASSERT_EQ(mc.Enqueue(r).code(), StatusCode::kResourceExhausted);
+
+  // Three read waiters, each re-offering one read; one write waiter that no
+  // read dequeue may wake.
+  std::vector<int> order;
+  std::vector<uint64_t> served_at_wake;
+  for (int w = 0; w < 3; ++w) {
+    mc.WaitForSpace(/*is_write=*/false, [&, w] {
+      order.push_back(w);
+      // Woken in the tick its slot frees: the dequeue that freed it is the
+      // latest read served, and nothing else has taken the slot.
+      served_at_wake.push_back(mc.counters().reads_served);
+      Request again;
+      again.addr = (MemoryController::kQueueCapacity + w) * 64;
+      EXPECT_TRUE(mc.Enqueue(again).ok());
+      EXPECT_FALSE(mc.CanAcceptRead());
+    });
+  }
+  int write_wakes = 0;
+  mc.WaitForSpace(/*is_write=*/true, [&] { ++write_wakes; });
+
+  ASSERT_TRUE(eq_->RunUntilTrue([&] { return order.size() == 3; }));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(served_at_wake, (std::vector<uint64_t>{1, 2, 3}));
+  eq_->RunUntil(eq_->Now() + Cyc(2000));
+  EXPECT_EQ(mc.counters().reads_served, MemoryController::kQueueCapacity + 3);
+  EXPECT_EQ(order.size(), 3u);  // each waiter fired once
+  EXPECT_EQ(write_wakes, 0);
+}
+
+TEST_F(ControllerTest, DramPortRequestRefusedAfterFrontsideWaitsForSlot) {
+  // The port checks for room, then delivers 10 ns later; other traffic fills
+  // the read queue in between, so the delivery waits for a freed slot.
+  cpu::DramPort port(dram_.get(), /*frontside_ps=*/10'000);
+  sim::Tick done_at = 0;
+  ASSERT_TRUE(port.TryAccess(MemoryController::kQueueCapacity * 64,
+                             /*is_write=*/false,
+                             [&](sim::Tick t) { done_at = t; }));
+  Request r;
+  for (size_t i = 0; i < MemoryController::kQueueCapacity; ++i) {
+    r.addr = i * 64;
+    ASSERT_TRUE(dram_->EnqueueRequest(r).ok());
+  }
+  ASSERT_TRUE(eq_->RunUntilTrue([&] { return done_at != 0; }));
+  EXPECT_EQ(dram_->controller(0).counters().reads_served,
+            MemoryController::kQueueCapacity + 1);
 }
 
 TEST_F(ControllerTest, RefreshEventuallyIssues) {
